@@ -6,13 +6,11 @@ circuit once and measures wall-clock execution time per batch size for
 
 * ``reference`` — B sequential runs through the SEAL-style evaluator,
 * ``vector-vm`` — one batched pass over the optimized compiled tape
-  (fused superinstructions + register arena + per-tape specialization),
-* ``vector-vm-interp`` — the same VM with tape compilation switched off
-  (the legacy per-instruction interpreter), pricing the optimizer, and
+  (fused superinstructions + register arena), and
 * ``cost-sim``  — the accounting-only simulator,
 
-verifying along the way that both vector-VM variants' outputs are
-bit-identical to the reference backend's.  The JSON artifact records
+verifying along the way that the vector VM's outputs are bit-identical to
+the reference backend's.  The JSON artifact records
 wall-clock per (kernel, backend, batch size), per-kernel tape statistics
 (instructions before/after optimization, fused superinstruction counts,
 arena peak buffers) and per-kernel plus geometric-mean speedups, so future
@@ -37,9 +35,7 @@ from repro.experiments.harness import geometric_mean
 from repro.fhe.params import BFVParameters
 from repro.kernels.registry import benchmark_suite
 
-BACKENDS = ("reference", "vector-vm", "vector-vm-interp", "cost-sim")
-#: Backends whose per-batch speedup over reference lands in the artifact.
-SPEEDUP_KEYS = {"vector-vm": "speedup_vs_reference", "vector-vm-interp": "interp_speedup_vs_reference"}
+BACKENDS = ("reference", "vector-vm", "cost-sim")
 
 
 def main() -> int:
@@ -94,7 +90,6 @@ def main() -> int:
             },
             "wall_s": {backend: {} for backend in BACKENDS},
             "speedup_vs_reference": {},
-            "interp_speedup_vs_reference": {},
         }
         for batch in batch_sizes:
             inputs = [benchmark.sample_inputs(seed=seed) for seed in range(batch)]
@@ -117,17 +112,16 @@ def main() -> int:
                 timings[backend] = best
                 outputs[backend] = [r.outputs for r in reports]
                 row["wall_s"][backend][str(batch)] = best
-            for vm_backend in ("vector-vm", "vector-vm-interp"):
-                if outputs["reference"] != outputs[vm_backend]:
-                    print(
-                        f"FAIL: {vm_backend} outputs differ from reference on "
-                        f"{benchmark.name} at B={batch}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                row[SPEEDUP_KEYS[vm_backend]][str(batch)] = (
-                    timings["reference"] / timings[vm_backend]
+            if outputs["reference"] != outputs["vector-vm"]:
+                print(
+                    f"FAIL: vector-vm outputs differ from reference on "
+                    f"{benchmark.name} at B={batch}",
+                    file=sys.stderr,
                 )
+                return 1
+            row["speedup_vs_reference"][str(batch)] = (
+                timings["reference"] / timings["vector-vm"]
+            )
         results.append(row)
         speedups = ", ".join(
             f"B={batch}: {row['speedup_vs_reference'][str(batch)]:.1f}x"
@@ -146,12 +140,6 @@ def main() -> int:
         )
         for batch in batch_sizes
     }
-    geomean_interp = {
-        str(batch): geometric_mean(
-            [row["interp_speedup_vs_reference"][str(batch)] for row in results]
-        )
-        for batch in batch_sizes
-    }
     payload = {
         "suite": args.suite,
         "compiler": args.compiler,
@@ -161,12 +149,10 @@ def main() -> int:
         "outputs_bit_identical": True,
         "kernels": results,
         "geomean_vector_vm_speedup": geomean,
-        "geomean_vector_vm_interp_speedup": geomean_interp,
     }
     write_bench_json(args.out, payload)
     print(
         f"geomean vector-vm speedup at B={largest}: {geomean[largest]:.2f}x "
-        f"(tape opt off: {geomean_interp[largest]:.2f}x) "
         f"(n={args.degree}, {args.suite} suite, {args.compiler} compiler) -> {args.out}"
     )
 

@@ -270,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=7,
         help="input magnitude bound selecting the reduction plan",
     )
-    tape_parser.add_argument(
-        "--emit-fn",
-        action="store_true",
-        help="also print the generated specialized Python function",
-    )
 
     analyze_parser = subparsers.add_parser(
         "analyze",
@@ -294,13 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--degree", type=int, default=1024, help="polynomial modulus degree n"
-    )
-    analyze_parser.add_argument(
-        "--opt-level",
-        type=int,
-        default=2,
-        choices=(0, 1, 2),
-        help="vector-VM opt level under analysis (0 skips the tape verifier)",
     )
     analyze_parser.add_argument(
         "--json", action="store_true", help="emit the machine-readable report"
@@ -703,10 +691,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         tape = get_compiled_tape(report.circuit, params)
         print(f"kernel: {report.name} ({report.circuit.name}), n={args.degree}")
         print(tape.render(input_bound=args.input_range))
-        if args.emit_fn:
-            plan = tape.plan_for(args.input_range)
-            print()
-            print(plan.source())
         return 0
 
     if args.command == "analyze":
@@ -734,7 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 compiler or "greedy",
                 name=name,
                 degree=args.degree,
-                opt_level=args.opt_level,
             )
             failed = failed or not analysis.ok
             if args.json:

@@ -9,8 +9,6 @@ compiler run on a named :class:`~repro.backends.base.ExecutionBackend`,
   (:mod:`repro.backends.tapeopt`) into fused, alias-free superinstruction
   tapes over a liveness-colored register arena, then executed for a whole
   batch of input sets as stacked numpy arrays in one in-place sweep;
-* ``vector-vm-interp`` — the same VM with tape compilation disabled (the
-  legacy per-instruction interpreter), for ablations and benchmarks;
 * ``cost-sim`` — a no-crypto simulator running only the noise/latency
   models for design-space exploration and RL reward evaluation.
 

@@ -113,7 +113,7 @@ def _replay_accounting(
 ) -> Tuple[TapeAccounting, Dict[int, Tuple[bool, float]]]:
     """Replay the original tape through the ledger/meter formulas.
 
-    Mirrors the legacy interpreter's accounting loop statement for statement
+    Mirrors the reference evaluator's metering statement for statement
     (same operations, same order), so every float is identical to a metered
     execution.  Returns the aggregate accounting plus per-output-register
     ``(is_ciphertext, clamped_budget)`` pairs.

@@ -26,8 +26,16 @@ class Plaintext:
     __slots__ = ("slots", "plain_modulus")
 
     def __init__(self, slots: Sequence[int], plain_modulus: int) -> None:
-        array = np.asarray(list(slots), dtype=np.int64) % plain_modulus
-        self.slots = array
+        values = list(slots)
+        try:
+            array = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            # Python ints beyond int64: reduce mod t before the cast (the
+            # residues are congruent, so the decoded slots are unchanged).
+            array = np.asarray(
+                [int(value) % plain_modulus for value in values], dtype=np.int64
+            )
+        self.slots = array % plain_modulus
         self.plain_modulus = int(plain_modulus)
 
     @property

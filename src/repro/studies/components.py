@@ -126,20 +126,6 @@ register_component(
 
 register_component(
     Component(
-        name="vm-tapeopt",
-        description=(
-            "Vector-VM tape compilation: ablated runs execute on "
-            "'vector-vm-interp', the legacy per-instruction stacked-rows "
-            "interpreter, instead of the fused, arena-allocated, "
-            "per-tape-specialized compiled tapes (opt_level=0 vs 2)."
-        ),
-        ablated={"backend": "vector-vm-interp"},
-        metrics=("throughput_jobs_per_s", "mean_run_s"),
-    )
-)
-
-register_component(
-    Component(
         name="coalescing",
         description=(
             "Fingerprint batch coalescer: ablated runs execute every job as "

@@ -1,10 +1,11 @@
-"""Tape-verifier sweep: every workload × compiler × opt level is clean.
+"""Tape-verifier sweep: every workload × compiler is clean.
 
 The acceptance gate of the static-analysis stack: the full workload
-registry, compiled under both real compilers and analyzed at every vector-VM
-opt level, must produce zero findings — pipeline invariants after every
-pass, arena safety, output coverage, reduction-schedule soundness and
-symbolic circuit equivalence all hold on everything the repo actually ships.
+registry, compiled under both real compilers and analyzed through the
+pipeline validators and the vector-VM tape verifier, must produce zero
+findings — pipeline invariants after every pass, arena safety, output
+coverage, reduction-schedule soundness and symbolic circuit equivalence
+all hold on everything the repo actually ships.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def compiled():
 @pytest.mark.parametrize("compiler", COMPILERS)
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 def test_pipeline_validators_clean(compiled, workload_name, compiler) -> None:
-    """Opt level 0: the per-stage pipeline validators alone (no tape runs)."""
+    """The per-stage pipeline validators alone (no tape runs)."""
     report, _ = compiled[(workload_name, compiler)]
     assert report.analysis is not None
     assert report.analysis.ok, [
@@ -52,27 +53,21 @@ def test_pipeline_validators_clean(compiled, workload_name, compiler) -> None:
 @pytest.mark.parametrize("compiler", COMPILERS)
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 def test_tape_verifier_clean(compiled, workload_name, compiler) -> None:
-    """Opt levels 1/2 share one tape; the verifier covers all its plans."""
+    """The verifier covers every reduction plan of the executed tape."""
     report, tape = compiled[(workload_name, compiler)]
     analysis = verify_tape(report.circuit, tape, location=workload_name)
     assert analysis.ok, [f.render() for f in analysis.findings[:5]]
     assert not analysis.findings
 
 
-@pytest.mark.parametrize("opt_level", [0, 1, 2])
-def test_analyze_facade_all_opt_levels(opt_level) -> None:
+def test_analyze_facade_runs_tape_checkers() -> None:
     workload = build_workload("dot-product")
-    _, analysis = api.analyze(
-        workload.source, "greedy", name=workload.name, opt_level=opt_level
-    )
+    _, analysis = api.analyze(workload.source, "greedy", name=workload.name)
     assert analysis.ok
     assert not analysis.findings
     checkers = set(analysis.checkers_run)
     assert {"pipeline-expr", "pipeline-circuit"} <= checkers
-    if opt_level >= 1:
-        assert {"tape-arena", "tape-bounds", "tape-outputs", "tape-equivalence"} <= checkers
-    else:
-        assert "tape-arena" not in checkers
+    assert {"tape-arena", "tape-bounds", "tape-outputs", "tape-equivalence"} <= checkers
 
 
 def test_verified_execution_through_backend() -> None:

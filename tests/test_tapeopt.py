@@ -6,7 +6,7 @@ kind and the cases where fusion must refuse), the modular-reduction
 scheduler, the process-wide compiled-tape memo, float-for-float
 accounting parity on fused tapes, an aliasing regression that would
 corrupt outputs under in-place execution, and a bit-identical parity
-sweep of the whole workload registry across every optimization level.
+sweep of the whole workload registry, plain and under the tape profiler.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.backends import (
     reset_tape_cache,
     tape_cache_stats,
 )
+from repro.backends.tape import set_tape_profiling
 from repro.backends.vector_vm import VectorVMBackend
 from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
 from repro.compiler.executor import execute, execute_many
@@ -41,12 +42,11 @@ ACCOUNTING_FIELDS = (
     "noise_budget_exhausted",
 )
 
-#: The three vector-VM execution strategies: specialized tape (default),
-#: tape dispatch interpreter, and the legacy per-instruction interpreter.
+#: The vector VM as served, and the same VM under the opt-in tape profiler
+#: (which times the dispatch loop one op at a time): ``(label, profiled)``.
 VM_VARIANTS = (
-    ("opt2", lambda: VectorVMBackend(opt_level=2)),
-    ("opt1", lambda: VectorVMBackend(opt_level=1)),
-    ("interp", lambda: "vector-vm-interp"),
+    ("vm", False),
+    ("profiled", True),
 )
 
 
@@ -61,8 +61,14 @@ def assert_backend_parity(program, inputs_list, params=PARAMS):
         execute(program, item, params=params, backend="reference")
         for item in inputs_list
     ]
-    for label, factory in VM_VARIANTS:
-        reports = execute_many(program, inputs_list, params=params, backend=factory())
+    for label, profiled in VM_VARIANTS:
+        previous = set_tape_profiling(profiled)
+        try:
+            reports = execute_many(
+                program, inputs_list, params=params, backend="vector-vm"
+            )
+        finally:
+            set_tape_profiling(previous)
         assert len(reports) == len(reference)
         for index, (ref, got) in enumerate(zip(reference, reports)):
             assert got.outputs == ref.outputs, f"{label}[{index}] outputs diverge"
@@ -245,6 +251,11 @@ class TestReductionPlanning:
             {name: huge for name in names},
             {name: huge - index for index, name in enumerate(names)},
             {name: (huge // (index + 1)) for index, name in enumerate(names)},
+            # Python ints beyond int64 must reduce mod t, not overflow.
+            {
+                name: (2**70 if index % 2 else -(2**70) + 1)
+                for index, name in enumerate(names)
+            },
         ]
         assert_backend_parity(program, inputs)
 
@@ -302,7 +313,7 @@ class TestTapeMemo:
 
 
 class TestWorkloadRegistrySweep:
-    """Whole-registry parity: every workload, every opt level, B in {1,2,7,32}."""
+    """Whole-registry parity: every workload, plain and profiled, B in {1,2,7,32}."""
 
     @pytest.fixture(scope="class")
     def circuits(self):
@@ -316,7 +327,7 @@ class TestWorkloadRegistrySweep:
         return table
 
     @pytest.mark.parametrize("name", available_workloads())
-    def test_workload_is_bit_identical_across_opt_levels(self, name, circuits):
+    def test_workload_matches_reference(self, name, circuits):
         workload, program = circuits[name]
         for batch in (1, 2, 7, 32):
             inputs = [workload.sample_inputs(seed=seed) for seed in range(batch)]
