@@ -60,8 +60,15 @@ def test_tape_verifier_clean(compiled, workload_name, compiler) -> None:
     assert not analysis.findings
 
 
-def test_analyze_facade_runs_tape_checkers() -> None:
+@pytest.mark.parametrize("former_opt_level", [0, 1, 2])
+def test_analyze_facade_all_opt_levels(former_opt_level) -> None:
+    """Every former opt level now gets the same full analysis: the knob is
+    rejected and the tape checkers always run."""
     workload = build_workload("dot-product")
+    with pytest.raises(TypeError):
+        api.analyze(
+            workload.source, "greedy", name=workload.name, opt_level=former_opt_level
+        )
     _, analysis = api.analyze(workload.source, "greedy", name=workload.name)
     assert analysis.ok
     assert not analysis.findings
