@@ -9,9 +9,9 @@ Exercises every layer the ``repro.analysis`` package ships:
   rotation-heavy reduction and a fusion-heavy kernel), both compilers,
   pipeline validators plus the full tape verifier — zero findings;
 * the seeded mutation harness on one workload: every injected defect
-  (operand swap, dropped reduction, extended lifetime, illegal fusion)
-  must be detected, proving the verifier is load-bearing rather than
-  vacuously green.
+  (operand swap, dropped reduction, extended lifetime, illegal fusion,
+  dropped live slot) must be detected, proving the verifier is
+  load-bearing rather than vacuously green.
 
 Exits non-zero (with a one-line reason) on any violation.
 """
@@ -29,7 +29,7 @@ except ModuleNotFoundError:  # running from a checkout without PYTHONPATH=src
     )
 
 from repro import api
-from repro.analysis.mutate import run_mutation_harness
+from repro.analysis.mutate import DEFECT_CLASSES, run_mutation_harness
 from repro.backends.tapeopt import compile_tape
 from repro.fhe.params import BFVParameters
 from repro.workloads import build_workload
@@ -90,7 +90,7 @@ def main() -> None:
     result = run_mutation_harness(cases, seed=7, per_class=2)
     for line in result.summary_lines():
         print(f"mutations: {line}")
-    if len(result.classes_exercised) < 4:
+    if len(result.classes_exercised) < len(DEFECT_CLASSES):
         fail(
             "mutation harness exercised only "
             + ", ".join(result.classes_exercised)

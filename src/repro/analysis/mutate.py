@@ -25,6 +25,11 @@ them:
     consumers, deleting the standalone multiply: the fusion pass with its
     single-use legality check skipped.
 
+``drop-live-slot``
+    Remove one slot from the tape's live set and rebuild the compact slot
+    view from the rest: the backward liveness pass missing one rotation
+    or operand edge, so execution never computes a slot an output needs.
+
 All randomness is a ``random.Random(seed)``; the same seed replays the same
 mutants.  :func:`run_mutation_harness` verifies the pristine schedule is
 clean first, then requires every applied mutant to produce at least one
@@ -33,6 +38,7 @@ ERROR finding.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 from dataclasses import dataclass, field
@@ -40,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import AnalysisReport
 from repro.analysis.tape_check import verify_plan_ops
-from repro.backends.tape import CompiledTape, TapeOp
+from repro.backends.tape import CompiledTape, SlotView, TapeOp, build_slot_view
 from repro.compiler.circuit import CircuitProgram
 
 __all__ = [
@@ -58,6 +64,7 @@ DEFECT_CLASSES = (
     "drop-reduction",
     "extend-lifetime",
     "skip-fusion-check",
+    "drop-live-slot",
 )
 
 #: Input bound whose plan tape-level mutations are applied to (smallest
@@ -71,12 +78,14 @@ _LARGE_BOUND = 1 << 62
 
 @dataclass(frozen=True)
 class Mutation:
-    """One injected defect: a doctored op schedule for one bucket."""
+    """One injected defect: a doctored op schedule (or slot view) for one
+    bucket; ``view`` replaces the tape's compact slot view when set."""
 
     kind: str
     description: str
     ops: Tuple[TapeOp, ...]
     bucket: int
+    view: Optional[SlotView] = None
 
 
 @dataclass(frozen=True)
@@ -250,6 +259,20 @@ def enumerate_mutations(
                 )
             )
 
+    elif kind == "drop-live-slot":
+        live = [int(slot) for slot in tape.view.live]
+        for slot in live:
+            kept = [other for other in live if other != slot]
+            mutations.append(
+                Mutation(
+                    kind,
+                    f"drop live slot {slot} from the slot view",
+                    tuple(ops),
+                    bucket,
+                    view=build_slot_view(tape, kept),
+                )
+            )
+
     else:
         raise ValueError(f"unknown defect class {kind!r}")
     return mutations
@@ -259,6 +282,9 @@ def verify_mutation(
     program: CircuitProgram, tape: CompiledTape, mutation: Mutation
 ) -> AnalysisReport:
     """Run the tape verifier over one mutant schedule."""
+    if mutation.view is not None:
+        tape = copy.copy(tape)  # never executed: shares the original's pool
+        tape.view = mutation.view
     return verify_plan_ops(
         program,
         tape,

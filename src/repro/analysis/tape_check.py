@@ -8,7 +8,7 @@ preserve:
     Every buffer an op reads was written first (def-before-use over the
     re-derived def-use chains), nothing ever writes into the read-only
     constant pool, rotation steps are normalized into ``[1, n)`` (the
-    slice-based rotate corrupts the buffer otherwise), and the no-alias
+    slot view keys its gather indices by normalized step), and the no-alias
     constraints of the multi-step superinstructions hold: rotations write
     their destination before the source is fully read (``dst`` must not
     alias *any* operand) and the fused accumulator forms overwrite ``dst``
@@ -39,6 +39,16 @@ preserve:
     Fusion legality is additionally checked directly: the inner term a
     fused op consumed must be single-use in the live part of the original
     program, mirroring the optimizer's own precondition.
+
+``tape-slots`` (slot-liveness narrowing)
+    The VM executes every tape over its live slots only
+    (:class:`~repro.backends.tape.SlotView`).  Per plan, the checker
+    recomputes the backward dependency cone of every output slot with its
+    own boolean-mask analysis and proves the cone lies inside the view's
+    live set ``L``; that every rotation gather sends each position whose
+    source slot ``(L[i] + step) % n`` is live to that slot's position; that
+    every output position array addresses slots ``[:length]``; and that the
+    compact constants and loads are the full-width ones restricted to ``L``.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from repro.backends.tape import (
     _NO_ALIAS_ACC,
     _NO_ALIAS_ALL,
     REDUCE_LIMIT,
+    ROTATIONS,
     CompiledTape,
     TapeOp,
 )
@@ -184,15 +195,15 @@ def check_arena(
                 "first ufunc overwrites dst before the second reads c",
                 location=where,
             )
-        if op.kind in ("rot", "rot_add", "rot_mul", "rot_mul_add"):
+        if op.kind in ROTATIONS:
             if not 0 < op.step < tape.n:
                 report.add(
                     "tape-arena",
                     "rotation-normalization",
                     Severity.ERROR,
                     f"rotation step {op.step} is not normalized into "
-                    f"[1, {tape.n}); the slice-based rotate would corrupt "
-                    "the buffer",
+                    f"[1, {tape.n}); the slot view keys its gather indices "
+                    "by normalized step",
                     location=where,
                 )
         defined.add(op.dst)
@@ -572,6 +583,166 @@ def check_equivalence(
 
 
 # ---------------------------------------------------------------------------
+# tape-slots: the compact slot view covers every output's dependency cone
+# ---------------------------------------------------------------------------
+def _output_cone(tape: CompiledTape, ops: Sequence[TapeOp]) -> np.ndarray:
+    """Mask of every slot some output slot depends on, through ``ops``.
+
+    Per-buffer boolean masks walked backwards: an op's destination mask
+    flows unchanged into its elementwise operands and rolled by ``step``
+    into a rotated operand; ``reduce`` reads and writes ``dst`` in place.
+    """
+    n = tape.n
+    masks: Dict[int, np.ndarray] = {}
+    cone = np.zeros(n, dtype=bool)
+
+    def want(buffer: int, mask: np.ndarray) -> None:
+        if buffer in masks:
+            masks[buffer] = masks[buffer] | mask
+        else:
+            masks[buffer] = mask
+        np.logical_or(cone, mask, out=cone)
+
+    for output in tape.outputs:
+        mask = np.zeros(n, dtype=bool)
+        mask[: output.length] = True
+        want(output.buffer, mask)
+    for op in reversed(ops):
+        if op.kind == "reduce" or op.kind not in _READS:
+            continue
+        mask = masks.pop(op.dst, None)
+        if mask is None:
+            continue
+        fields = list(_READS[op.kind])
+        if op.kind in ROTATIONS:
+            fields.remove("a")
+            # rot(x, step)[j] = x[(j + step) % n]
+            want(op.a, np.roll(mask, op.step))
+        for field in fields:
+            buffer = getattr(op, field)
+            if buffer >= 0:
+                want(buffer, mask)
+    return cone
+
+
+def _preview(slots: np.ndarray, limit: int = 5) -> str:
+    shown = ", ".join(str(int(slot)) for slot in slots[:limit])
+    return shown + (", ..." if len(slots) > limit else "")
+
+
+@register_checker(
+    "tape-slots",
+    "tape",
+    "slot narrowing: output cones inside the live set, gathers and "
+    "output positions consistent with it",
+)
+def check_slots(
+    report: AnalysisReport,
+    program: CircuitProgram,
+    tape: CompiledTape,
+    ops: Sequence[TapeOp],
+    *,
+    location: str,
+) -> None:
+    n = tape.n
+    view = tape.view
+    live = np.asarray(view.live, dtype=np.int64)
+    width = len(live)
+
+    def error(rule: str, message: str, where: str = location) -> None:
+        report.add("tape-slots", rule, Severity.ERROR, message, location=where)
+
+    if width and (
+        live[0] < 0 or live[-1] >= n or np.any(np.diff(live) <= 0)
+    ):
+        error(
+            "live-set-malformed",
+            "the live slot set is not strictly increasing inside [0, n)",
+        )
+        report.mark_ran("tape-slots")
+        return
+    in_live = np.zeros(n, dtype=bool)
+    in_live[live] = True
+    position = np.full(n, -1, dtype=np.int64)
+    position[live] = np.arange(width)
+
+    outside = _output_cone(tape, ops) & ~in_live
+    if outside.any():
+        error(
+            "cone-outside-live-set",
+            f"{int(outside.sum())} slot(s) an output depends on are not in "
+            f"the live set (slots {_preview(np.flatnonzero(outside))}); "
+            "execution would never compute them",
+        )
+
+    checked: Set[int] = set()
+    for index, op in enumerate(ops):
+        if op.kind not in ROTATIONS or op.step in checked:
+            continue
+        checked.add(op.step)
+        where = f"{location} op {index} ({op.kind})"
+        gather = view.gathers.get(op.step)
+        if gather is None or np.shape(gather) != (width,):
+            error(
+                "gather-missing",
+                f"no gather index of width {width} for rotation step "
+                f"{op.step}",
+                where,
+            )
+            continue
+        source = position[(live + op.step) % n]
+        wrong = ((source >= 0) & (gather != source)) | (gather < 0) | (
+            gather >= width
+        )
+        if wrong.any():
+            error(
+                "gather-mismatch",
+                f"rotation step {op.step} gathers a wrong position for "
+                f"{int(wrong.sum())} live slot(s) ({_preview(live[wrong])})",
+                where,
+            )
+
+    if len(view.outputs) != len(tape.outputs):
+        error(
+            "output-positions",
+            f"{len(view.outputs)} output position arrays for "
+            f"{len(tape.outputs)} tape outputs",
+        )
+    for output, positions in zip(tape.outputs, view.outputs):
+        expected = position[: output.length]
+        if not np.array_equal(positions, expected) or np.any(expected < 0):
+            error(
+                "output-positions",
+                f"output {output.name!r} does not read positions of slots "
+                f"[:{output.length}] in the live set",
+            )
+
+    consistent = len(view.consts) == len(tape.consts) and all(
+        np.array_equal(compact, const[live])
+        for compact, const in zip(view.consts, tape.consts)
+    )
+    consistent = consistent and len(view.loads) == len(tape.loads)
+    for load, (buffer, template, columns) in zip(tape.loads, view.loads):
+        remapped = tuple(
+            (int(position[column]), name)
+            for column, name in load.var_columns
+            if position[column] >= 0
+        )
+        consistent = consistent and (
+            buffer == load.buffer
+            and np.array_equal(template, load.template[live])
+            and tuple(columns) == remapped
+        )
+    if not consistent:
+        error(
+            "compact-data",
+            "compact constants or loads differ from the full-width tape "
+            "restricted to the live set",
+        )
+    report.mark_ran("tape-slots")
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 def verify_plan_ops(
@@ -588,6 +759,7 @@ def verify_plan_ops(
     check_arena(report, program, tape, ops, location=where)
     check_bounds(report, program, tape, ops, location=where, bucket=bucket)
     check_equivalence(report, program, tape, ops, location=where)
+    check_slots(report, program, tape, ops, location=where)
     return report
 
 
@@ -601,9 +773,9 @@ def verify_tape(
     """Statically verify ``tape`` against the circuit it was compiled from.
 
     Output coverage and translation validation run once over the raw tape;
-    arena safety and the interval analysis run per reduction plan — one per
-    bucketed ``input_bounds`` entry — since reduce placement depends on the
-    input-magnitude bucket.
+    arena safety, the interval analysis and the slot-view check run per
+    reduction plan — one per bucketed ``input_bounds`` entry — since reduce
+    placement depends on the input-magnitude bucket.
     """
     where = location or f"tape:{program.name}"
     report = AnalysisReport()
@@ -621,4 +793,5 @@ def verify_tape(
             report, program, tape, plan.ops,
             location=plan_where, bucket=plan.bucket,
         )
+        check_slots(report, program, tape, plan.ops, location=plan_where)
     return report

@@ -9,10 +9,19 @@ then pure numpy: the slots are checked out of a per-tape pool, every
 operation writes through ``out=`` into an existing buffer, and the hot loop
 carries no bound arithmetic, no ledger calls and no allocations.
 
-Three pieces live here:
+Four pieces live here:
 
 * the tape data model (:class:`TapeOp`, :class:`TapeLoad`,
-  :class:`TapeOutput`, :class:`TapeAccounting`, :class:`CompiledTape`);
+  :class:`TapeOutput`, :class:`TapeAccounting`, :class:`CompiledTape`),
+  which is full width: every buffer is ``n`` slots, as the verifier, the
+  symbolic-equivalence checker and :meth:`CompiledTape.render` read it;
+* **slot-liveness narrowing** — :func:`live_slots` runs one backward pass
+  from each output's ``[:length]`` and :func:`build_slot_view` precomputes
+  the tape's :class:`SlotView` over the sorted live set ``L``: compact
+  constants and load templates, load columns remapped to positions in
+  ``L``, one gather index per rotation step and one position array per
+  output.  Execution only ever touches ``(B, |L|)`` arenas, usually a few
+  dozen slots of ``n = 16384``;
 * **reduction planning** — :meth:`CompiledTape.plan_for` simulates static
   magnitude bounds for a given input-magnitude bucket and interleaves
   congruence-preserving ``reduce`` ops exactly where an int64 overflow could
@@ -20,8 +29,14 @@ Three pieces live here:
   final decode is centred mod ``t``, so reduction *placement* can never
   change the decoded outputs — any conservative schedule is bit-safe);
 * the **dispatch loop** — :func:`_interpret` runs a plan's ops as in-place
-  numpy ufuncs over the arena; it is the only op loop, and the opt-in
-  profiler (:func:`_interpret_profiled`) calls it one op at a time.
+  numpy ufuncs over the compact arena; it is the only op loop, and the
+  opt-in profiler (:func:`_interpret_profiled`) calls it one op at a time.
+
+Dead slots are safe to leave out: a rotation's gather sends a position
+whose source slot is dead back to the same position of the *same* source
+buffer, so every buffer only ever holds values the full-width buffer holds
+too, and the per-buffer magnitude bounds the reduction plans rely on still
+hold.
 
 The accounting figures attached to the tape are replayed from the *original*
 instruction sequence through the same
@@ -46,13 +61,17 @@ from repro.fhe.params import BFVParameters
 
 __all__ = [
     "REDUCE_LIMIT",
+    "ROTATIONS",
     "TapeOp",
     "TapeLoad",
     "TapeOutput",
     "TapeAccounting",
     "TapePlan",
     "TapeProfile",
+    "SlotView",
     "CompiledTape",
+    "live_slots",
+    "build_slot_view",
     "set_tape_profiling",
     "tape_profiling_enabled",
 ]
@@ -61,9 +80,11 @@ __all__ = [
 #: next operation is then guaranteed to stay inside signed 64-bit range.
 REDUCE_LIMIT = 1 << 62
 
+#: Tape ops that read operand ``a`` rotated left by ``step`` slots.
+ROTATIONS = frozenset({"rot", "rot_add", "rot_mul", "rot_mul_add"})
 #: Tape ops whose destination buffer must not alias *any* operand buffer
 #: (they write the destination before all operands have been read).
-_NO_ALIAS_ALL = frozenset({"rot", "rot_add", "rot_mul", "rot_mul_add"})
+_NO_ALIAS_ALL = ROTATIONS
 #: Fused ops whose destination must not alias the accumulator operand ``c``
 #: (the first ufunc overwrites ``dst`` before the second reads ``c``).
 _NO_ALIAS_ACC = frozenset({"mul_add", "mul_sub_l", "mul_sub_r", "rot_mul_add"})
@@ -178,9 +199,10 @@ class TapeOp:
 class TapeLoad:
     """One deduplicated encrypted input: fill ``buffer`` from a template.
 
-    ``template`` holds the centred constant slots (zero elsewhere) and is
-    broadcast into the whole ``(B, n)`` buffer; ``var_columns`` are the
-    ``(column, input_name)`` pairs overwritten per batch row afterwards.
+    ``template`` holds the centred constant slots (zero elsewhere) over all
+    ``n`` slots and ``var_columns`` are the ``(column, input_name)`` pairs
+    overwritten per batch row; execution copies only their live slots (see
+    :class:`SlotView`).
     """
 
     buffer: int
@@ -230,6 +252,99 @@ class TapePlan:
         return sum(1 for op in self.ops if op.kind == "reduce")
 
 
+def live_slots(
+    ops: Sequence[TapeOp], outputs: Sequence[TapeOutput], n: int
+) -> List[int]:
+    """The sorted slots any output depends on: one backward liveness pass.
+
+    Each output needs its buffer's ``[:length]``.  Walking ``ops``
+    backwards, an op's destination needs are handed to its operands: the
+    same slots for elementwise operands, and slot ``(j + step) % n`` of
+    ``a`` for slot ``j`` of a rotation.  ``reduce`` ops are in place and
+    never change liveness, so the unplanned ops give every plan's live set.
+    """
+    need: Dict[int, set] = {}
+    live: set = set()
+    for output in outputs:
+        slots = range(output.length)
+        need.setdefault(output.buffer, set()).update(slots)
+        live.update(slots)
+    for op in reversed(ops):
+        if op.kind == "reduce":
+            continue
+        wanted = need.pop(op.dst, None)
+        if not wanted:
+            continue
+        if op.kind in ROTATIONS:
+            step = op.step
+            rotated = {(slot + step) % n for slot in wanted}
+            need.setdefault(op.a, set()).update(rotated)
+            live.update(rotated)
+            elementwise = (op.b, op.c)
+        else:
+            elementwise = (op.a, op.b, op.c)
+        for buffer in elementwise:
+            if buffer >= 0:
+                need.setdefault(buffer, set()).update(wanted)
+    return sorted(live)
+
+
+@dataclass(frozen=True, eq=False)
+class SlotView:
+    """A tape's compact execution view over its sorted live slot set ``L``.
+
+    Column ``i`` of every compact buffer holds slot ``L[i]``.  ``gathers``
+    maps each rotation step to the index ``np.take`` reads the source
+    through: ``pos[(L[i] + step) % n]``, or ``i`` itself when that source
+    slot is dead (a position of the same buffer, so no bound can grow).
+    """
+
+    live: np.ndarray
+    consts: Tuple[np.ndarray, ...]
+    #: ``(buffer, template[L], ((position, input_name), ...))`` per load.
+    loads: Tuple[Tuple[int, np.ndarray, Tuple[Tuple[int, str], ...]], ...]
+    gathers: Dict[int, np.ndarray]
+    #: Positions in ``L`` of slots ``[:length]``, one array per tape output.
+    outputs: Tuple[np.ndarray, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.live)
+
+
+def build_slot_view(tape: "CompiledTape", live: Sequence[int]) -> SlotView:
+    """Precompute the compact consts, loads, gathers and output positions."""
+    n = tape.n
+    slots = np.asarray(sorted(live), dtype=np.int64)
+    position = np.full(n, -1, dtype=np.int64)
+    position[slots] = np.arange(len(slots))
+    consts = []
+    for const in tape.consts:
+        compact = const[slots]
+        compact.flags.writeable = False  # read-only: every run shares it
+        consts.append(compact)
+    loads = tuple(
+        (
+            load.buffer,
+            load.template[slots],
+            tuple(
+                (int(position[column]), name)
+                for column, name in load.var_columns
+                if position[column] >= 0
+            ),
+        )
+        for load in tape.loads
+    )
+    identity = np.arange(len(slots))
+    gathers: Dict[int, np.ndarray] = {}
+    for op in tape.ops:
+        if op.kind in ROTATIONS and op.step not in gathers:
+            source = position[(slots + op.step) % n]
+            gathers[op.step] = np.where(source >= 0, source, identity)
+    outputs = tuple(position[: output.length] for output in tape.outputs)
+    return SlotView(slots, tuple(consts), loads, gathers, outputs)
+
+
 class CompiledTape:
     """An optimized, directly executable form of one circuit."""
 
@@ -260,6 +375,8 @@ class CompiledTape:
         self.outputs = outputs
         self.accounting = accounting
         self.stats = stats
+        #: The compact execution view; every arena is ``(B, view.width)``.
+        self.view = build_slot_view(self, live_slots(ops, outputs, self.n))
         self._plans: Dict[int, TapePlan] = {}
         self._pool: Dict[int, List[List[np.ndarray]]] = {}
         self._lock = threading.Lock()
@@ -357,8 +474,9 @@ class CompiledTape:
             pool = self._pool.get(batch)
             if pool:
                 return pool.pop()
+        width = self.view.width
         return [
-            np.empty((batch, self.n), dtype=np.int64) for _ in range(self.slot_count)
+            np.empty((batch, width), dtype=np.int64) for _ in range(self.slot_count)
         ]
 
     def _checkin(self, batch: int, slots: List[np.ndarray]) -> None:
@@ -367,10 +485,15 @@ class CompiledTape:
             if len(pool) < _POOL_DEPTH:
                 pool.append(slots)
 
-    def pooled_arenas(self) -> int:
-        """How many arenas are currently parked in the pool (all batch sizes)."""
+    def pooled_bytes(self) -> int:
+        """Bytes of arena buffers parked in the pool (all batch sizes)."""
         with self._lock:
-            return sum(len(arenas) for arenas in self._pool.values())
+            return sum(
+                buffer.nbytes
+                for arenas in self._pool.values()
+                for arena in arenas
+                for buffer in arena
+            )
 
     # -- profiling -----------------------------------------------------------
     def _profile(self) -> TapeProfile:
@@ -426,20 +549,21 @@ class CompiledTape:
                     input_bound = max(input_bound, int(np.max(np.abs(values))))
 
         plan = self.plan_for(input_bound)
+        view = self.view
         slots = self._checkout(batch)
         try:
-            buffers = self.consts + slots
-            for load in self.loads:
-                target = buffers[load.buffer]
-                np.copyto(target, load.template)
-                for column, name in load.var_columns:
-                    target[:, column] = name_values[name]
+            buffers = list(view.consts) + slots
+            for buffer, template, columns in view.loads:
+                target = buffers[buffer]
+                np.copyto(target, template)
+                for position, name in columns:
+                    target[:, position] = name_values[name]
             if _PROFILING:
                 _interpret_profiled(
-                    plan.ops, buffers, t, half, self.n, self._profile(), batch
+                    plan.ops, buffers, t, half, view.gathers, self._profile(), batch
                 )
             else:
-                _interpret(plan.ops, buffers, t, half, self.n)
+                _interpret(plan.ops, buffers, t, half, view.gathers)
             reports = self._build_reports(buffers, batch, backend_name)
         finally:
             self._checkin(batch, slots)
@@ -463,18 +587,18 @@ class CompiledTape:
             )
             for _ in range(batch)
         ]
-        for output in self.outputs:
+        for output, positions in zip(self.outputs, self.view.outputs):
             array = buffers[output.buffer]
             if not output.is_ciphertext:
-                raw = array[: output.length] % t
-                decoded = [int(v - t) if v > half else int(v) for v in raw]
+                raw = array[positions] % t
+                decoded = np.where(raw > half, raw - t, raw).tolist()
                 for report in reports:
                     report.outputs[output.name] = list(decoded)
                 continue
-            raw = array[:, : output.length] % t
-            centred = np.where(raw > half, raw - t, raw)
-            for row, report in enumerate(reports):
-                report.outputs[output.name] = [int(v) for v in centred[row]]
+            raw = array[:, positions] % t
+            rows = np.where(raw > half, raw - t, raw).tolist()
+            for report, row in zip(reports, rows):
+                report.outputs[output.name] = row
         return reports
 
     # -- inspection ----------------------------------------------------------
@@ -494,7 +618,7 @@ class CompiledTape:
         lines.append(
             "tape: {instr} instructions -> {after} tape entries "
             "({ops} ops, {loads} loads, {consts} consts), "
-            "{fused} fused, arena {slots} x ({n},) rows".format(
+            "{fused} fused, arena {slots} x (B, {live} live of {n})".format(
                 instr=stats.get("instructions"),
                 after=stats.get("tape_entries"),
                 ops=stats.get("tape_ops"),
@@ -502,6 +626,7 @@ class CompiledTape:
                 consts=stats.get("consts"),
                 fused=stats.get("fused_total"),
                 slots=self.slot_count,
+                live=self.view.width,
                 n=self.n,
             )
         )
@@ -565,14 +690,18 @@ class CompiledTape:
 # ---------------------------------------------------------------------------
 # the dispatch loop: the VM's one op loop
 # ---------------------------------------------------------------------------
-def _rotate_into(dst: np.ndarray, src: np.ndarray, step: int, n: int) -> None:
-    split = n - step
-    dst[:, :split] = src[:, step:]
-    dst[:, split:] = src[:, :step]
+def _rotate_into(dst: np.ndarray, src: np.ndarray, gather: np.ndarray) -> None:
+    # mode="wrap" lets take write straight into ``out`` (the default
+    # "raise" buffers it); every gather index is in range by construction.
+    np.take(src, gather, axis=1, out=dst, mode="wrap")
 
 
 def _interpret(
-    ops: Sequence[TapeOp], buffers: List[np.ndarray], t: int, half: int, n: int
+    ops: Sequence[TapeOp],
+    buffers: List[np.ndarray],
+    t: int,
+    half: int,
+    gathers: Mapping[int, np.ndarray],
 ) -> None:
     np_add, np_sub, np_mul = np.add, np.subtract, np.multiply
     for op in ops:
@@ -594,15 +723,15 @@ def _interpret(
             np_mul(buffers[op.a], buffers[op.b], out=dst)
             np_sub(buffers[op.c], dst, out=dst)
         elif kind == "rot":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], gathers[op.step])
         elif kind == "rot_add":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], gathers[op.step])
             np_add(dst, buffers[op.b], out=dst)
         elif kind == "rot_mul":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], gathers[op.step])
             np_mul(dst, buffers[op.b], out=dst)
         elif kind == "rot_mul_add":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], gathers[op.step])
             np_mul(dst, buffers[op.b], out=dst)
             np_add(dst, buffers[op.c], out=dst)
         elif kind == "neg":
@@ -619,7 +748,7 @@ def _interpret_profiled(
     buffers: List[np.ndarray],
     t: int,
     half: int,
-    n: int,
+    gathers: Mapping[int, np.ndarray],
     profile: TapeProfile,
     rows: int,
 ) -> None:
@@ -635,7 +764,7 @@ def _interpret_profiled(
     clock = time.perf_counter_ns
     for op in ops:
         start = clock()
-        _interpret((op,), buffers, t, half, n)
+        _interpret((op,), buffers, t, half, gathers)
         duration = clock() - start
         kind = op.kind
         counts[kind] = counts.get(kind, 0) + 1

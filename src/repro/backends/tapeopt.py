@@ -35,7 +35,8 @@ The module also owns the process-wide compiled-tape memo
 (:func:`get_compiled_tape`): tapes are keyed by circuit fingerprint and BFV
 parameters, so the JobServer's coalesced batches — and any number of backend
 instances — reuse compiled tapes across ticks.  :func:`tape_cache_stats`
-exposes hit/miss/compile counters for smoke tests and server telemetry.
+exposes hit/miss/compile counters and pooled arena bytes for smoke tests
+and server telemetry.
 """
 
 from __future__ import annotations
@@ -605,10 +606,14 @@ def get_compiled_tape(
 
 
 def tape_cache_stats() -> Dict[str, int]:
-    """Snapshot of the tape-memo counters (hits/misses/compiles/size)."""
+    """Snapshot of the tape-memo counters (hits/misses/compiles/size) plus
+    ``arena_bytes``, the arena memory pooled by every memoized tape."""
     with _cache_lock:
         snapshot = dict(_counters)
         snapshot["size"] = len(_cache)
+        snapshot["arena_bytes"] = sum(
+            tape.pooled_bytes() for tape in _cache.values()
+        )
         return snapshot
 
 

@@ -3,11 +3,17 @@
 The circuit's SSA instruction list is first **backend-compiled** by
 :mod:`repro.backends.tapeopt` into an optimized executable tape
 (:class:`~repro.backends.tape.CompiledTape`): alias-free, superinstruction
-fused, liveness-colored onto a fixed register arena of ``(B, n)`` int64
-buffers, with all noise/latency accounting replayed once at compile time.
-Executing a batch is then a single pass of the tape's dispatch loop
+fused, liveness-colored onto a fixed register arena, with all noise/latency
+accounting replayed once at compile time.  The arena holds only the tape's
+**live slots**: a backward slot-liveness pass from the outputs finds the
+handful of the ``n`` slots any output depends on, so every buffer is
+``(B, |live|)`` int64 and rotations are precomputed gathers over that
+compact index (:class:`~repro.backends.tape.SlotView`).  Executing a batch
+is then a single pass of the tape's dispatch loop
 (:func:`repro.backends.tape._interpret`) issuing in-place numpy ops over
-the arena — no ciphertext objects, no per-instruction ledger calls.
+the arena — no ciphertext objects, no per-instruction ledger calls.  With
+ops this narrow, Python dispatch rather than numpy work dominates, which is
+what batching amortizes.
 
 Compiled tapes are memoized process-wide by circuit fingerprint + BFV
 parameters (:func:`repro.backends.tapeopt.get_compiled_tape`), so the

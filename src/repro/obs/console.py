@@ -10,9 +10,9 @@ live view needs two things this module provides:
   counts.  Same-process snapshot pairs use the monotonic clocks for the
   elapsed time; cross-process pairs fall back to wall time.
 * :func:`render_top` — one ``repro top`` frame: queue depth, in-flight
-  batch size, throughput rates, coalescing rate, SLO compliance and stage
-  p50/p99 pulled from the persisted histograms via the same bucket
-  interpolation the live server uses.
+  batch size, pooled tape arena bytes, throughput rates, coalescing rate,
+  SLO compliance and stage p50/p99 pulled from the persisted histograms via
+  the same bucket interpolation the live server uses.
 
 Only :mod:`repro.server.telemetry` (a dependency-free leaf module) is
 imported — the console never touches the server object itself, so it can
@@ -171,10 +171,12 @@ def render_top(
     lines = [header]
 
     lines.append(
-        "queue_depth {depth:g}  running {running:g}  workers {workers:g}".format(
+        "queue_depth {depth:g}  running {running:g}  workers {workers:g}  "
+        "tape_arena_bytes {arena:g}".format(
             depth=float(gauges.get("queue_depth", 0) or 0),
             running=float(gauges.get("jobs_running", 0) or 0),
             workers=float(gauges.get("workers", 0) or 0),
+            arena=float(gauges.get("tape_arena_bytes", 0) or 0),
         )
     )
     submitted = counters.get("jobs_submitted", 0.0)

@@ -74,7 +74,9 @@ def test_analyze_facade_all_opt_levels(former_opt_level) -> None:
     assert not analysis.findings
     checkers = set(analysis.checkers_run)
     assert {"pipeline-expr", "pipeline-circuit"} <= checkers
-    assert {"tape-arena", "tape-bounds", "tape-outputs", "tape-equivalence"} <= checkers
+    assert {
+        "tape-arena", "tape-bounds", "tape-outputs", "tape-equivalence", "tape-slots"
+    } <= checkers
 
 
 def test_verified_execution_through_backend() -> None:

@@ -278,7 +278,10 @@ class TestAccountingReplay:
 class TestTapeMemo:
     def test_hit_miss_and_reset_counters(self):
         reset_tape_cache()
-        zeros = {"hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0, "size": 0}
+        zeros = {
+            "hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0,
+            "size": 0, "arena_bytes": 0,
+        }
         assert tape_cache_stats() == zeros
         program = compiled("(+ (* a b) c)")
         first = get_compiled_tape(program, PARAMS)
@@ -310,6 +313,55 @@ class TestTapeMemo:
         execute_many(program, inputs, params=PARAMS, backend=VectorVMBackend())
         assert tape_cache_stats()["compiles"] == compiles
         assert tape_cache_stats()["hits"] >= 1
+
+
+class TestSlotNarrowing:
+    def test_live_set_follows_rotations(self):
+        # out[0] = x[0] + x[2]: only slots 0 and 2 are ever read.
+        program = CircuitProgram(name="narrow")
+        packed = program.emit(
+            Opcode.LOAD_INPUT,
+            name="x",
+            layout=[InputSlot(name=f"x{i}") for i in range(4)],
+        )
+        rotated = program.emit(Opcode.ROTATE, (packed,), step=2)
+        total = program.emit(Opcode.ADD, (packed, rotated))
+        program.mark_output(total, "pair", 1)
+
+        tape = compile_tape(program, PARAMS)
+        assert tape.view.live.tolist() == [0, 2]
+        # position 0 (slot 0) reads slot 2 -> position 1; slot 4 is dead,
+        # so position 1 reads itself.
+        assert tape.view.gathers[2].tolist() == [1, 1]
+        assert tape.view.loads[0][2] == ((0, "x0"), (1, "x2"))
+        assert f"(B, 2 live of {PARAMS.slot_count})" in tape.render()
+        reference = assert_backend_parity(
+            program, [{"x0": 1, "x1": 10, "x2": 100, "x3": 1000}]
+        )
+        assert reference[0].outputs == {"pair": [101]}
+
+    def test_pooled_arenas_stay_small(self):
+        reset_tape_cache()
+        benchmark = benchmark_by_name("matrix_multiply_5x5")
+        program = compiled(benchmark.expression())
+        tape = get_compiled_tape(program, BFVParameters.default())
+        for batch in range(1, 9):
+            inputs = [benchmark.sample_inputs(seed=seed) for seed in range(batch)]
+            tape.execute_batch(inputs)
+        assert 0 < tape.pooled_bytes() < 1 << 20
+        assert tape_cache_stats()["arena_bytes"] == tape.pooled_bytes()
+
+    def test_server_exports_the_arena_gauge(self, tmp_path):
+        from repro.obs.console import read_snapshot, render_top
+        from repro.server import Job, JobServer
+
+        server = JobServer(str(tmp_path), backend="vector-vm")
+        server.submit(Job(source="(+ (* a b) c)", seed=1))
+        server.drain()
+        server.close()
+        snapshot = read_snapshot(server.store.metrics_path)
+        assert snapshot["gauges"]["tape_arena_bytes"] > 0
+        assert "tape_arena_bytes" in render_top(snapshot)
 
 
 class TestWorkloadRegistrySweep:
