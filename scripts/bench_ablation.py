@@ -4,8 +4,8 @@
 Runs the default study matrix through :func:`repro.api.run_study`: one
 baseline condition with every system component on, plus one condition per
 component with exactly that component off — the optimizing compiler, the
-batched vector backend, the fingerprint coalescer, the compilation-cache
-tier (LRU + circuit memo) and the timer-augmented scheduler — times
+batched vector backend, the fingerprint coalescer and the compilation-cache
+tier (LRU + circuit memo) — times
 ``--replicates`` independently seeded replicates each, every replicate a
 fresh :class:`~repro.server.server.JobServer` driving ``--jobs`` workload
 jobs end to end.  The committed artifact records per-condition metric

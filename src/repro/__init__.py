@@ -25,7 +25,7 @@ The package is organised around the paper's system:
   tape pass, and a no-crypto cost simulator, behind one registry.
 * :mod:`repro.service` -- the parallel, cached compilation service (a
   content-addressed compilation cache plus cost-aware parallel batch
-  compilation) and the batched execution service with timer-augmented
+  compilation) and the batched execution service with static-cost LPT
   scheduling.
 * :mod:`repro.server` -- the job-orchestration server: a persistent
   priority job queue (JSONL store under a state directory), a batch

@@ -194,8 +194,9 @@ def program_fingerprint(program: CircuitProgram) -> str:
     """Content hash of a circuit (instructions + outputs, name excluded).
 
     The execution-side analogue of the compilation cache key: two circuits
-    with identical instruction tapes share measured-execution-time entries
-    regardless of the benchmark name they were compiled under.
+    with identical instruction tapes share one compiled tape and one
+    coalesced batch regardless of the benchmark name they were compiled
+    under.
     """
     digest = hashlib.sha256()
     for instruction in program.instructions:

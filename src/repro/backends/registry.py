@@ -7,9 +7,7 @@ idiom as ``@register_compiler``.  A frozen, picklable :class:`BackendSpec`
 names one configuration, can :meth:`~BackendSpec.build` the backend object
 and renders a canonical, version-stamped :meth:`~BackendSpec.describe`
 string — the execution-side counterpart of the compiler ``describe()``
-strings that key the compilation cache, used by the
-:class:`~repro.service.execution.ExecutionService` to key its measured
-per-circuit execution times.
+strings that key the compilation cache.
 """
 
 from __future__ import annotations

@@ -66,7 +66,6 @@ __all__ = [
     "get_compiled_tape",
     "tape_cache_stats",
     "reset_tape_cache",
-    "scheduling_cost_ms",
     "TapeVerificationError",
 ]
 
@@ -567,9 +566,9 @@ def get_compiled_tape(
     """The compiled tape for ``(program, params)``, memoized process-wide.
 
     Keyed by circuit content fingerprint (name independent) plus the frozen
-    BFV parameters — the same identity the service's measured-time table and
-    the server's coalescer use, so coalesced batches hit the memo across
-    ticks and across backend instances.
+    BFV parameters — the same identity the server's coalescer groups by, so
+    coalesced batches hit the memo across ticks and across backend
+    instances.  This lookup is the one fingerprint a scheduled job pays.
 
     ``verify=True`` runs the static tape verifier
     (:func:`repro.analysis.tape_check.verify_tape`) on every *fresh*
@@ -623,21 +622,3 @@ def reset_tape_cache() -> None:
         _cache.clear()
         for key in _counters:
             _counters[key] = 0
-
-
-def scheduling_cost_ms(
-    program: CircuitProgram, params: BFVParameters, latency_model
-) -> float:
-    """Analytical latency refined by the compiled tape's fused op count.
-
-    The raw model prices the original instruction list; after fusion the
-    tape executes fewer memory passes, so scheduling weights scale by the
-    executed/original compute-op ratio.  Used by
-    :meth:`ExecutionService.static_cost_ms` when the backend exposes it.
-    """
-    model_ms = program.estimated_latency_ms(latency_model)
-    tape = get_compiled_tape(program, params)
-    before = int(tape.stats["compute_ops"])  # type: ignore[arg-type]
-    if before <= 0:
-        return model_ms
-    return model_ms * (int(tape.stats["tape_ops"]) / before)  # type: ignore[arg-type]

@@ -45,7 +45,7 @@ from typing import List, Mapping, Optional, Sequence
 
 from repro.backends.base import BaseBackend
 from repro.backends.registry import register_backend
-from repro.backends.tapeopt import get_compiled_tape, scheduling_cost_ms
+from repro.backends.tapeopt import get_compiled_tape
 from repro.compiler.circuit import CircuitProgram
 from repro.compiler.executor import ExecutionReport, Value
 from repro.fhe.params import BFVParameters
@@ -97,17 +97,3 @@ class VectorVMBackend(BaseBackend):
             params = BFVParameters.default()
         tape = get_compiled_tape(program, params, verify=self.verify)
         return tape.execute_batch(inputs_list, backend_name=self.name)
-
-    def scheduling_cost_ms(
-        self,
-        program: CircuitProgram,
-        params: BFVParameters,
-        latency_model,
-    ) -> float:
-        """Analytical scheduling weight refined by the compiled tape.
-
-        The executed tape is shorter than the instruction list (fusion,
-        alias/dead elimination), so scheduling weights scale by the
-        executed/original op ratio.
-        """
-        return scheduling_cost_ms(program, params, latency_model)

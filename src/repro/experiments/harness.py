@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.backends.base import backend_produces_outputs
+from repro.backends.registry import resolve_backend
 from repro.compiler.executor import ExecutionReport, declared_outputs
 from repro.compiler.pipeline import CompilationReport, Compiler, CompilerOptions
 from repro.kernels.registry import Benchmark
@@ -29,7 +30,6 @@ from repro.service import (
     CompilationCache,
     CompilationJob,
     CompilationService,
-    ExecutionService,
 )
 
 __all__ = [
@@ -110,10 +110,6 @@ class BenchmarkRunner:
         stable across processes.  ``backend`` names the execution backend
         every result row runs on (resolved through the backend registry;
         None follows the ``REPRO_BACKEND``/``reference`` default).
-        Executions route through an :class:`ExecutionService`, which records
-        measured per-circuit times as it goes (a scheduler sharing the
-        service — :meth:`ExecutionService.run_jobs` — then prefers them
-        over the analytical model).
 
         ``server`` (a :class:`~repro.server.server.JobServer`) reroutes the
         execution phase through the job-orchestration server instead: each
@@ -125,9 +121,8 @@ class BenchmarkRunner:
             raise ValueError("BenchmarkRunner needs at least one compiler")
         self.input_seed = input_seed
         self.server = server
-        self.execution_service = ExecutionService(backend)
-        self.backend = self.execution_service.backend
-        self.backend_name = self.execution_service.backend_name
+        self.backend, _ = resolve_backend(backend)
+        self.backend_name = getattr(self.backend, "name", type(self.backend).__name__)
         self.cache = cache if cache is not None else CompilationCache(directory=cache_dir)
         self.services: Dict[str, CompilationService] = {
             label: CompilationService(compiler, workers=workers, cache=self.cache)
@@ -148,7 +143,7 @@ class BenchmarkRunner:
         reference: Sequence[int],
         inputs: Mapping[str, int],
     ) -> BenchmarkResult:
-        execution: ExecutionReport = self.execution_service.execute(report.circuit, inputs)
+        execution: ExecutionReport = self.backend.execute(report.circuit, inputs)
         verified = backend_produces_outputs(self.backend)
         if verified:
             output = declared_outputs(report.circuit, execution.outputs)

@@ -1,7 +1,7 @@
 """The job-orchestration server (persistent queue + batch coalescing).
 
 This package is the top level of the system's two-level scheduling story:
-above the worker-level, timer-augmented LPT packing that
+above the worker-level, static-weight LPT packing that
 :class:`~repro.service.execution.ExecutionService` already does, it adds a
 *queue-level* scheduler that owns job lifecycle and cross-user batching:
 

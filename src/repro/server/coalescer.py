@@ -6,8 +6,7 @@ serving system: one popular kernel, many input sets), running them one by
 one wastes N-1 passes over the instruction tape.  The coalescer groups
 pending execute jobs by ``(circuit content fingerprint, backend)`` —
 :func:`~repro.backends.base.program_fingerprint`, the same content hash the
-:class:`~repro.service.execution.ExecutionService` keys its measured-time
-table on — and each group becomes a *single* backend batch: one
+compiled-tape memo is keyed on — and each group becomes a *single* backend batch: one
 ``execute_many`` call whose input list is the concatenation of every member
 job's inputs.  On the vector VM one tape pass then serves the whole group
 (``scripts/bench_server.py`` measures the resulting speedup against

@@ -28,10 +28,9 @@ Overload protection is the queue's second job:
   (backpressure per class): one flooding priority fills only its own slots,
   and its overflow is shed even while the queue has room overall.
 
-The queue also maintains per-priority counts and summed service-time
-estimates (the server stamps each job's estimate before pushing), which is
-what the admission controller reads to turn backlog into an estimated drain
-time without walking the queue.
+The queue also maintains per-priority counts, which is what the admission
+controller reads (:meth:`JobQueue.depth_at_or_above`) to turn backlog into
+an estimated drain time without walking the queue.
 """
 
 from __future__ import annotations
@@ -43,11 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.server.jobs import Job
 
-__all__ = ["JobQueue", "ENQUEUED_AT_ATTR", "ESTIMATE_ATTR"]
-
-#: Attribute the server stamps on jobs before pushing: estimated service
-#: seconds, fed into the per-priority backlog aggregates.
-ESTIMATE_ATTR = "_estimated_service_s"
+__all__ = ["JobQueue", "ENQUEUED_AT_ATTR"]
 
 #: Attribute the queue stamps on jobs at enqueue time (wall-clock seconds).
 #: Retried jobs are re-pushed and re-stamped, so the tracer's per-attempt
@@ -93,7 +88,6 @@ class JobQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._count_by_priority: Dict[int, int] = {}  # guarded-by: _lock
-        self._cost_by_priority: Dict[int, float] = {}  # guarded-by: _lock
 
     # -- priority & ordering -------------------------------------------------
     def effective_priority(self, job: Job, now: Optional[float] = None) -> int:
@@ -114,22 +108,13 @@ class JobQueue:
         self._count_by_priority[job.priority] = (
             self._count_by_priority.get(job.priority, 0) + 1
         )
-        self._cost_by_priority[job.priority] = self._cost_by_priority.get(
-            job.priority, 0.0
-        ) + float(getattr(job, ESTIMATE_ATTR, 0.0))
 
     def _account_remove(self, job: Job) -> None:  # holds: _lock
         remaining = self._count_by_priority.get(job.priority, 0) - 1
         if remaining > 0:
             self._count_by_priority[job.priority] = remaining
-            self._cost_by_priority[job.priority] = max(
-                0.0,
-                self._cost_by_priority.get(job.priority, 0.0)
-                - float(getattr(job, ESTIMATE_ATTR, 0.0)),
-            )
         else:
             self._count_by_priority.pop(job.priority, None)
-            self._cost_by_priority.pop(job.priority, None)
 
     # -- backlog queries ------------------------------------------------------
     def depth_at_or_above(self, priority: int) -> int:
@@ -138,20 +123,6 @@ class JobQueue:
             return sum(
                 count
                 for level, count in self._count_by_priority.items()
-                if level >= priority
-            )
-
-    def backlog_service_s(self, priority: int) -> float:
-        """Summed service-time estimates of jobs at base priority >= given.
-
-        This is the work an arrival at ``priority`` must wait behind — the
-        admission controller divides it by the worker count to estimate
-        drain time.
-        """
-        with self._lock:
-            return sum(
-                cost
-                for level, cost in self._cost_by_priority.items()
                 if level >= priority
             )
 
@@ -236,7 +207,6 @@ class JobQueue:
             jobs = [job for _, job in self._entries]
             self._entries.clear()
             self._count_by_priority.clear()
-            self._cost_by_priority.clear()
             return jobs
 
     def __len__(self) -> int:
@@ -247,4 +217,3 @@ class JobQueue:
         with self._lock:
             self._entries.clear()
             self._count_by_priority.clear()
-            self._cost_by_priority.clear()

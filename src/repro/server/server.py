@@ -14,9 +14,8 @@ polls); the scheduling loop then runs a *two-level* schedule per tick:
    every queued user of that circuit.
 2. **Worker level** — hand the coalesced groups to
    :meth:`~repro.service.execution.ExecutionService.run_jobs`, which packs
-   them largest-first across the worker pool using the service's
-   timer-augmented EWMA weights (measured per-circuit times preferred over
-   the analytical latency model).
+   them largest-first across the worker pool by static weight (each
+   circuit's analytical latency times its batch rows).
 
 Every state transition is appended to the
 :class:`~repro.server.store.JobStore` (restart-safe: ``queued`` jobs are
@@ -30,8 +29,9 @@ per-priority), overflowing or over-budget arrivals are *shed* into a
 terminal ``SHED`` state instead of growing the backlog without bound,
 priority aging keeps low-priority jobs from starving, a declarative
 :class:`~repro.server.telemetry.SLOPolicy` drives per-priority latency
-tracking plus cost-aware admission control (drain-time estimates from the
-ExecutionService's timer-augmented EWMA weights), and a
+tracking plus cost-aware admission control (an arrival's drain time is
+the queued jobs at or above its priority, plus itself, times the server's
+EWMA of per-job tick seconds, over the worker count), and a
 :class:`~repro.server.faults.FaultInjector` gives the recovery tests exact
 crash/slowdown/corruption injection points.
 """
@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.backends.base import backend_produces_outputs
 from repro.backends.registry import default_backend_name
 from repro.compiler.executor import declared_outputs, reference_output
+from repro.compiler.pipeline import CompilationReport
 from repro.compiler.registry import CompilerSpec
 from repro.fhe.params import BFVParameters
 from repro.ir.analysis import variables
@@ -58,7 +59,7 @@ from repro.obs.trace import NULL_TRACER, JsonlSpanSink, Span, Tracer, new_trace_
 from repro.server.coalescer import CoalescedGroup, coalesce
 from repro.server.faults import FaultInjector
 from repro.server.jobs import Job, JobState
-from repro.server.queue import ENQUEUED_AT_ATTR, ESTIMATE_ATTR, JobQueue
+from repro.server.queue import ENQUEUED_AT_ATTR, JobQueue
 from repro.server.store import TRACE_NAME, JobStore
 from repro.server.telemetry import (
     LATENCY_BUCKETS,
@@ -72,13 +73,6 @@ from repro.service.execution import ExecutionJob, ExecutionService
 from repro.service.service import CompilationService
 
 __all__ = ["JobServer"]
-
-#: How long a cached per-circuit service estimate stays fresh.  Admission
-#: control consults the estimate on every submit; recomputing the circuit
-#: fingerprint each time costs more than the submit itself under overload,
-#: and EWMA drift over a fraction of a second is noise at that decision.
-ESTIMATE_TTL_S = 0.25
-
 
 class JobServer:
     """A persistent-queue, batch-coalescing orchestration server.
@@ -135,10 +129,6 @@ class JobServer:
         job pays a full parse plus compilation-service lookup.  Combined
         with a disabled :class:`~repro.service.cache.CompilationCache`
         (``capacity=0``) this prices the whole compilation-caching tier.
-    prefer_measured:
-        Forwarded to every :class:`~repro.service.execution.ExecutionService`
-        this server creates; False schedules (and admits) on the raw
-        analytical latency model instead of the timer-augmented EWMA.
     fault_injector:
         Armed-trigger registry for the recovery tests
         (:mod:`repro.server.faults`); shared with the job store.
@@ -178,7 +168,6 @@ class JobServer:
         admission_floor: int = 0,
         coalesce: bool = True,
         memoize_circuits: bool = True,
-        prefer_measured: bool = True,
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = False,
         tracer: Optional[Tracer] = None,
@@ -218,14 +207,13 @@ class JobServer:
         self.admission_floor = admission_floor
         self.coalesce = coalesce
         self.memoize_circuits = memoize_circuits
-        self.prefer_measured = prefer_measured
         self._slo_tracker = SLOTracker(slo, self.telemetry)
-        #: EWMA of observed per-job tick seconds: the admission fallback
-        #: weight for jobs whose circuit has no ExecutionService estimate
-        #: yet.  None until the first tick has measured anything.
+        #: EWMA of observed per-job tick seconds, compile time excluded: the
+        #: per-job cost admission control prices a backlog with.  None until
+        #: the first tick has measured anything.
         self._service_s_ewma: Optional[float] = None
-        #: (circuit memo key, backend) -> (service estimate s, monotonic stamp).
-        self._estimate_cache: Dict[Tuple[object, str], Tuple[float, float]] = {}  # guarded-by: _lock
+        #: Seconds the current tick has spent inside compile_expression.
+        self._tick_compile_s = 0.0
         self._store_skips_seen = 0
         self.default_backend = backend or default_backend_name()
         self.default_compiler = compiler
@@ -392,53 +380,16 @@ class JobServer:
         self.telemetry.counter(f"{job.kind}_jobs").inc()
 
     # -- overload protection -------------------------------------------------
-    def _estimate_job_service_s(self, job: Job) -> float:
-        """Estimated service seconds for one job, cheapest source first.
-
-        Pre-lowered (or already-memoized) circuits go through the backend's
-        :meth:`~repro.service.execution.ExecutionService.estimate_ms` —
-        measured EWMA per circuit when it has run before, the calibrated
-        analytical model otherwise.  Unknown sources fall back to the
-        server-wide EWMA of per-job tick time (0 until the first tick, so a
-        cold server admits its warm-up traffic).
-        """
-        program = job.program
-        backend = job.backend or self.default_backend
-        cache_key = None
-        if program is None and job.source is not None:
-            memo_key = (
-                job.compiler or self.default_compiler,
-                tuple(sorted(job.compiler_options.items())),
-                job.source,
-            )
-            cache_key = (memo_key, backend)
-            with self._lock:
-                cached = self._estimate_cache.get(cache_key)
-                hit = self._circuit_memo.get(memo_key)
-            if cached is not None and time.monotonic() - cached[1] < ESTIMATE_TTL_S:
-                return cached[0]
-            if hit is not None:
-                program = hit[0]
-        if program is not None:
-            try:
-                service = self._execution_service(backend)
-                estimate_ms, _ = service.estimate_ms(program)
-            except Exception:
-                pass  # unknown backend etc.: the job will fail later anyway
-            else:
-                estimate = estimate_ms / 1000.0
-                if cache_key is not None:
-                    with self._lock:
-                        self._estimate_cache[cache_key] = (estimate, time.monotonic())
-                return estimate
-        return self._service_s_ewma or 0.0
-
     def _admit(self, job: Job) -> Optional[str]:
         """None to accept ``job``; otherwise the reason it must be shed.
 
-        ``"downgrade"`` mode demotes over-budget arrivals to the floor
-        priority (accepting them as best effort) and only sheds when the
-        job is already at or below the floor.
+        The estimated drain time of an arrival is every queued job at or
+        above its priority, plus itself, at the server's per-job cost
+        (:attr:`_service_s_ewma`), spread over the workers.  A cold server
+        has no cost yet and admits its warm-up traffic.  ``"downgrade"``
+        mode demotes over-budget arrivals to the floor priority (accepting
+        them as best effort) and only sheds when the job is already at or
+        below the floor.
         """
         if self.admission == "off":
             return None
@@ -448,10 +399,9 @@ class JobServer:
         if budget is None:
             return None  # best-effort class: no deadline to protect
         with self.tracer.span("admission", attrs={"job": job.id}) as span:
-            estimate = self._estimate_job_service_s(job)
-            setattr(job, ESTIMATE_ATTR, estimate)  # reused by _queue_push
-            backlog = self.queue.backlog_service_s(job.priority)
-            drain_s = (backlog + estimate) / max(1, self.workers)
+            per_job_s = self._service_s_ewma or 0.0
+            depth = self.queue.depth_at_or_above(job.priority)
+            drain_s = (depth + 1) * per_job_s / self.workers
             if drain_s <= budget:
                 return None
             if self.admission == "downgrade" and job.priority > self.admission_floor:
@@ -467,9 +417,7 @@ class JobServer:
             )
 
     def _queue_push(self, job: Job, sink: Optional[List[Dict[str, object]]] = None) -> None:
-        """Stamp the job's service estimate and push; shed any overflow victim."""
-        if getattr(job, ESTIMATE_ATTR, None) is None:
-            setattr(job, ESTIMATE_ATTR, self._estimate_job_service_s(job))
+        """Push ``job``; shed any overflow victim."""
         victim = self.queue.push(job)
         if victim is not None:
             self._shed(victim, "shed on overload: queue is full", sink)
@@ -626,6 +574,7 @@ class JobServer:
         self._update_queue_depth()
         if not pending:
             return 0
+        self._tick_compile_s = 0.0
         tick_span = None
         if enabled:
             # The envelope is opened retroactively (empty ticks must not
@@ -699,9 +648,11 @@ class JobServer:
         self._sync_tape_stats()
         wall = time.perf_counter() - tick_start
         self.telemetry.histogram("tick_s").observe(wall)
-        # Fold this tick's per-job wall time into the admission fallback
-        # weight (coalescing makes it an upper bound on marginal cost).
-        per_job = wall / len(pending)
+        # Fold this tick's per-job wall time into the admission cost
+        # (coalescing makes it an upper bound on marginal cost).  Compile
+        # seconds stay out: a cold compile is paid once per circuit, and
+        # counting it would price every later job at the cold-start figure.
+        per_job = max(0.0, wall - self._tick_compile_s) / len(pending)
         self._service_s_ewma = (
             per_job
             if self._service_s_ewma is None
@@ -750,6 +701,16 @@ class JobServer:
             self._compile_services[key] = service
         return service
 
+    def _compile(self, job: Job, expr: Expr) -> CompilationReport:
+        """Compile ``expr`` for ``job``, charging the seconds to this tick's
+        compile time (which the admission cost leaves out)."""
+        service = self._compile_service(job)
+        start = time.perf_counter()
+        try:
+            return service.compile_expression(expr, name=job.name or "circuit")
+        finally:
+            self._tick_compile_s += time.perf_counter() - start
+
     def _compiled_circuit(self, job: Job) -> Tuple[object, Optional[Expr], List[str]]:
         """``(circuit, source expression, input names)``, compiling if needed.
 
@@ -774,9 +735,7 @@ class JobServer:
                     return hit
         self.telemetry.counter("circuit_memo_misses").inc()
         expr = parse(job.source)
-        report = self._compile_service(job).compile_expression(
-            expr, name=job.name or "circuit"
-        )
+        report = self._compile(job, expr)
         entry = (report.circuit, expr, list(variables(expr)))
         if self.memoize_circuits:
             with self._lock:
@@ -795,9 +754,7 @@ class JobServer:
                     "backend_compile",
                     attrs={"job": job.id, "compiler": job.compiler or self.default_compiler},
                 ):
-                    expr = parse(job.source)
-                    service = self._compile_service(job)
-                    report = service.compile_expression(expr, name=job.name or "circuit")
+                    report = self._compile(job, parse(job.source))
                 job.result = {
                     "name": report.name,
                     "compiler": job.compiler or self.default_compiler,
@@ -814,8 +771,8 @@ class JobServer:
 
     # -- execution ----------------------------------------------------------
     def _execution_service(self, backend_name: str) -> ExecutionService:
-        # Called from the server thread and from client submit threads (via
-        # admission estimates), so the get-or-create must be atomic.
+        # drain() may run on a client thread beside the serving loop, so the
+        # get-or-create must be atomic.
         with self._lock:
             service = self._execution_services.get(backend_name)
             if service is None:
@@ -823,7 +780,6 @@ class JobServer:
                     backend_name,
                     params=self.params,
                     workers=self.workers,
-                    prefer_measured=self.prefer_measured,
                     tracer=self.tracer,
                 )
                 self._execution_services[backend_name] = service
@@ -901,9 +857,7 @@ class JobServer:
                 "commit_result",
                 attrs={"backend": backend_name, "groups": len(backend_groups)},
             ):
-                for group, reports, record in zip(
-                    backend_groups, batch.reports, batch.records
-                ):
+                for group, reports in zip(backend_groups, batch.reports):
                     for job_index, (job, (lo, hi)) in enumerate(
                         zip(group.jobs, group.slices())
                     ):
@@ -913,7 +867,6 @@ class JobServer:
                                 group,
                                 reports[lo:hi],
                                 expressions.get(job.id),
-                                record.estimate_source,
                             )
                             terminal += self._finish(job, JobState.COMPLETED, sink)
                         except Exception as error:
@@ -926,7 +879,6 @@ class JobServer:
         group: CoalescedGroup,
         reports: Sequence[object],
         expr: Optional[Expr],
-        estimate_source: str,
     ) -> Dict[str, object]:
         with self._lock:
             backend = self._execution_services[group.backend_key].backend
@@ -941,7 +893,6 @@ class JobServer:
             "outputs": outputs,
             "coalesced_batch": len(group.batched_inputs),
             "group_jobs": len(group.jobs),
-            "estimate_source": estimate_source,
             "verified": verified,
         }
         if reports:

@@ -12,8 +12,8 @@ service suitable for experiment harnesses and, eventually, online serving:
   combining both, with a serial fallback that keeps results deterministic.
 * :mod:`repro.service.execution` — :class:`ExecutionService`, the batched
   execution counterpart: jobs run on any registered execution backend under
-  timer-augmented LPT scheduling (measured per-circuit times preferred over
-  the analytical model on re-scheduling).
+  LPT scheduling weighted by each circuit's static analytical latency times
+  its number of input sets.
 """
 
 from repro.service.cache import (

@@ -1,31 +1,26 @@
-"""The batched execution service with timer-augmented scheduling.
+"""The batched execution service: static LPT scheduling over workers.
 
 :class:`ExecutionService` is the execution-side counterpart of
 :class:`~repro.service.service.CompilationService`: it wraps any registered
 :class:`~repro.backends.base.ExecutionBackend` and schedules batches of
 ``(circuit, input sets)`` jobs across workers.
 
-Scheduling weights follow the timer-augmented cost-function idea from the
-load-balancing literature (McDoniel & Bientinesi): an analytical model gets
-the first batch placed, but *measured* per-circuit execution times are
-recorded (exponentially-weighted, keyed by circuit content hash and backend
-``describe()`` string) and preferred over the model whenever a circuit has
-run before.  Model estimates for still-unmeasured circuits are calibrated by
-the observed measured/model ratio, so mixed batches keep comparable weights.
-Jobs are then packed largest-first (LPT, the same
+Each job's weight is static: the circuit's analytical latency
+(:meth:`~repro.compiler.circuit.CircuitProgram.estimated_latency_ms` under
+the service's :class:`~repro.fhe.latency.LatencyModel`) times its number of
+input sets.  Jobs are packed largest-first (LPT, the same
 :func:`~repro.service.scheduler.partition_jobs` the compilation service
-uses) so one deep circuit cannot serialize the whole batch.
+uses) so one deep circuit cannot serialize the whole batch.  Scheduling
+reads no timers and hashes no circuits; the only fingerprint a job pays is
+the backend's own compiled-tape memo lookup.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import program_fingerprint
 from repro.backends.registry import BackendSpec, resolve_backend
 from repro.compiler.circuit import CircuitProgram
 from repro.compiler.executor import ExecutionReport, Value
@@ -54,11 +49,9 @@ class ExecutionRecord:
     """Per-job accounting emitted by :meth:`ExecutionService.run_jobs`."""
 
     name: str
-    #: Scheduling weight used for this job (milliseconds, per input set).
+    #: LPT weight of this job: the circuit's analytical latency (ms) times
+    #: its number of input sets.
     estimate_ms: float
-    #: ``"measured"`` when a recorded timer drove the weight, ``"model"``
-    #: when the analytical latency model did.
-    estimate_source: str
     wall_time_s: float = 0.0
     batch_size: int = 0
     worker: int = 0
@@ -89,14 +82,11 @@ class ExecutionBatchReport:
             "workers": self.workers,
             "wall_time_s": self.wall_time_s,
             "planned_makespan_ms": self.planned_makespan_ms,
-            "measured_estimates": sum(
-                1 for record in self.records if record.estimate_source == "measured"
-            ),
         }
 
 
 class ExecutionService:
-    """Batched, timer-augmented-scheduled execution on a named backend.
+    """Batched, LPT-scheduled execution on a named backend.
 
     Parameters
     ----------
@@ -108,31 +98,8 @@ class ExecutionService:
     workers:
         Thread workers for :meth:`run_jobs`.  Execution is numpy-dominated,
         so threads overlap usefully; ``1`` keeps runs serial.
-    smoothing:
-        EWMA factor for measured execution times (1.0 = keep only the latest
-        measurement).
-    calibration_smoothing:
-        EWMA factor for the measured/model calibration ratio.  The ratio is
-        folded in only on a circuit's *first* measurement (re-measurements
-        of an already-timed circuit say nothing new about the model), so on
-        a long-running server it tracks the current timing regime instead of
-        being dominated by stale early history the way a pair of unbounded
-        running sums would be.
-    max_measured:
-        LRU capacity of the measured-time table.  A long-running server
-        replays an unbounded stream of circuits through one service, so the
-        table is bounded: beyond ``max_measured`` distinct circuits the
-        least-recently-touched entry (read *or* updated) is evicted and that
-        circuit falls back to the calibrated analytical model until it runs
-        again.
-    prefer_measured:
-        When False the timer augmentation is switched off: every estimate
-        comes from the *uncalibrated* analytical latency model, exactly the
-        pre-McDoniel baseline.  Measurements are still recorded (the tables
-        stay observable) but never drive a scheduling weight.  The ablation
-        engine flips this to price the timer-augmented scheduler.
     tracer:
-        Span collector for the ``schedule`` (estimate + LPT partition) and
+        Span collector for the ``schedule`` (weights + LPT partition) and
         per-plan-entry ``execute`` stages of :meth:`run_jobs`.  Defaults to
         the disabled singleton: direct-path callers pay nothing.
     """
@@ -143,154 +110,22 @@ class ExecutionService:
         *,
         params: Optional[BFVParameters] = None,
         workers: int = 1,
-        smoothing: float = 0.5,
-        calibration_smoothing: float = 0.25,
-        max_measured: int = 1024,
-        prefer_measured: bool = True,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 < calibration_smoothing <= 1.0:
-            raise ValueError("calibration_smoothing must be in (0, 1]")
-        if max_measured < 1:
-            raise ValueError("max_measured must be at least 1")
-        self.backend, self.spec = resolve_backend(backend)
+        self.backend, _ = resolve_backend(backend)
         self.backend_name = getattr(self.backend, "name", type(self.backend).__name__)
         self.params = params if params is not None else BFVParameters.default()
         self.workers = workers
-        self.smoothing = smoothing
-        self.calibration_smoothing = calibration_smoothing
-        self.max_measured = max_measured
-        self.prefer_measured = prefer_measured
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._latency_model = LatencyModel(self.params)
-        #: Measured per-input-set wall seconds, EWMA per circuit, bounded LRU.
-        self._measured: "OrderedDict[str, float]" = OrderedDict()  # guarded-by: _measured_lock
-        self._measured_lock = threading.Lock()
-        #: EWMA of the measured/model ratio, updated on first measurements
-        #: only; None until the first circuit has been timed.
-        self._calibration: Optional[float] = None  # guarded-by: _measured_lock
-
-    # -- cache keys ---------------------------------------------------------
-    def job_key(self, program: CircuitProgram) -> str:
-        """Measured-time key: backend ``describe()`` + circuit content hash.
-
-        The backend spec's version-stamped description keys the execution
-        side exactly the way compiler ``describe()`` strings key the
-        compilation cache: timings never leak across backends, backend
-        configurations or package versions.
-        """
-        prefix = self.spec.describe() if self.spec is not None else self.backend_name
-        return f"{prefix}::{program_fingerprint(program)}"
-
-    # -- estimates ----------------------------------------------------------
-    def static_cost_ms(self, program: CircuitProgram) -> float:
-        """Analytical scheduling cost of one input set, in milliseconds.
-
-        Backends that run something other than the raw instruction list can
-        expose ``scheduling_cost_ms(program, params, latency_model)`` — the
-        tape-compiled vector VM scales the model by its fused-tape op ratio —
-        and the service prices estimates and calibration against what the
-        backend will actually execute.  Everything else falls back to the
-        circuit's plain :meth:`~CircuitProgram.estimated_latency_ms`.
-        """
-        hook = getattr(self.backend, "scheduling_cost_ms", None)
-        if hook is not None:
-            return hook(program, self.params, self._latency_model)
-        return program.estimated_latency_ms(self._latency_model)
-
-    def estimate_ms(self, program: CircuitProgram) -> Tuple[float, str]:
-        """Scheduling weight for one input set: ``(milliseconds, source)``.
-
-        Prefers the recorded timer for circuits that have executed before;
-        falls back to the analytical latency model, scaled by the observed
-        measured/model calibration ratio so mixed batches stay comparable.
-        With ``prefer_measured=False`` the raw analytical model answers
-        unconditionally.
-        """
-        if not self.prefer_measured:
-            return self.static_cost_ms(program), "model"
-        key = self.job_key(program)
-        with self._measured_lock:
-            measured = self._measured.get(key)
-            if measured is not None:
-                self._measured.move_to_end(key)  # LRU touch
-                return measured * 1000.0, "measured"
-            calibration = self._calibration
-        model_ms = self.static_cost_ms(program)
-        if calibration is not None:
-            return model_ms * calibration, "model"
-        return model_ms, "model"
-
-    def record_measurement(
-        self, program: CircuitProgram, wall_time_s: float, batch_size: int
-    ) -> None:
-        """Fold a measured execution time into the scheduling state."""
-        if batch_size <= 0:
-            return
-        per_item = wall_time_s / batch_size
-        key = self.job_key(program)
-        model_ms = self.static_cost_ms(program)
-        with self._measured_lock:
-            previous = self._measured.get(key)
-            if previous is None:
-                self._measured[key] = per_item
-                # First measurement of this circuit: fold its measured/model
-                # ratio into the calibration EWMA.  Re-measurements are
-                # deliberately excluded — they carry no new information
-                # about the *model*, and folding them in would let a few
-                # hot circuits (or stale early history) dominate the ratio
-                # on a long-running server.
-                if model_ms > 0.0:
-                    ratio = (per_item * 1000.0) / model_ms
-                    if self._calibration is None:
-                        self._calibration = ratio
-                    else:
-                        beta = self.calibration_smoothing
-                        self._calibration = (
-                            beta * ratio + (1.0 - beta) * self._calibration
-                        )
-            else:
-                alpha = self.smoothing
-                self._measured[key] = alpha * per_item + (1.0 - alpha) * previous
-            self._measured.move_to_end(key)
-            while len(self._measured) > self.max_measured:
-                self._measured.popitem(last=False)
-
-    @property
-    def measured_circuits(self) -> int:
-        """How many distinct circuits have recorded timers."""
-        with self._measured_lock:
-            return len(self._measured)
-
-    # -- execution ----------------------------------------------------------
-    def execute(
-        self, program: CircuitProgram, inputs: Mapping[str, Value]
-    ) -> ExecutionReport:
-        """Execute one input set, recording its measured time."""
-        start = time.perf_counter()
-        report = self.backend.execute(program, inputs, params=self.params)
-        self.record_measurement(program, time.perf_counter() - start, 1)
-        return report
-
-    def execute_many(
-        self, program: CircuitProgram, inputs_list: Sequence[Mapping[str, Value]]
-    ) -> List[ExecutionReport]:
-        """Execute a batch of input sets, recording the measured time."""
-        start = time.perf_counter()
-        reports = self.backend.execute_many(program, list(inputs_list), params=self.params)
-        if reports:
-            self.record_measurement(program, time.perf_counter() - start, len(reports))
-        return reports
 
     def run_jobs(
         self,
         jobs: Iterable[Union[ExecutionJob, Tuple[CircuitProgram, Sequence[Mapping[str, Value]]]]],
     ) -> ExecutionBatchReport:
-        """Execute many circuits' batches under the timer-augmented schedule.
+        """Execute many circuits' batches under the static LPT schedule.
 
         Jobs may be :class:`ExecutionJob` or ``(program, inputs_list)``
         pairs.  Reports come back in input order regardless of schedule.
@@ -309,19 +144,16 @@ class ExecutionService:
             normalized = [self._normalize_job(job) for job in jobs]
             batch = ExecutionBatchReport(backend=self.backend_name, workers=self.workers)
             batch.reports = [[] for _ in normalized]
-            weights: List[float] = []
             for job in normalized:
-                estimate, source = self.estimate_ms(job.program)
-                weight = estimate * max(len(job.inputs), 1)
-                weights.append(weight)
                 batch.records.append(
                     ExecutionRecord(
                         name=job.label(),
-                        estimate_ms=estimate,
-                        estimate_source=source,
+                        estimate_ms=job.program.estimated_latency_ms(self._latency_model)
+                        * len(job.inputs),
                         batch_size=len(job.inputs),
                     )
                 )
+            weights = [record.estimate_ms for record in batch.records]
 
             plans = partition_jobs(weights, min(self.workers, max(len(normalized), 1)))
             batch.planned_makespan_ms = makespan(plans)
@@ -343,14 +175,10 @@ class ExecutionService:
                     },
                 ):
                     job_start = time.perf_counter()
-                    reports = self.backend.execute_many(
+                    batch.reports[index] = self.backend.execute_many(
                         job.program, list(job.inputs), params=self.params
                     )
-                    wall = time.perf_counter() - job_start
-                if reports:
-                    self.record_measurement(job.program, wall, len(reports))
-                batch.reports[index] = reports
-                batch.records[index].wall_time_s = wall
+                    batch.records[index].wall_time_s = time.perf_counter() - job_start
                 batch.records[index].worker = plan.worker
 
         active = [plan for plan in plans if plan.job_indices]

@@ -1,9 +1,8 @@
 """The component registry of the study engine.
 
 A :class:`Component` names one toggleable piece of the serving stack — the
-optimizing compiler, the batched vector backend, the vector VM's tape
-optimizer, the fingerprint coalescer, the compilation-cache tier, the
-timer-augmented scheduler, admission control — together with the
+optimizing compiler, the batched vector backend, the fingerprint coalescer,
+the compilation-cache tier, tracing, admission control — together with the
 configuration delta that switches it *off*.  A study
 then runs one baseline (everything on) plus one condition per component
 (exactly that component off) and prices each component by the metric
@@ -147,19 +146,6 @@ register_component(
         ),
         ablated={"cache_capacity": 0, "memoize_circuits": False},
         metrics=("memo_hit_rate", "cache_hit_rate", "throughput_jobs_per_s"),
-    )
-)
-
-register_component(
-    Component(
-        name="measured-scheduler",
-        description=(
-            "Timer-augmented scheduling (McDoniel & Bientinesi): ablated "
-            "runs weight batches with the raw analytical latency model "
-            "instead of measured EWMA execution times."
-        ),
-        ablated={"prefer_measured": False},
-        metrics=("measured_estimate_fraction", "mean_run_s"),
     )
 )
 

@@ -207,7 +207,6 @@ class StudyRunner:
             admission=config.admission,
             coalesce=config.coalesce,
             memoize_circuits=config.memoize_circuits,
-            prefer_measured=config.prefer_measured,
             tracing=config.tracing,
         )
         try:
@@ -273,7 +272,6 @@ class StudyRunner:
         completed = failed = 0
         latencies: List[float] = []
         verified = 0
-        measured_estimates = 0
         for job_id in job_ids:
             job = server.get(job_id)
             if job is None:
@@ -286,8 +284,6 @@ class StudyRunner:
                     latencies.append(float(latency))
                 if result.get("verified"):
                     verified += 1
-                if result.get("estimate_source") == "measured":
-                    measured_estimates += 1
             elif job.status.value == "failed":
                 failed += 1
 
@@ -332,9 +328,6 @@ class StudyRunner:
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
             "verified_fraction": verified / completed if completed else 0.0,
-            "measured_estimate_fraction": (
-                measured_estimates / completed if completed else 0.0
-            ),
         }
         return metrics
 

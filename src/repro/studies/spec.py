@@ -46,7 +46,6 @@ class RunConfig:
     coalesce: bool = True
     memoize_circuits: bool = True
     cache_capacity: int = 512
-    prefer_measured: bool = True
     admission: str = "off"
     workers: int = 2
     #: End-to-end span tracing (:mod:`repro.obs`).  Off by default so the

@@ -3,7 +3,7 @@
 Realistic serving traffic is not one kernel at a time: it is a *mix* of
 scenarios arriving on their own clock, with different priorities and
 per-workload compiler/backend choices.  That regime is exactly where the
-two-level scheduler (queue-level coalescing + worker-level timer-augmented
+two-level scheduler (queue-level coalescing + worker-level static-cost
 LPT) earns its keep — and where its bookkeeping bugs hide.  This module
 generates such traffic deterministically and drives the *same* schedule
 down both execution paths:

@@ -5,7 +5,7 @@ parity — every kernel of the Coyote/Porcupine/tree suites produces
 bit-identical declared outputs and identical noise/latency accounting on
 ``reference`` vs ``vector-vm``, and identical accounting on ``cost-sim`` —
 the per-execution metering refactor, the batched
-:class:`~repro.service.execution.ExecutionService` with timer-augmented
+:class:`~repro.service.execution.ExecutionService` with static-cost LPT
 scheduling, and the ``backend=``/``run-batch`` surface of the api + CLI.
 """
 
@@ -32,7 +32,7 @@ from repro.compiler.executor import default_backend_name
 from repro.fhe import Evaluator, ExecutionMeter, FHEContext, LatencyModel
 from repro.fhe.params import BFVParameters
 from repro.kernels.registry import benchmark_by_name, benchmark_suite
-from repro.service import ExecutionJob, ExecutionService
+from repro.service import ExecutionJob, ExecutionService, makespan, partition_jobs
 
 #: Small ring for fast tests; parity must hold at any degree.
 PARAMS = BFVParameters.default(1024)
@@ -309,33 +309,6 @@ class TestExecutionService:
             )
         return jobs
 
-    def test_rescheduling_prefers_measured_times(self, compiled_suite):
-        jobs = self._jobs(
-            compiled_suite, ["dot_product_4", "dot_product_8", "max_3", "sort_3"]
-        )
-        service = ExecutionService("vector-vm", params=PARAMS)
-        first = service.run_jobs(jobs)
-        assert [record.estimate_source for record in first.records] == ["model"] * 4
-        assert all(record.wall_time_s > 0.0 for record in first.records)
-        second = service.run_jobs(jobs)
-        assert [record.estimate_source for record in second.records] == ["measured"] * 4
-        assert service.measured_circuits == 4
-        assert second.total_executions == 12
-
-    def test_model_estimates_calibrated_after_first_measurements(self, compiled_suite):
-        jobs = self._jobs(compiled_suite, ["dot_product_4"])
-        service = ExecutionService("vector-vm", params=PARAMS)
-        raw_model, source = service.estimate_ms(jobs[0].program)
-        assert source == "model"
-        service.run_jobs(jobs)
-        # A circuit the service has never executed now gets a calibrated
-        # model estimate (scaled by the observed measured/model ratio).
-        _, other = next((b, r) for b, r in compiled_suite if b.name == "max_3")
-        calibrated, source = service.estimate_ms(other.circuit)
-        assert source == "model"
-        model_only = other.circuit.estimated_latency_ms(LatencyModel(PARAMS))
-        assert calibrated != model_only
-
     def test_parallel_workers_produce_same_reports(self, compiled_suite):
         names = ["dot_product_4", "dot_product_8", "max_3", "sort_3"]
         serial = ExecutionService("vector-vm", params=PARAMS, workers=1)
@@ -352,29 +325,48 @@ class TestExecutionService:
         assert outputs_serial == outputs_threaded
         assert threaded_batch.workers == 2
         assert {record.worker for record in threaded_batch.records} == {0, 1}
+        # The LPT weight is static: analytical latency times batch rows.
+        model = LatencyModel(PARAMS)
+        weights = [
+            job.program.estimated_latency_ms(model) * len(job.inputs) for job in jobs
+        ]
+        assert [record.estimate_ms for record in threaded_batch.records] == weights
+        plans = partition_jobs(weights, 2)
+        assert threaded_batch.planned_makespan_ms == makespan(plans)
+        for plan in plans:
+            for index in plan.job_indices:
+                assert threaded_batch.records[index].worker == plan.worker
 
-    def test_job_key_versions_by_backend_describe(self, compiled_suite):
-        _, report = next((b, r) for b, r in compiled_suite if b.name == "max_3")
-        vm = ExecutionService("vector-vm", params=PARAMS)
-        ref = ExecutionService("reference", params=PARAMS)
-        assert vm.job_key(report.circuit) != ref.job_key(report.circuit)
-        assert f"repro-{repro.__version__}::backend::vector-vm" in vm.job_key(report.circuit)
+    def test_warm_run_jobs_fingerprints_once_per_group(self, compiled_suite, monkeypatch):
+        import repro.backends.tapeopt as tapeopt
+        import repro.service.execution as execution
+
+        names = ["dot_product_4", "dot_product_8", "max_3", "sort_3"]
+        jobs = self._jobs(compiled_suite, names)
+        service = ExecutionService("vector-vm", params=PARAMS)
+        service.run_jobs(jobs)  # warm: tapes compiled and memoized
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return program_fingerprint(program)
+
+        monkeypatch.setattr(tapeopt, "program_fingerprint", counting)
+        # Scheduling must add no hashing of its own on top of the memo lookup.
+        monkeypatch.setattr(execution, "program_fingerprint", counting, raising=False)
+        service.run_jobs(jobs)
+        assert len(calls) <= len(jobs)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             ExecutionService("reference", workers=0)
-        with pytest.raises(ValueError, match="smoothing"):
-            ExecutionService("reference", smoothing=0.0)
 
     def test_empty_input_jobs_record_no_measurement(self, compiled_suite):
         _, report = next((b, r) for b, r in compiled_suite if b.name == "dot_product_4")
         service = ExecutionService("vector-vm", params=PARAMS)
-        assert service.execute_many(report.circuit, []) == []
-        assert service.measured_circuits == 0
-        service.run_jobs([ExecutionJob(program=report.circuit, inputs=[])])
-        assert service.measured_circuits == 0
-        _, source = service.estimate_ms(report.circuit)
-        assert source == "model"
+        batch = service.run_jobs([ExecutionJob(program=report.circuit, inputs=[])])
+        assert batch.reports == [[]]
+        assert batch.records[0].estimate_ms == 0.0
 
     def test_accepts_bare_tuples(self, compiled_suite):
         benchmark, report = next(
@@ -384,74 +376,6 @@ class TestExecutionService:
         batch = service.run_jobs([(report.circuit, [benchmark.sample_inputs(0)])])
         assert batch.records[0].name == "dot_product_4"
         assert batch.reports[0][0].outputs == {}
-
-
-# ---------------------------------------------------------------------------
-# calibration: EWMA of the measured/model ratio, first measurements only
-# ---------------------------------------------------------------------------
-class TestCalibrationRegime:
-    """Regression tests for the unbounded-drift bug: the calibration ratio
-    used to be a pair of forever-growing running sums, also fed by
-    re-measurements, so on a long-running server it was dominated by stale
-    early history.  Now it is an EWMA updated only on first measurements."""
-
-    @staticmethod
-    def _distinct_circuits(count):
-        compiler = build_compiler("initial")
-        return [
-            compiler.compile_expression(
-                api.to_expression(f"(+ a (* b {index + 1}))")[0], name=f"c{index}"
-            ).circuit
-            for index in range(count)
-        ]
-
-    def test_calibration_tracks_a_shifted_timing_regime(self, compiled_suite):
-        service = ExecutionService("vector-vm", params=PARAMS)
-        circuits = self._distinct_circuits(12)
-        probe = next(r for b, r in compiled_suite if b.name == "max_3").circuit
-        # The service calibrates against its backend-aware static cost (the
-        # tape-compiled VM scales the raw model by its fused-op ratio), so
-        # regime measurements are expressed in the same unit.
-        model_ms = {c.name: service.static_cost_ms(c) for c in circuits}
-        # Early regime: measured times equal the model (ratio 1.0).
-        for circuit in circuits[:4]:
-            service.record_measurement(circuit, model_ms[circuit.name] / 1000.0, 1)
-        early, _ = service.estimate_ms(probe)
-        probe_model = service.static_cost_ms(probe)
-        assert early == pytest.approx(probe_model, rel=0.05)
-        # Shifted regime: everything now runs 10x slower than the model.
-        for circuit in circuits[4:]:
-            service.record_measurement(
-                circuit, 10.0 * model_ms[circuit.name] / 1000.0, 1
-            )
-        late, _ = service.estimate_ms(probe)
-        # The EWMA forgets the early regime geometrically: after 8 first
-        # measurements at ratio 10, the estimate sits near 10x, not near the
-        # all-history average ((4*1 + 8*10)/12 = 7) and far from the early 1x.
-        assert late > 8.0 * probe_model
-        assert late <= 10.5 * probe_model
-
-    def test_remeasurement_does_not_move_the_calibration(self, compiled_suite):
-        service = ExecutionService("vector-vm", params=PARAMS)
-        (circuit,) = [c for c in self._distinct_circuits(1)]
-        model_s = service.static_cost_ms(circuit) / 1000.0
-        probe = next(r for b, r in compiled_suite if b.name == "max_3").circuit
-        service.record_measurement(circuit, model_s, 1)
-        before, _ = service.estimate_ms(probe)
-        # Hammer the same circuit with wildly slower re-measurements: its own
-        # EWMA moves, the global calibration must not.
-        for _ in range(50):
-            service.record_measurement(circuit, 100.0 * model_s, 1)
-        after, _ = service.estimate_ms(probe)
-        assert after == pytest.approx(before)
-        measured_ms, source = service.estimate_ms(circuit)
-        assert source == "measured"
-        # ... while the circuit's own EWMA did converge on the slow timings.
-        assert measured_ms == pytest.approx(100.0 * model_s * 1000.0, rel=0.05)
-
-    def test_calibration_smoothing_validation(self):
-        with pytest.raises(ValueError, match="calibration_smoothing"):
-            ExecutionService("reference", calibration_smoothing=0.0)
 
 
 # ---------------------------------------------------------------------------

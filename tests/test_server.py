@@ -6,9 +6,8 @@ recovery), the priority queue, the batch coalescer, the :class:`JobServer`
 lifecycle (mixed workloads, coalescing telemetry, retries, priorities,
 background serving), the ``repro.api`` client surface
 (``serve``/``submit``/``status``/``result``), the server CLI, the
-``BenchmarkRunner(server=...)`` load-generator routing, and the satellite
-changes that ride along: the bounded LRU measured-time table of
-:class:`ExecutionService` and the ``seed``/``input_range`` parameters of
+``BenchmarkRunner(server=...)`` load-generator routing, admission control
+and the ``seed``/``input_range`` parameters of
 ``api.execute``/``api.execute_batch``.
 """
 
@@ -45,7 +44,6 @@ from repro.server.telemetry import (
     SLOTracker,
     percentile_from_snapshot,
 )
-from repro.service import ExecutionJob, ExecutionService
 
 PARAMS = BFVParameters.default(1024)
 SOURCE = "(* (+ a b) (+ c d))"
@@ -706,107 +704,6 @@ class TestHarnessServerRouting:
         assert server.telemetry.snapshot()["counters"]["jobs_completed"] == len(suite)
 
 
-# ---------------------------------------------------------------------------
-# satellite: bounded measured-time table (LRU) in ExecutionService
-# ---------------------------------------------------------------------------
-class TestMeasuredTimeLRU:
-    def _circuits(self, count):
-        compiler = build_compiler("initial")
-        suite = small_benchmark_suite()
-        return [
-            compiler.compile_expression(b.expression(), name=b.name).circuit
-            for b in suite[:count]
-        ]
-
-    def test_eviction_beyond_capacity(self):
-        circuits = self._circuits(5)
-        service = ExecutionService("vector-vm", params=PARAMS, max_measured=3)
-        for circuit in circuits:
-            service.record_measurement(circuit, 0.01, 1)
-        assert service.measured_circuits == 3
-        # Oldest two evicted: back to the analytical model.
-        assert service.estimate_ms(circuits[0])[1] == "model"
-        assert service.estimate_ms(circuits[1])[1] == "model"
-        for circuit in circuits[2:]:
-            assert service.estimate_ms(circuit)[1] == "measured"
-
-    def test_estimate_touch_refreshes_recency(self):
-        circuits = self._circuits(3)
-        service = ExecutionService("vector-vm", params=PARAMS, max_measured=2)
-        service.record_measurement(circuits[0], 0.01, 1)
-        service.record_measurement(circuits[1], 0.01, 1)
-        # Touch circuit 0 so circuit 1 becomes the LRU victim.
-        assert service.estimate_ms(circuits[0])[1] == "measured"
-        service.record_measurement(circuits[2], 0.01, 1)
-        assert service.estimate_ms(circuits[0])[1] == "measured"
-        assert service.estimate_ms(circuits[1])[1] == "model"
-
-    def test_update_does_not_grow_table(self):
-        circuits = self._circuits(2)
-        service = ExecutionService("vector-vm", params=PARAMS, max_measured=2)
-        for _ in range(5):
-            for circuit in circuits:
-                service.record_measurement(circuit, 0.01, 1)
-        assert service.measured_circuits == 2
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="max_measured"):
-            ExecutionService("vector-vm", max_measured=0)
-
-
-# ---------------------------------------------------------------------------
-# satellite: timer-augmented re-scheduling prefers measured times
-# ---------------------------------------------------------------------------
-class TestTimerAugmentedRescheduling:
-    def test_second_run_jobs_uses_measured_estimates(self):
-        compiler = build_compiler("initial")
-        suite = small_benchmark_suite()[:3]
-        jobs = [
-            ExecutionJob(
-                program=compiler.compile_expression(b.expression(), name=b.name).circuit,
-                inputs=[b.sample_inputs(seed=0)],
-                name=b.name,
-            )
-            for b in suite
-        ]
-        service = ExecutionService("vector-vm", params=PARAMS)
-        first = service.run_jobs(jobs)
-        assert {record.estimate_source for record in first.records} == {"model"}
-        second = service.run_jobs(jobs)
-        assert {record.estimate_source for record in second.records} == {"measured"}
-        # The measured weight is a real timer, not the model figure.
-        for job, record in zip(jobs, second.records):
-            model_ms = job.program.estimated_latency_ms(service._latency_model)
-            assert record.estimate_ms != pytest.approx(model_ms)
-
-    def test_benchmark_runner_reruns_prefer_measured(self):
-        from repro.experiments.harness import BenchmarkRunner
-
-        suite = small_benchmark_suite()[:2]
-        runner = BenchmarkRunner({"greedy": "greedy"}, backend="vector-vm")
-        runner.run(suite)
-        service = runner.execution_service
-        assert service.measured_circuits == len(suite)
-        # A second harness run schedules every circuit from recorded timers.
-        for benchmark in suite:
-            report = runner.services["greedy"].compile_expression(
-                benchmark.expression(), name=benchmark.name
-            )
-            _, source = service.estimate_ms(report.circuit)
-            assert source == "measured"
-        runner.run(suite)
-        assert service.measured_circuits == len(suite)
-
-    def test_server_reschedules_repeat_circuits_from_timers(self):
-        server = make_server()
-        first = server.submit(Job(source=SOURCE, seed=0))
-        server.drain()
-        assert server.result(first)["estimate_source"] == "model"
-        second = server.submit(Job(source=SOURCE, seed=1))
-        server.drain()
-        assert server.result(second)["estimate_source"] == "measured"
-
-
 class TestHistogramPercentile:
     BOUNDS = (1.0, 2.0, 4.0, 8.0)
     VALUES = (0.5, 1.5, 1.7, 3.0, 3.5, 5.0, 7.0, 9.0)
@@ -1036,6 +933,59 @@ class TestAdmissionControl:
         try:
             job_id = server.submit(Job(source=SOURCE, seed=1, priority=1))
             assert server.status(job_id)["status"] == "queued"
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_drain_estimate_boundary(self, workers):
+        """Admit iff (depth + 1) * per-job cost / workers fits the budget."""
+        cost, depth = 0.01, 3
+        drain_s = (depth + 1) * cost / workers
+        for budget, expected in ((drain_s * 1.001, "queued"), (drain_s * 0.999, "shed")):
+            server = JobServer(
+                workers=workers,
+                slo=SLOPolicy.from_budgets({0: budget}),
+                admission="shed",
+            )
+            try:
+                server._service_s_ewma = cost  # pin the per-job cost
+                # Priority 1 has no budget, so these queue unconditionally
+                # and form the backlog a priority-0 arrival waits behind.
+                for seed in range(depth):
+                    server.submit(Job(source=SOURCE, seed=seed, priority=1))
+                job_id = server.submit(Job(source=SOURCE, seed=depth))
+                assert server.status(job_id)["status"] == expected, budget
+            finally:
+                server.close()
+
+    def test_cold_compile_excluded_from_admission_cost(self, monkeypatch):
+        """One tick with a slow cold compile must not price later arrivals
+        at the compile's cost: a small backlog is admitted at a budget the
+        warm per-job cost meets."""
+        import time as time_module
+
+        from repro.service.service import CompilationService
+
+        compile_s = 0.5
+        original = CompilationService.compile_expression
+
+        def slow_compile(self, *args, **kwargs):
+            time_module.sleep(compile_s)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompilationService, "compile_expression", slow_compile)
+        budget = compile_s / 2
+        server = JobServer(slo=SLOPolicy.from_budgets({0: budget}), admission="shed")
+        try:
+            server.submit(Job(source=SOURCE, seed=0))
+            server.drain()
+            backlog = [
+                server.submit(Job(source="(+ (* a b) c)", seed=seed)) for seed in range(3)
+            ]
+            assert [server.status(job_id)["status"] for job_id in backlog] == ["queued"] * 3
+            assert server.telemetry.snapshot()["counters"].get("admission_rejects", 0) == 0
+            server.drain()
+            assert all(server.result(job_id)["correct"] for job_id in backlog)
         finally:
             server.close()
 

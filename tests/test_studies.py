@@ -65,10 +65,11 @@ class TestComponents:
             "vector-backend",
             "coalescing",
             "compile-cache",
-            "measured-scheduler",
+            "tracing",
             "admission-control",
         ):
             assert expected in names
+        assert "measured-scheduler" not in names
 
     def test_default_excludes_non_default(self):
         defaults = default_components()
