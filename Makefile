@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchmarks smoke lint analyze bench-smoke bench-backends bench-server bench-workloads bench-overload bench-ablation docs-check all
+.PHONY: test benchmarks smoke lint golden analyze bench-smoke bench-backends bench-server bench-workloads bench-overload bench-ablation docs-check all
 
 # Tier-1 test suite (tests/ + benchmarks/ collected from the repo root).
 test:
@@ -36,6 +36,11 @@ smoke:
 # Concurrency/determinism/hygiene lint over src/repro (non-zero on ERROR).
 lint:
 	$(PYTHON) -m repro lint
+
+# Every compiler's rewrite steps, circuits and stats, and the trained
+# agent, against the committed golden traces (non-zero on any difference).
+golden:
+	$(PYTHON) scripts/compile_golden.py --check
 
 # Static verification sweep: pipeline validators + tape verifier over
 # every registered workload (non-zero on any ERROR finding).

@@ -136,9 +136,12 @@ def _print_report(report: CompilationReport, emit_seal: bool) -> None:
     if report.trace is not None:
         print("  pipeline     :")
         for stage in report.trace.stages:
+            counters = "".join(
+                f"  {name}={value}" for name, value in sorted(stage.counters)
+            )
             print(
                 f"    {stage.name:<18} {stage.wall_time_s * 1000.0:9.3f} ms"
-                f"   cost {stage.cost_before:.1f} -> {stage.cost_after:.1f}"
+                f"   cost {stage.cost_before:.1f} -> {stage.cost_after:.1f}{counters}"
             )
     if emit_seal:
         print("  SEAL C++     :")
@@ -171,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--name", default=None, help="circuit name (single source)")
     compile_parser.add_argument(
         "--emit-seal", action="store_true", help="print the generated SEAL-style C++"
+    )
+    compile_parser.add_argument(
+        "--json", action="store_true", help="emit the machine-readable report(s)"
     )
     _add_common(compile_parser)
 
@@ -1078,7 +1084,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cache_dir=args.cache_dir,
                 **options,
             )
-            _print_report(report, args.emit_seal)
+            if args.json:
+                print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+            else:
+                _print_report(report, args.emit_seal)
         else:
             batch = api.compile_batch(
                 sources,
@@ -1087,6 +1096,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cache_dir=args.cache_dir,
                 **options,
             )
+            if args.json:
+                payload = {
+                    "reports": [report.as_dict() for report in batch.reports],
+                    "batch": batch.as_dict(),
+                }
+                print(json.dumps(payload, indent=2, sort_keys=True))
+                return 0
             for report in batch.reports:
                 _print_report(report, args.emit_seal)
             print("batch        :", json.dumps(batch.as_dict()))

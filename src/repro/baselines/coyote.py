@@ -11,7 +11,9 @@ reproduction implements the same *class* of algorithm:
 3. **search lane assignments**: for every level the compiler scores many
    candidate lane permutations (the search effort grows with the number of
    packed nodes, which is what makes compile time climb steeply with program
-   size, as in Fig. 6) and keeps the one that minimises data movement;
+   size, as in Fig. 6) and keeps the one that minimises data movement.  All
+   candidates of a pack are scored in one numpy pass (see
+   :func:`_movement_scores`);
 4. resolve the layout *after* packing: every operand vector is gathered from
    its producers with rotate + plaintext-mask + add sequences.
 
@@ -24,6 +26,7 @@ much larger compilation times on big kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,24 +96,21 @@ class _VectorizeSearchStage:
         # fully planning the vectorized circuit for each and keeping the one
         # with the lowest estimated cost (rotations + masks dominate).
         rng = np.random.default_rng(compiler.options.seed)
-        leaf_count = sum(
-            1 for node in build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs)).nodes
-            if isinstance(node.expr, (Var, Const))
-        )
+        # Every candidate plans over the same DAG; only the layout differs.
+        dag = build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs))
+        leaf_count = sum(1 for node in dag.nodes if isinstance(node.expr, (Var, Const)))
         candidates = max(1, min(compiler.options.layout_candidates, max(1, leaf_count)))
         best_program: Optional[CircuitProgram] = None
         best_score = float("inf")
+        state.counters["cost_evals"] = candidates
+        state.counters["lane_candidates"] = 0
         for candidate in range(candidates):
             permute = candidate > 0
-            program = compiler._vectorize(outputs, state.name, rng=rng, permute_leaves=permute)
-            program = dead_code_eliminate(program)
-            stats = program.stats()
-            score = (
-                100.0 * stats.ct_ct_multiplications
-                + 50.0 * stats.rotations
-                + 25.0 * stats.ct_pt_multiplications
-                + 1.0 * stats.additions
+            program = compiler._vectorize(
+                dag, outputs, state.name, rng, permute_leaves=permute, counters=state.counters
             )
+            program = dead_code_eliminate(program)
+            score = _layout_score(program)
             if score < best_score:
                 best_score = score
                 best_program = program
@@ -119,6 +119,17 @@ class _VectorizeSearchStage:
         # Coyote does no expression-level rewriting: the analytical cost of
         # the folded expression is both the initial and the final cost.
         state.initial_cost = state.final_cost = compiler.cost_model.cost(folded)
+
+
+def _layout_score(program: CircuitProgram) -> float:
+    """Estimated cost of a candidate circuit: rotations and masks dominate."""
+    counts = Counter(instruction.opcode for instruction in program.instructions)
+    return (
+        100.0 * counts[Opcode.MUL]
+        + 50.0 * counts[Opcode.ROTATE]
+        + 25.0 * counts[Opcode.MUL_PLAIN]
+        + 1.0 * (counts[Opcode.ADD] + counts[Opcode.ADD_PLAIN])
+    )
 
 
 class CoyoteCompiler:
@@ -150,19 +161,17 @@ class CoyoteCompiler:
     # -- core algorithm -------------------------------------------------------------------
     def _vectorize(
         self,
+        dag: Dag,
         outputs: Sequence[Expr],
         name: str,
-        rng: Optional[np.random.Generator] = None,
-        permute_leaves: bool = False,
+        rng: np.random.Generator,
+        permute_leaves: bool,
+        counters: Dict[str, int],
     ) -> CircuitProgram:
-        if rng is None:
-            rng = np.random.default_rng(self.options.seed)
+        """Plan one candidate layout over ``dag``, the shared DAG of ``outputs``."""
         program = CircuitProgram(name=name)
 
-        # 1. Build one shared DAG over all outputs.
-        root = outputs[0] if len(outputs) == 1 else Vec(*outputs)
-        dag = build_dag(root)
-
+        # 1. The caller builds one shared DAG over all outputs.
         # 2. Collect leaves and pack them into a single input ciphertext,
         #    possibly with a permuted layout (outer layout search).
         leaf_nodes: List[int] = []
@@ -248,7 +257,7 @@ class CoyoteCompiler:
             for node_id in node_ids:
                 by_op.setdefault(dag.nodes[node_id].expr.op, []).append(node_id)
             for op, group in sorted(by_op.items()):
-                lanes = self._search_lanes(group, dag, placements, rng)
+                lanes = self._search_lanes(group, dag, placements, rng, counters)
                 operand_count = 1 if op == "neg" else 2
                 operand_registers: List[int] = []
                 for position in range(operand_count):
@@ -282,45 +291,59 @@ class CoyoteCompiler:
         dag: Dag,
         placements: Dict[int, _Placement],
         rng: np.random.Generator,
+        counters: Dict[str, int],
     ) -> Dict[int, int]:
-        """Search lane permutations for one pack, minimising data movement."""
+        """Search lane permutations for one pack, minimising data movement.
+
+        Candidate 0 is the identity order, the rest are random permutations;
+        the first candidate with the fewest distinct ``(source register,
+        shift)`` pairs wins.
+        """
         width = len(group)
-        base = list(range(width))
         candidate_count = min(
             self.options.max_candidates,
             max(self.options.search_candidates, width * width),
         )
-        best_assignment: Optional[Dict[int, int]] = None
-        best_score = float("inf")
-        for candidate in range(candidate_count):
-            if candidate == 0:
-                order = base
-            else:
-                order = list(rng.permutation(width))
-            assignment = {node_id: order[i] for i, node_id in enumerate(group)}
-            score = self._movement_cost(group, assignment, dag, placements)
-            if score < best_score:
-                best_score = score
-                best_assignment = assignment
-        assert best_assignment is not None
-        return best_assignment
+        orders = np.tile(np.arange(width, dtype=np.int64), (candidate_count, 1))
+        # Shuffling rows 1.. in place draws from ``rng`` exactly what
+        # ``candidate_count - 1`` successive ``rng.permutation(width)`` calls
+        # draw, row by row (tests/test_trs_index.py pins this).
+        rng.permuted(orders[1:], axis=1, out=orders[1:])
+        scores = _movement_scores(group, orders, dag, placements)
+        counters["lane_candidates"] = counters.get("lane_candidates", 0) + candidate_count
+        order = orders[int(np.argmin(scores))].tolist()
+        return {node_id: order[i] for i, node_id in enumerate(group)}
 
-    @staticmethod
-    def _movement_cost(
-        group: List[int],
-        assignment: Dict[int, int],
-        dag: Dag,
-        placements: Dict[int, _Placement],
-    ) -> float:
-        """Number of distinct (source register, shift) pairs over all operands."""
-        distinct: set = set()
-        for node_id in group:
-            node = dag.nodes[node_id]
-            for operand_id in node.operands:
-                placement = placements[operand_id]
-                shift = placement.lane - assignment[node_id]
-                distinct.add((placement.register, shift))
-        return float(len(distinct))
+
+def _movement_scores(
+    group: List[int],
+    orders: np.ndarray,
+    dag: Dag,
+    placements: Dict[int, _Placement],
+) -> np.ndarray:
+    """Distinct ``(source register, shift)`` pairs over all operands, per order.
+
+    ``orders[c, i]`` is the lane candidate ``c`` gives ``group[i]``.  Each
+    operand's pair is encoded as the integer ``register * span + shift``
+    (shifted to be non-negative); sorting each row and counting the steps
+    between neighbours gives the number of distinct pairs.
+    """
+    positions: List[int] = []
+    registers: List[int] = []
+    lanes: List[int] = []
+    for position, node_id in enumerate(group):
+        for operand_id in dag.nodes[node_id].operands:
+            placement = placements[operand_id]
+            positions.append(position)
+            registers.append(placement.register)
+            lanes.append(placement.lane)
+    lane = np.asarray(lanes, dtype=np.int64)
+    _, register = np.unique(np.asarray(registers, dtype=np.int64), return_inverse=True)
+    lowest = int(lane.min()) - (orders.shape[1] - 1)
+    span = int(lane.max()) - lowest + 1
+    keys = register * span + (lane - lowest) - orders[:, positions]
+    keys.sort(axis=1)
+    return 1 + np.count_nonzero(np.diff(keys, axis=1), axis=1)
 
 
 @register_compiler(

@@ -33,6 +33,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -73,6 +74,9 @@ class PipelineState:
     #: Free-form scratch space for stages that need to pass values forward
     #: (e.g. the pre-optimization output arity consumed by lowering).
     metadata: Dict[str, object] = field(default_factory=dict)
+    #: Integer work counters of the running stage; :meth:`PassPipeline.run`
+    #: resets them before each stage and moves them onto its trace.
+    counters: Dict[str, int] = field(default_factory=dict)
 
 
 @runtime_checkable
@@ -147,6 +151,11 @@ class StageTrace:
     #: populated by ``compile(verify=True)``; empty means checked-and-clean
     #: or not checked — consult the report's ``analysis`` for which).
     findings: tuple = ()
+    #: ``(name, value)`` work counters the stage reported (``optimize``:
+    #: nodes walked, memo misses and candidate cost evaluations;
+    #: ``vectorize-search``: layout and lane candidates scored).  Empty for
+    #: stages that report none.
+    counters: Tuple[Tuple[str, int], ...] = ()
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -156,6 +165,8 @@ class StageTrace:
             "cost_before": self.cost_before,
             "cost_after": self.cost_after,
         }
+        if self.counters:
+            payload["counters"] = dict(self.counters)
         if self.findings:
             payload["findings"] = [f.as_dict() for f in self.findings]
         return payload
@@ -241,6 +252,7 @@ class PassPipeline:
         trace = PipelineTrace(analysis=analysis)
         snapshot = self._snapshot(state)
         for stage in self.stages:
+            state.counters = {}
             start = time.perf_counter()
             stage.run(state)
             after = self._snapshot(state)
@@ -258,6 +270,7 @@ class PassPipeline:
                     cost_before=snapshot,
                     cost_after=after,
                     findings=findings,
+                    counters=tuple(state.counters.items()),
                 )
             )
             snapshot = after

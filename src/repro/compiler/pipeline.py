@@ -112,6 +112,7 @@ class _OptimizeStage:
         result: RewriteResult = optimizer.optimize(state.expr)
         state.expr = constant_fold(result.optimized)
         state.rewrite_steps = list(result.steps)
+        state.counters.update(getattr(result, "counters", {}))
         state.final_cost = cost_model.cost(state.expr)
 
 

@@ -27,11 +27,18 @@ free — exactly the ordering of real BFV operation latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
-from repro.ir.analysis import OpCounts, circuit_depth, count_ops, multiplicative_depth
+from repro.ir.analysis import (
+    OpCounts,
+    count_node_ops,
+    count_ops,
+    dag_depths,
+    unique_subexpressions,
+)
 from repro.ir.nodes import Expr
 
-__all__ = ["OperationCosts", "CostWeights", "CostModel", "expression_cost"]
+__all__ = ["OperationCosts", "CostWeights", "CostModel", "CostMemo", "expression_cost"]
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,14 @@ class CostModel:
 
     def cost(self, expr: Expr) -> float:
         """Full weighted cost of ``expr``."""
-        counts = count_ops(expr)
+        return self._weighted(count_ops(expr), dag_depths(expr, {}))
+
+    def _weighted(self, counts: OpCounts, depths: Tuple[int, int]) -> float:
         ops_cost = self.operation_costs.operations_cost(counts)
         return (
             self.weights.ops * ops_cost
-            + self.weights.depth * circuit_depth(expr)
-            + self.weights.mult_depth * multiplicative_depth(expr)
+            + self.weights.depth * depths[0]
+            + self.weights.mult_depth * depths[1]
         )
 
     def __call__(self, expr: Expr) -> float:
@@ -104,8 +113,7 @@ class CostModel:
         """Per-term breakdown used for reporting and debugging."""
         counts = count_ops(expr)
         ops_cost = self.operation_costs.operations_cost(counts)
-        depth = circuit_depth(expr)
-        mult = multiplicative_depth(expr)
+        depth, mult = dag_depths(expr, {})
         return {
             "operations_cost": ops_cost,
             "circuit_depth": depth,
@@ -117,6 +125,43 @@ class CostModel:
             ),
             "counts": counts.as_dict(),
         }
+
+
+class CostMemo:
+    """Costs many rewrites of one expression under one :class:`CostModel`.
+
+    Each :meth:`cost` makes one pruned pass over the DAG to count
+    operations and reuses the per-node ``(depth, mult_depth)`` memo, so after
+    a rewrite only the new spine's depths are computed.  The result equals
+    ``model.cost(expr)`` float for float.
+
+    A memo lives for one ``optimize`` call or one environment episode.  Its
+    keys compare structurally, and compilers that parse the same kernel build
+    equal but distinct trees, so a longer-lived memo would spend its lookups
+    comparing whole trees and would grow without bound.
+    """
+
+    __slots__ = ("model", "depths", "evaluations", "nodes_walked")
+
+    def __init__(self, model: CostModel) -> None:
+        self.model = model
+        self.depths: Dict[Expr, Tuple[int, int]] = {}
+        #: Calls of :meth:`cost`.
+        self.evaluations = 0
+        #: Distinct nodes visited by the counting passes.
+        self.nodes_walked = 0
+
+    @property
+    def misses(self) -> int:
+        """Nodes whose depths had to be computed."""
+        return len(self.depths)
+
+    def cost(self, expr: Expr) -> float:
+        """``self.model.cost(expr)``, reusing the depths of known nodes."""
+        nodes = unique_subexpressions(expr)
+        self.evaluations += 1
+        self.nodes_walked += len(nodes)
+        return self.model._weighted(count_node_ops(nodes), dag_depths(expr, self.depths))
 
 
 #: Default cost model matching the paper's configuration.

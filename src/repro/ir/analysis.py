@@ -13,7 +13,11 @@ paper:
 
 All analyses operate on the *dataflow DAG* implied by the tree: structurally
 identical sub-expressions are shared (they would be computed once after CSE),
-which matches how the paper reports depth and operation counts.
+which matches how the paper reports depth and operation counts.  The DAG walks
+are pruned: a node already seen is not descended into again, so an expression
+whose tree is exponentially larger than its DAG (``x`` squared ``k`` times)
+is analysed in time linear in the DAG.  Only :func:`expression_size` and
+:func:`iter_subexpressions` keep tree semantics.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ __all__ = [
     "circuit_depth",
     "multiplicative_depth",
     "count_ops",
+    "count_node_ops",
+    "dag_depths",
     "expression_size",
     "dag_size",
     "variables",
@@ -39,6 +45,19 @@ __all__ = [
 
 _MUL_OPS = frozenset({"*", "VecMul"})
 _NON_OPS = frozenset({"var", "const", "Vec"})
+#: Operator -> the :class:`OpCounts` field it increments.
+_OP_FIELDS = {
+    "+": "scalar_add",
+    "-": "scalar_sub",
+    "*": "scalar_mul",
+    "neg": "scalar_neg",
+    "VecAdd": "vec_add",
+    "VecSub": "vec_sub",
+    "VecMul": "vec_mul",
+    "VecNeg": "vec_neg",
+    "<<": "rotations",
+    "Vec": "vec_constructors",
+}
 
 
 @dataclass
@@ -117,19 +136,40 @@ def iter_subexpressions(expr: Expr) -> Iterator[Tuple[Tuple[int, ...], Expr]]:
 
 
 def unique_subexpressions(expr: Expr) -> List[Expr]:
-    """Return the distinct sub-expressions of ``expr`` (DAG nodes)."""
+    """Return the distinct sub-expressions of ``expr`` (DAG nodes).
+
+    Nodes come in the order of their first pre-order occurrence.  The walk
+    never descends into a node it has already seen: every descendant of a
+    repeated node occurred inside its first occurrence, so pruning does not
+    change that order.
+    """
     seen: Set[Expr] = set()
     ordered: List[Expr] = []
-    for _, node in iter_subexpressions(expr):
-        if node not in seen:
-            seen.add(node)
-            ordered.append(node)
+    stack: List[Expr] = [expr]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        ordered.append(node)
+        stack.extend(reversed(node.children))
     return ordered
 
 
 def expression_size(expr: Expr) -> int:
     """Number of nodes in the expression *tree* (with duplication)."""
-    return sum(1 for _ in iter_subexpressions(expr))
+    sizes: Dict[Expr, int] = {}
+    stack: List[Tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in sizes:
+            continue
+        if expanded or node.is_leaf():
+            sizes[node] = 1 + sum(sizes[child] for child in node.children)
+            continue
+        stack.append((node, True))
+        stack.extend((child, False) for child in node.children if child not in sizes)
+    return sizes[expr]
 
 
 def dag_size(expr: Expr) -> int:
@@ -141,7 +181,7 @@ def variables(expr: Expr) -> List[str]:
     """Names of the distinct variables of ``expr``, in first-occurrence order."""
     seen: Set[str] = set()
     ordered: List[str] = []
-    for _, node in iter_subexpressions(expr):
+    for node in unique_subexpressions(expr):
         if isinstance(node, Var) and node.name not in seen:
             seen.add(node.name)
             ordered.append(node.name)
@@ -152,7 +192,7 @@ def constants(expr: Expr) -> List[int]:
     """Distinct constant values of ``expr``, in first-occurrence order."""
     seen: Set[int] = set()
     ordered: List[int] = []
-    for _, node in iter_subexpressions(expr):
+    for node in unique_subexpressions(expr):
         if isinstance(node, Const) and node.value not in seen:
             seen.add(node.value)
             ordered.append(node.value)
@@ -162,7 +202,7 @@ def constants(expr: Expr) -> List[int]:
 def rotation_steps(expr: Expr) -> List[int]:
     """Distinct non-zero rotation steps appearing in ``expr``."""
     steps: Set[int] = set()
-    for node in _dag_nodes(expr):
+    for node in unique_subexpressions(expr):
         if isinstance(node, Rotate) and node.step != 0:
             steps.add(node.step)
     return sorted(steps)
@@ -170,52 +210,21 @@ def rotation_steps(expr: Expr) -> List[int]:
 
 def circuit_depth(expr: Expr) -> int:
     """Length of the longest operation chain from any input to the output."""
-    memo: Dict[Expr, int] = {}
-    return _depth(expr, memo, multiplicative=False)
+    return dag_depths(expr, {})[0]
 
 
 def multiplicative_depth(expr: Expr) -> int:
     """Length of the longest chain counting only multiplications."""
-    memo: Dict[Expr, int] = {}
-    return _depth(expr, memo, multiplicative=True)
+    return dag_depths(expr, {})[1]
 
 
-def count_ops(expr: Expr) -> OpCounts:
-    """Count operations over the dataflow DAG of ``expr``."""
-    counts = OpCounts()
-    for node in _dag_nodes(expr):
-        op = node.op
-        if op == "+":
-            counts.scalar_add += 1
-        elif op == "-":
-            counts.scalar_sub += 1
-        elif op == "*":
-            counts.scalar_mul += 1
-        elif op == "neg":
-            counts.scalar_neg += 1
-        elif op == "VecAdd":
-            counts.vec_add += 1
-        elif op == "VecSub":
-            counts.vec_sub += 1
-        elif op == "VecMul":
-            counts.vec_mul += 1
-        elif op == "VecNeg":
-            counts.vec_neg += 1
-        elif op == "<<":
-            counts.rotations += 1
-        elif op == "Vec":
-            counts.vec_constructors += 1
-    return counts
+def dag_depths(expr: Expr, memo: Dict[Expr, Tuple[int, int]]) -> Tuple[int, int]:
+    """``(circuit_depth, multiplicative_depth)`` of ``expr``, memoized in ``memo``.
 
-
-# ---------------------------------------------------------------------------
-# Internal helpers
-# ---------------------------------------------------------------------------
-def _dag_nodes(expr: Expr) -> Iterable[Expr]:
-    return unique_subexpressions(expr)
-
-
-def _depth(expr: Expr, memo: Dict[Expr, int], multiplicative: bool) -> int:
+    ``memo`` maps nodes to their depth pair and is filled in as a side
+    effect.  A caller that costs many rewrites of one expression can keep
+    it: only the nodes a rewrite created (the new spine) are computed.
+    """
     # Iterative post-order to avoid recursion limits on deep expressions.
     stack: List[Tuple[Expr, bool]] = [(expr, False)]
     while stack:
@@ -223,18 +232,34 @@ def _depth(expr: Expr, memo: Dict[Expr, int], multiplicative: bool) -> int:
         if node in memo:
             continue
         if node.is_leaf():
-            memo[node] = 0
+            memo[node] = (0, 0)
             continue
         if not expanded:
             stack.append((node, True))
-            for child in node.children:
-                if child not in memo:
-                    stack.append((child, False))
+            stack.extend((child, False) for child in node.children if child not in memo)
             continue
-        child_depth = max(memo[child] for child in node.children)
-        if multiplicative:
-            contribution = 1 if node.op in _MUL_OPS else 0
-        else:
-            contribution = 0 if node.op in _NON_OPS else 1
-        memo[node] = child_depth + contribution
+        depth = mult_depth = 0
+        for child in node.children:
+            child_depth, child_mult = memo[child]
+            depth = max(depth, child_depth)
+            mult_depth = max(mult_depth, child_mult)
+        memo[node] = (
+            depth + (0 if node.op in _NON_OPS else 1),
+            mult_depth + (1 if node.op in _MUL_OPS else 0),
+        )
     return memo[expr]
+
+
+def count_ops(expr: Expr) -> OpCounts:
+    """Count operations over the dataflow DAG of ``expr``."""
+    return count_node_ops(unique_subexpressions(expr))
+
+
+def count_node_ops(nodes: Iterable[Expr]) -> OpCounts:
+    """Count the operations of ``nodes``, each taken once as given."""
+    tally: Dict[str, int] = {}
+    for node in nodes:
+        tally[node.op] = tally.get(node.op, 0) + 1
+    return OpCounts(
+        **{_OP_FIELDS[op]: count for op, count in tally.items() if op in _OP_FIELDS}
+    )

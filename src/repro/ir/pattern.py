@@ -15,6 +15,11 @@ Locations inside an expression are addressed by *paths*: tuples of child
 indices from the root.  :func:`find_matches` enumerates every path where a
 pattern matches, in pre-order, which defines the location indexing used by
 the RL agent's location-selection network.
+
+The rewrite drivers do not call :func:`find_matches` per rule: they match
+every rule at each distinct node once, through
+:meth:`repro.trs.registry.RuleSet.match_paths`, which yields the same
+pre-order paths.  :func:`find_matches` stays the per-pattern API.
 """
 
 from __future__ import annotations

@@ -355,6 +355,13 @@ class Tensor:
         for node in reversed(ordered):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        # Release the graph.  Each intermediate's backward closure refers to
+        # the intermediate itself, a cycle that otherwise lives (with its
+        # data and gradient arrays) until the cyclic garbage collector runs.
+        for node in ordered:
+            if node._backward is not None:
+                node._backward = None
+                node._prev = ()
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -31,7 +31,7 @@ from repro.rl.policy import HierarchicalActorCritic, PolicyConfig
 from repro.rl.ppo import PPOConfig, PPOTrainer, TrainingHistory
 from repro.rl.reward import RewardConfig
 from repro.trs.registry import RuleSet, default_ruleset
-from repro.trs.rewriter import RewriteResult, RewriteStep
+from repro.trs.rewriter import RewriteResult, RewriteStep, search_counters
 
 __all__ = ["ChehabAgent"]
 
@@ -114,10 +114,11 @@ class ChehabAgent:
         With ``guided=False`` the rollout is the pure argmax policy, stopping
         at ``END`` — the behaviour used when reporting pure-policy quality.
         """
-        cost_model = self.reward_config.cost_model
+        # The environment's memos serve this call too: its match paths and
+        # costs are those of the agent's current expression.
         env = self._make_env(lambda: expr)
         observation = env.reset(expr)
-        initial_cost = cost_model.cost(expr)
+        initial_cost = env.current_cost
         current = expr
         current_cost = initial_cost
         steps: List[RewriteStep] = []
@@ -127,7 +128,7 @@ class ChehabAgent:
             )
             if self.guided:
                 chosen = self._best_guided_action(
-                    current, current_cost, rule_log_probs, location_log_probs_fn, top_k
+                    env, current, current_cost, rule_log_probs, location_log_probs_fn, top_k
                 )
                 if chosen is None:
                     break
@@ -137,14 +138,14 @@ class ChehabAgent:
                 if rule_index == self.ruleset.end_index:
                     break
                 rule = self.ruleset[rule_index]
-                locations = rule.find(current)
+                locations = env.locations[rule_index]
                 if not locations:
                     break
                 location_index = min(
                     int(np.argmax(location_log_probs_fn(rule_index))), len(locations) - 1
                 )
                 candidate = rule.apply_at(current, locations[location_index])
-                candidate_cost = cost_model.cost(candidate)
+                candidate_cost = env.costs.cost(candidate)
             steps.append(
                 RewriteStep(
                     rule_name=self.ruleset[rule_index].name,
@@ -165,10 +166,12 @@ class ChehabAgent:
             steps=steps,
             initial_cost=initial_cost,
             final_cost=current_cost,
+            counters=search_counters(env.matches, env.costs),
         )
 
     def _best_guided_action(
         self,
+        env: FheRewriteEnv,
         current: Expr,
         current_cost: float,
         rule_log_probs: np.ndarray,
@@ -176,7 +179,6 @@ class ChehabAgent:
         top_k: int,
     ) -> Optional[Tuple[int, int, Expr, float]]:
         """Best cost-reducing candidate among the policy's top-k rules."""
-        cost_model = self.reward_config.cost_model
         candidate_rules = np.argsort(rule_log_probs)[::-1][: max(1, top_k)]
         best: Optional[Tuple[int, int, Expr, float]] = None
         for rule_index in candidate_rules:
@@ -184,14 +186,14 @@ class ChehabAgent:
             if rule_index == self.ruleset.end_index:
                 continue
             rule = self.ruleset[rule_index]
-            locations = rule.find(current)
+            locations = env.locations[rule_index]
             if not locations:
                 continue
             location_index = min(
                 int(np.argmax(location_log_probs_fn(rule_index))), len(locations) - 1
             )
             candidate = rule.apply_at(current, locations[location_index])
-            candidate_cost = cost_model.cost(candidate)
+            candidate_cost = env.costs.cost(candidate)
             if candidate_cost < current_cost - 1e-9 and (
                 best is None or candidate_cost < best[3]
             ):

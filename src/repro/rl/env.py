@@ -7,6 +7,10 @@ locations of every rule.  Actions are ``(rule_index, location_index)``
 pairs; selecting ``END`` (or reaching the step limit) terminates the episode
 and triggers the terminal reward.
 
+Each episode keeps one :class:`~repro.trs.registry.MatchMemo` and one
+:class:`~repro.core.cost.CostMemo`, so an observation matches every rule in
+one walk and only the nodes a step created are matched and costed anew.
+
 The environment follows the Gym ``reset``/``step`` convention but is
 dependency-free.  Multiple independent copies can be stepped in a simple
 round-robin fashion by :class:`repro.rl.ppo.PPOTrainer`, mirroring the
@@ -20,10 +24,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cost import CostMemo
 from repro.ir.nodes import Expr
 from repro.ir.tokenize import ICITokenizer
 from repro.rl.reward import RewardConfig
-from repro.trs.registry import RuleSet, default_ruleset
+from repro.trs.registry import MatchMemo, RuleSet, default_ruleset
 
 __all__ = ["EnvConfig", "Observation", "FheRewriteEnv"]
 
@@ -72,6 +77,10 @@ class FheRewriteEnv:
         self.initial_latency_ms: float = 0.0
         self.steps_taken: int = 0
         self.episode_reward: float = 0.0
+        #: Every rule's match paths in :attr:`current` (set by each observation).
+        self.locations: List[List[Tuple[int, ...]]] = []
+        self.matches = MatchMemo()
+        self.costs = CostMemo(self.config.reward.cost_model)
 
     # -- helpers -----------------------------------------------------------------
     @property
@@ -87,7 +96,7 @@ class FheRewriteEnv:
         return self.ruleset.end_index
 
     def _cost(self, expr: Expr) -> float:
-        return self.config.reward.cost_model.cost(expr)
+        return self.costs.cost(expr)
 
     def _observation(self) -> Observation:
         assert self.current is not None
@@ -95,8 +104,8 @@ class FheRewriteEnv:
         padding = np.asarray(self.tokenizer.attention_mask(tokens), dtype=np.int64)
         location_counts = np.zeros(self.rule_count, dtype=np.int64)
         rule_mask = np.zeros(self.action_count, dtype=bool)
-        for index, rule in enumerate(self.ruleset):
-            locations = rule.find(self.current)
+        self.locations = self.ruleset.match_paths(self.current, self.matches)
+        for index, locations in enumerate(self.locations):
             if locations:
                 location_counts[index] = min(len(locations), self.config.max_locations)
                 rule_mask[index] = True
@@ -112,6 +121,8 @@ class FheRewriteEnv:
     def reset(self, expr: Optional[Expr] = None) -> Observation:
         """Start a new episode on ``expr`` (or one drawn from the source)."""
         self.current = expr if expr is not None else self.expression_source()
+        self.matches = MatchMemo()
+        self.costs = CostMemo(self.config.reward.cost_model)
         self.initial_cost = self._cost(self.current)
         self.current_cost = self.initial_cost
         if self.config.reward.use_latency_terminal:
@@ -136,7 +147,7 @@ class FheRewriteEnv:
             info["rule"] = "END"
         else:
             rule = self.ruleset[rule_index]
-            locations = rule.find(self.current)
+            locations = self.locations[rule_index]
             if not locations:
                 reward = -reward_config.invalid_action_penalty
                 info["invalid"] = True

@@ -14,17 +14,23 @@ provides three classical drivers of the same action space:
 All drivers return both the optimized expression and the sequence of
 :class:`RewriteStep` records, so compilation reports can show exactly which
 rules were applied where.
+
+Each ``optimize`` call keeps one :class:`~repro.trs.registry.MatchMemo` and
+one :class:`~repro.core.cost.CostMemo`: a step matches every rule in one
+walk of the current expression and costs each candidate reusing the depths
+of the nodes it shares with earlier states.  The work done is reported in
+:attr:`RewriteResult.counters`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cost import CostModel
+from repro.core.cost import CostMemo, CostModel
 from repro.ir.nodes import Expr
-from repro.trs.registry import RuleSet, default_ruleset
+from repro.trs.registry import MatchMemo, RuleSet, default_ruleset
 
 __all__ = [
     "RewriteStep",
@@ -33,6 +39,7 @@ __all__ = [
     "GreedyRewriter",
     "BeamSearchRewriter",
     "RandomRewriter",
+    "search_counters",
 ]
 
 
@@ -56,6 +63,8 @@ class RewriteResult:
     steps: List[RewriteStep]
     initial_cost: float
     final_cost: float
+    #: Work counters of the search (see :func:`search_counters`).
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def improvement(self) -> float:
@@ -63,6 +72,20 @@ class RewriteResult:
         if self.initial_cost <= 0:
             return 0.0
         return max(0.0, (self.initial_cost - self.final_cost) / self.initial_cost)
+
+
+def search_counters(matches: MatchMemo, costs: CostMemo) -> Dict[str, int]:
+    """The work one rewrite search did, as integer counters.
+
+    ``nodes_walked`` sums the nodes visited by match walks and cost passes,
+    ``memo_misses`` the nodes that had to be matched or have their depths
+    computed, and ``cost_evals`` the expressions costed.
+    """
+    return {
+        "nodes_walked": matches.nodes_walked + costs.nodes_walked,
+        "memo_misses": matches.misses + costs.misses,
+        "cost_evals": costs.evaluations,
+    }
 
 
 def apply_sequence(
@@ -74,26 +97,29 @@ def apply_sequence(
     """Apply an explicit sequence of ``(rule_index, location_index)`` actions."""
     ruleset = ruleset if ruleset is not None else default_ruleset()
     cost_model = cost_model if cost_model is not None else CostModel()
+    matches, costs = MatchMemo(), CostMemo(cost_model)
     steps: List[RewriteStep] = []
-    initial_cost = cost_model.cost(expr)
+    initial_cost = costs.cost(expr)
     current = expr
+    current_cost = initial_cost
     for rule_index, location_index in actions:
         if rule_index == ruleset.end_index:
             break
         rule = ruleset[rule_index]
-        locations = rule.find(current)
+        locations = ruleset.match_paths(current, matches)[rule_index]
         if not locations:
             continue
         location_index = min(location_index, len(locations) - 1)
-        cost_before = cost_model.cost(current)
+        cost_before = current_cost
         current = rule.apply_at(current, locations[location_index])
+        current_cost = costs.cost(current)
         steps.append(
             RewriteStep(
                 rule_name=rule.name,
                 rule_index=rule_index,
                 location_index=location_index,
                 cost_before=cost_before,
-                cost_after=cost_model.cost(current),
+                cost_after=current_cost,
             )
         )
     return RewriteResult(
@@ -101,7 +127,8 @@ def apply_sequence(
         optimized=current,
         steps=steps,
         initial_cost=initial_cost,
-        final_cost=cost_model.cost(current),
+        final_cost=current_cost,
+        counters=search_counters(matches, costs),
     )
 
 
@@ -122,19 +149,20 @@ class GreedyRewriter:
 
     def optimize(self, expr: Expr) -> RewriteResult:
         """Greedily apply the best cost-reducing rule until none improves."""
+        matches, costs = MatchMemo(), CostMemo(self.cost_model)
         steps: List[RewriteStep] = []
-        initial_cost = self.cost_model.cost(expr)
+        initial_cost = costs.cost(expr)
         current = expr
         current_cost = initial_cost
         for _ in range(self.max_steps):
             best: Optional[Tuple[float, int, int, Expr]] = None
+            all_locations = self.ruleset.match_paths(current, matches)
             for rule_index, rule in enumerate(self.ruleset):
-                locations = rule.find(current)
                 for location_index, path in enumerate(
-                    locations[: self.max_locations_per_rule]
+                    all_locations[rule_index][: self.max_locations_per_rule]
                 ):
                     candidate = rule.apply_at(current, path)
-                    candidate_cost = self.cost_model.cost(candidate)
+                    candidate_cost = costs.cost(candidate)
                     if candidate_cost < current_cost - 1e-9 and (
                         best is None or candidate_cost < best[0]
                     ):
@@ -159,6 +187,7 @@ class GreedyRewriter:
             steps=steps,
             initial_cost=initial_cost,
             final_cost=current_cost,
+            counters=search_counters(matches, costs),
         )
 
 
@@ -180,23 +209,24 @@ class BeamSearchRewriter:
         self.max_locations_per_rule = max_locations_per_rule
 
     def optimize(self, expr: Expr) -> RewriteResult:
-        initial_cost = self.cost_model.cost(expr)
+        matches, costs = MatchMemo(), CostMemo(self.cost_model)
+        initial_cost = costs.cost(expr)
         beam: List[Tuple[float, Expr, List[RewriteStep]]] = [(initial_cost, expr, [])]
         best_cost, best_expr, best_steps = initial_cost, expr, []
         seen = {expr}
         for _ in range(self.max_steps):
             candidates: List[Tuple[float, Expr, List[RewriteStep]]] = []
             for cost, current, steps in beam:
+                all_locations = self.ruleset.match_paths(current, matches)
                 for rule_index, rule in enumerate(self.ruleset):
-                    locations = rule.find(current)
                     for location_index, path in enumerate(
-                        locations[: self.max_locations_per_rule]
+                        all_locations[rule_index][: self.max_locations_per_rule]
                     ):
                         candidate = rule.apply_at(current, path)
                         if candidate in seen:
                             continue
                         seen.add(candidate)
-                        candidate_cost = self.cost_model.cost(candidate)
+                        candidate_cost = costs.cost(candidate)
                         step = RewriteStep(
                             rule_name=rule.name,
                             rule_index=rule_index,
@@ -217,6 +247,7 @@ class BeamSearchRewriter:
             steps=best_steps,
             initial_cost=initial_cost,
             final_cost=best_cost,
+            counters=search_counters(matches, costs),
         )
 
 
@@ -236,26 +267,30 @@ class RandomRewriter:
         self._rng = random.Random(seed)
 
     def optimize(self, expr: Expr) -> RewriteResult:
+        matches, costs = MatchMemo(), CostMemo(self.cost_model)
         steps: List[RewriteStep] = []
-        initial_cost = self.cost_model.cost(expr)
+        initial_cost = costs.cost(expr)
         current = expr
+        current_cost = initial_cost
         for _ in range(self.max_steps):
-            applicable = self.ruleset.applicable_rules(current)
+            all_locations = self.ruleset.match_paths(current, matches)
+            applicable = [index for index, paths in enumerate(all_locations) if paths]
             if not applicable:
                 break
             rule_index = self._rng.choice(applicable)
             rule = self.ruleset[rule_index]
-            locations = rule.find(current)
+            locations = all_locations[rule_index]
             location_index = self._rng.randrange(len(locations))
-            cost_before = self.cost_model.cost(current)
+            cost_before = current_cost
             current = rule.apply_at(current, locations[location_index])
+            current_cost = costs.cost(current)
             steps.append(
                 RewriteStep(
                     rule_name=rule.name,
                     rule_index=rule_index,
                     location_index=location_index,
                     cost_before=cost_before,
-                    cost_after=self.cost_model.cost(current),
+                    cost_after=current_cost,
                 )
             )
         return RewriteResult(
@@ -263,5 +298,6 @@ class RandomRewriter:
             optimized=current,
             steps=steps,
             initial_cost=initial_cost,
-            final_cost=self.cost_model.cost(current),
+            final_cost=current_cost,
+            counters=search_counters(matches, costs),
         )

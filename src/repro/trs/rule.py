@@ -12,12 +12,20 @@ Two concrete rule flavours cover the paper's rule families:
   isomorphic elements of a ``Vec``, packing non-isomorphic elements,
   balancing chains, composing rotations, ...).
 
-Both expose the same interface used by the RL environment and the search
-baselines:
+Both expose the same interface:
 
 * ``find(expr)`` returns the list of *paths* (locations) where the rule is
   applicable, in pre-order;
+* ``matches_at(node)`` says whether the rule applies at the root of
+  ``node``; ``head`` is the node type the rule's root must have (``None``
+  when any node may match);
 * ``apply_at(expr, path)`` returns the rewritten expression.
+
+The rewrite drivers and the RL environment do not call ``find`` rule by
+rule: :meth:`repro.trs.registry.RuleSet.match_paths` walks the expression
+once for every rule, asking ``matches_at`` once per distinct node (rules
+bucketed by ``head``).  ``find`` stays the public per-rule API and the
+oracle the index is tested against.
 """
 
 from __future__ import annotations
@@ -84,9 +92,16 @@ class Rule:
         self.category = category
         self.description = description
 
+    #: Node type this rule's match root must have; ``None`` means any.
+    head: Optional[type] = None
+
     # -- interface -----------------------------------------------------------
     def find(self, expr: Expr) -> List[Path]:
         """Locations (paths, pre-order) where this rule is applicable."""
+        raise NotImplementedError
+
+    def matches_at(self, node: Expr) -> bool:
+        """True when the rule applies at the root of ``node``."""
         raise NotImplementedError
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
@@ -130,6 +145,14 @@ class PatternRule(Rule):
         self.rhs = pattern(rhs) if isinstance(rhs, str) else rhs
         self.guard = guard
         self.builder = builder
+        if not isinstance(self.lhs, PatternVar):
+            self.head = type(self.lhs)
+
+    def matches_at(self, node: Expr) -> bool:
+        bindings = match(self.lhs, node)
+        if bindings is None:
+            return False
+        return self.guard is None or bool(self.guard(bindings))
 
     def find(self, expr: Expr) -> List[Path]:
         matches = find_matches(self.lhs, expr)
@@ -173,6 +196,9 @@ class FunctionRule(Rule):
         super().__init__(name, category=category, description=description)
         self.matcher = matcher
         self.rewriter = rewriter
+
+    def matches_at(self, node: Expr) -> bool:
+        return bool(self.matcher(node)) and self.rewriter(node) is not None
 
     def find(self, expr: Expr) -> List[Path]:
         from repro.ir.analysis import iter_subexpressions

@@ -96,6 +96,18 @@ class TestAutograd:
         (t[np.array([0, 0, 2])]).sum().backward()
         assert list(t.grad) == [2.0, 0.0, 1.0, 0.0]
 
+    def test_backward_releases_the_graph(self):
+        # Each intermediate's closure refers to the intermediate itself; the
+        # graph must be cut after backward so plain refcounting frees it.
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        middle = leaf * 3.0
+        loss = (middle + 1.0).sum()
+        loss.backward()
+        assert np.allclose(leaf.grad, 3.0)
+        for node in (middle, loss):
+            assert node._backward is None and node._prev == ()
+        assert leaf._prev == ()
+
 
 class TestModules:
     def test_linear_shapes_and_training(self):
