@@ -11,7 +11,8 @@ test:
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Fast CI smoke: tier-1 tests, a 2-worker compilation-service run, the
+# Fast CI smoke: tier-1 tests, a 2-worker compilation-service run (the
+# compile process pool; execution runs serially and has no workers), the
 # three-backend execution parity diff, the job-orchestration server
 # (mixed compile+execute workload, coalescing asserted via telemetry), the
 # workload suite (mixed traffic over a persistent state dir, bit-identical

@@ -53,7 +53,6 @@ def main() -> int:
     parser.add_argument("--replicates", type=int, default=3, help="runs per condition")
     parser.add_argument("--jobs", type=int, default=10, help="jobs per replicate")
     parser.add_argument("--seed", type=int, default=0, help="study root seed")
-    parser.add_argument("--workers", type=int, default=2, help="server workers per run")
     parser.add_argument(
         "--resamples", type=int, default=2000, help="bootstrap resamples for the CIs"
     )
@@ -91,7 +90,6 @@ def main() -> int:
             replicates=args.replicates,
             jobs_per_replicate=args.jobs,
             seed=args.seed,
-            workers=args.workers,
             resamples=args.resamples,
             progress=progress,
         )

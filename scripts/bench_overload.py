@@ -38,7 +38,7 @@ from repro.workloads import generate_overload_schedule, overload_mix, run_server
 FACTORS = (0.5, 1.0, 2.0)
 
 
-def measure_capacity(jobs: int, workers: int, seed: int) -> float:
+def measure_capacity(jobs: int, seed: int) -> float:
     """Sustained open-loop service rate of the overload mix, jobs/second.
 
     Two stages: a burst drain warms the compile memo and gives an upper
@@ -53,7 +53,7 @@ def measure_capacity(jobs: int, workers: int, seed: int) -> float:
     from repro.workloads import generate_schedule
 
     schedule = generate_schedule(overload_mix(), jobs, seed=seed)  # burst at t=0
-    server = JobServer(workers=workers)
+    server = JobServer()
     try:
         # Warm the compile memo so the measured rate is the steady state the
         # overload rows will actually run at.
@@ -84,7 +84,7 @@ def measure_capacity(jobs: int, workers: int, seed: int) -> float:
     finally:
         server.close()
 
-    server = JobServer(workers=workers)
+    server = JobServer()
     try:
         open_loop = generate_overload_schedule(
             overload_mix(),
@@ -107,7 +107,6 @@ def run_row(
     factor: float,
     capacity: float,
     jobs: int,
-    workers: int,
     seed: int,
     policy: SLOPolicy,
     wait_budget_s: float,
@@ -129,7 +128,6 @@ def run_row(
         # backlog keeps worst-case waits around half the budget.
         queue_capacity = max(8, int(capacity * wait_budget_s / 4.0))
         server = JobServer(
-            workers=workers,
             queue_capacity=queue_capacity,
             aging_interval_s=wait_budget_s / 2.0,
             slo=policy,
@@ -137,7 +135,7 @@ def run_row(
         )
     else:
         queue_capacity = None
-        server = JobServer(workers=workers, slo=policy)
+        server = JobServer(slo=policy)
     try:
         report = run_server_traffic(
             schedule, server=server, check_oracle=False, result_timeout=600.0
@@ -168,7 +166,6 @@ def main() -> int:
         default=1000,
         help="arrivals in the 1x row (other rows scale with their factor)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="server worker threads")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--wait-budget",
@@ -193,8 +190,8 @@ def main() -> int:
     top_priority = priorities[-1]
     policy = SLOPolicy.from_budgets({p: args.wait_budget for p in priorities})
 
-    capacity = measure_capacity(min(args.jobs, 400), args.workers, args.seed)
-    print(f"measured capacity: {capacity:.1f} jobs/s (workers={args.workers})")
+    capacity = measure_capacity(min(args.jobs, 400), args.seed)
+    print(f"measured capacity: {capacity:.1f} jobs/s")
 
     rows = []
     for hardened in (True, False):
@@ -204,7 +201,6 @@ def main() -> int:
                 factor=factor,
                 capacity=capacity,
                 jobs=args.jobs,
-                workers=args.workers,
                 seed=args.seed,
                 policy=policy,
                 wait_budget_s=args.wait_budget,
@@ -238,7 +234,6 @@ def main() -> int:
     payload = {
         "seed": args.seed,
         "jobs_per_row": args.jobs,
-        "workers": args.workers,
         "capacity_jobs_per_s": capacity,
         "wait_budget_s": args.wait_budget,
         "top_priority": top_priority,

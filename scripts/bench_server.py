@@ -51,7 +51,6 @@ def main() -> int:
         default="initial",
         help="compiler producing the circuits (matches bench_backends.py)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="server worker threads")
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     parser.add_argument("--out", default="BENCH_server.json", help="output JSON path")
     parser.add_argument(
@@ -82,9 +81,7 @@ def main() -> int:
     total_jobs = len(benchmarks) * args.users
 
     def server_pass() -> float:
-        server = JobServer(
-            backend="vector-vm", compiler=args.compiler, workers=args.workers
-        )
+        server = JobServer(backend="vector-vm", compiler=args.compiler)
         # Warm the compilation cache (the one-at-a-time paths get precompiled
         # reports, so compilation stays outside every timed window).
         for benchmark in benchmarks:
@@ -126,12 +123,7 @@ def main() -> int:
         """One untimed traced server pass -> the per-stage rollup."""
         from repro.obs.export import stage_rollup
 
-        server = JobServer(
-            backend="vector-vm",
-            compiler=args.compiler,
-            workers=args.workers,
-            tracing=True,
-        )
+        server = JobServer(backend="vector-vm", compiler=args.compiler, tracing=True)
         try:
             for benchmark in benchmarks:
                 server.submit(Job(source=sources[benchmark.name], seed=10_000))
@@ -167,7 +159,6 @@ def main() -> int:
         "kernels": list(KERNELS),
         "users_per_kernel": args.users,
         "jobs": total_jobs,
-        "workers": args.workers,
         "repeats": args.repeats,
         "backend": "vector-vm",
         "wall_s": walls,

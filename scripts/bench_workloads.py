@@ -46,7 +46,6 @@ def main() -> int:
         help="open-loop arrival rate in jobs/s (default: burst submission)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1, help="server worker threads")
     parser.add_argument("--out", default="BENCH_workloads.json", help="output JSON path")
     parser.add_argument(
         "--check", action="store_true", help="fail on any mismatch or coverage gap"
@@ -58,7 +57,6 @@ def main() -> int:
         traffic_jobs=args.traffic_jobs,
         rate=args.rate,
         seed=args.seed,
-        workers=args.workers,
     )
     payload = write_bench_json(args.out, payload)
 

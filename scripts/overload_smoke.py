@@ -46,7 +46,7 @@ def main() -> int:
     policy = SLOPolicy.from_budgets({p: 5.0 for p in priorities})
     schedule = generate_schedule(mix, args.jobs, seed=args.seed)  # burst at t=0
 
-    server = JobServer(queue_capacity=args.queue_capacity, slo=policy, workers=1)
+    server = JobServer(queue_capacity=args.queue_capacity, slo=policy)
     try:
         report = run_server_traffic(schedule, server=server, check_oracle=True)
         counters = server.telemetry.snapshot()["counters"]

@@ -40,11 +40,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--backend", default="vector-vm")
     parser.add_argument("--users", type=int, default=6, help="execute jobs per kernel")
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="repro-server-smoke-") as state_dir:
-        server = JobServer(state_dir, backend=args.backend, workers=args.workers)
+        server = JobServer(state_dir, backend=args.backend)
         sources = {name: to_sexpr(benchmark_by_name(name).expression()) for name in KERNELS}
 
         execute_ids = []
@@ -105,8 +104,7 @@ def main() -> int:
 
         print(
             f"jobs={expected} coalesced_batches={int(coalesced_batches)} "
-            f"coalesced_jobs={int(coalesced_jobs)} backend={args.backend} "
-            f"workers={args.workers}"
+            f"coalesced_jobs={int(coalesced_jobs)} backend={args.backend}"
         )
         print("server smoke OK")
         return 0

@@ -36,7 +36,6 @@ except ModuleNotFoundError:  # running from a checkout without PYTHONPATH=src
 
 from repro import api
 from repro.studies import StudyRunner, StudySpec, generate_runs
-from repro.studies.spec import RunConfig
 
 COMPONENTS = ("coalescing", "compile-cache")
 
@@ -55,7 +54,6 @@ def main() -> int:
         replicates=args.replicates,
         jobs_per_replicate=args.jobs,
         seed=args.seed,
-        base_config=RunConfig(workers=2),
     )
     matrix = generate_runs(spec)
     seeds = [run.seed for run in matrix]

@@ -7,7 +7,7 @@ over a temporary state directory, then checks the observability invariants
 CI cares about:
 
 * every lifecycle stage shows up in the span stream (submit, persist,
-  queue_wait, coalesce, schedule, backend_compile, execute, commit_result);
+  queue_wait, coalesce, backend_compile, execute, commit_result);
 * every submitted job has one connected trace — a single root span with
   every other span of the trace parented on it — including the retried job;
 * the Chrome trace export is loadable (valid JSON, ``traceEvents`` complete
@@ -47,7 +47,6 @@ REQUIRED_STAGES = (
     "submit",
     "persist",
     "coalesce",
-    "schedule",
     "backend_compile",
     "execute",
     "commit_result",
@@ -57,11 +56,10 @@ REQUIRED_STAGES = (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--users", type=int, default=5, help="execute jobs per kernel")
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="repro-trace-smoke-") as state_dir:
-        server = JobServer(state_dir, backend="vector-vm", workers=args.workers, tracing=True)
+        server = JobServer(state_dir, backend="vector-vm", tracing=True)
         sources = {name: to_sexpr(benchmark_by_name(name).expression()) for name in KERNELS}
 
         jobs = []

@@ -41,13 +41,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=24, help="arrivals in the schedule")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     schedule = generate_schedule(default_mix(), args.jobs, seed=args.seed)
 
     with tempfile.TemporaryDirectory(prefix="repro-workload-smoke-") as state_dir:
-        report = run_server_traffic(schedule, state_dir=state_dir, workers=args.workers)
+        report = run_server_traffic(schedule, state_dir=state_dir)
 
         if report.verified_jobs != args.jobs or report.correct != args.jobs:
             print(

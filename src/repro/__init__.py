@@ -25,13 +25,13 @@ The package is organised around the paper's system:
   tape pass, and a no-crypto cost simulator, behind one registry.
 * :mod:`repro.service` -- the parallel, cached compilation service (a
   content-addressed compilation cache plus cost-aware parallel batch
-  compilation) and the batched execution service with static-cost LPT
-  scheduling.
+  compilation) and the batched execution service, which runs jobs serially
+  in input order.
 * :mod:`repro.server` -- the job-orchestration server: a persistent
   priority job queue (JSONL store under a state directory), a batch
   coalescer grouping queued executions that share a circuit fingerprint
-  into single backend batches, a two-level scheduled worker pool and a
-  telemetry registry with JSON snapshots.
+  into single backend batches, and a telemetry registry with JSON
+  snapshots.
 * :mod:`repro.workloads` -- the workload registry (the paper's kernel
   suites, tree ensembles and an IR-lowered NN layer as registered
   end-to-end scenarios with input samplers and expected-output oracles)

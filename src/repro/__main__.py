@@ -331,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_workloads_parser.add_argument("--seed", type=int, default=0)
     bench_workloads_parser.add_argument(
-        "--workers", type=int, default=1, help="server worker threads"
-    )
-    bench_workloads_parser.add_argument(
         "--out", default=None, help="also write the JSON payload to this path"
     )
 
@@ -347,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, help="default execution backend for jobs"
     )
     serve_parser.add_argument("--compiler", default="greedy", help="default compiler for jobs")
-    serve_parser.add_argument(
-        "--workers", type=int, default=1, help="execution worker threads"
-    )
     serve_parser.add_argument(
         "--poll-interval", type=float, default=0.05, help="store poll cadence (seconds)"
     )
@@ -565,9 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_run.add_argument("--seed", type=int, default=0, help="study root seed")
     study_run.add_argument(
-        "--workers", type=int, default=2, help="server worker threads per run"
-    )
-    study_run.add_argument(
         "--max-runs",
         type=int,
         default=None,
@@ -765,7 +756,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             traffic_jobs=args.traffic_jobs,
             rate=args.rate,
             seed=args.seed,
-            workers=args.workers,
         )
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -795,7 +785,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.state_dir,
             backend=args.backend,
             compiler=args.compiler,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             poll_interval=args.poll_interval,
             queue_capacity=args.queue_capacity,
@@ -816,8 +805,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 server.start()
                 print(
                     f"serving jobs from {args.state_dir} "
-                    f"(backend default: {server.default_backend}, "
-                    f"workers: {server.workers}) — Ctrl-C to stop"
+                    f"(backend default: {server.default_backend}) — Ctrl-C to stop"
                 )
                 deadline = (
                     _time.monotonic() + args.max_seconds
@@ -1034,7 +1022,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 replicates=args.replicates,
                 jobs_per_replicate=args.jobs_per_replicate,
                 seed=args.seed,
-                workers=args.workers,
                 max_runs=args.max_runs,
                 resamples=args.resamples,
                 progress=_progress,

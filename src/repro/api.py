@@ -458,7 +458,6 @@ def serve(
     *,
     backend: Optional[str] = None,
     compiler: str = "greedy",
-    workers: int = 1,
     compile_workers: int = 1,
     cache_dir: Optional[str] = None,
     poll_interval: float = 0.05,
@@ -492,7 +491,6 @@ def serve(
         state_dir,
         backend=backend,
         compiler=compiler,
-        workers=workers,
         compile_workers=compile_workers,
         cache_dir=cache_dir,
         poll_interval=poll_interval,
@@ -760,7 +758,6 @@ def run_study(
     replicates: int = 3,
     jobs_per_replicate: int = 8,
     seed: int = 0,
-    workers: int = 2,
     resume: bool = False,
     max_runs: Optional[int] = None,
     resamples: int = 2000,
@@ -787,7 +784,6 @@ def run_study(
     ``progress.complete`` is False.
     """
     from repro.studies import StudyRunner, StudySpec, load_study_spec, study_report
-    from repro.studies.spec import RunConfig
 
     if resume:
         spec = load_study_spec(study_dir)
@@ -803,7 +799,6 @@ def run_study(
             replicates=replicates,
             jobs_per_replicate=jobs_per_replicate,
             seed=seed,
-            base_config=RunConfig(workers=workers),
         )
     runner = StudyRunner(spec, study_dir)
     outcome = runner.run(max_runs=max_runs, progress=progress)

@@ -171,11 +171,10 @@ def render_top(
     lines = [header]
 
     lines.append(
-        "queue_depth {depth:g}  running {running:g}  workers {workers:g}  "
+        "queue_depth {depth:g}  running {running:g}  "
         "tape_arena_bytes {arena:g}".format(
             depth=float(gauges.get("queue_depth", 0) or 0),
             running=float(gauges.get("jobs_running", 0) or 0),
-            workers=float(gauges.get("workers", 0) or 0),
             arena=float(gauges.get("tape_arena_bytes", 0) or 0),
         )
     )

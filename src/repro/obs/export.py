@@ -42,7 +42,6 @@ STAGE_ORDER = (
     "poll_store",
     "queue_drain",
     "coalesce",
-    "schedule",
     "backend_compile",
     "execute",
     "commit_result",

@@ -49,18 +49,36 @@ _ID_LOCK = threading.Lock()
 _ID_COUNTER = 0
 
 
+def _process_token() -> str:
+    return f"{os.urandom(4).hex()}{os.getpid() & 0xFFFF:04x}"
+
+
+#: Random half + pid of every id this process mints.  Drawn once per
+#: process, and again in a forked child, so minting an id (three per job
+#: submission) costs a counter step rather than an ``os.urandom`` call.
+_PROCESS_TOKEN = _process_token()
+
+
+def _renew_process_token() -> None:
+    global _PROCESS_TOKEN
+    _PROCESS_TOKEN = _process_token()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_process_token)
+
+
 def _next_id(prefix: str) -> str:
-    """Process-unique ids: random half + (pid, counter) half.
+    """Process-unique ids: process token (random half + pid) + counter.
 
     The random component keeps ids unique across processes sharing one
-    ``traces.jsonl``; the counter keeps them unique within a process even if
-    ``os.urandom`` ever repeats.
+    ``traces.jsonl``; the counter keeps them unique within a process.
     """
     global _ID_COUNTER
     with _ID_LOCK:
         _ID_COUNTER += 1
         count = _ID_COUNTER
-    return f"{prefix}-{os.urandom(4).hex()}{os.getpid() & 0xFFFF:04x}{count:06x}"
+    return f"{prefix}-{_PROCESS_TOKEN}{count:06x}"
 
 
 def new_trace_id() -> str:
@@ -192,7 +210,7 @@ class SpanHandle:
 
     Context-manager protocol: entering pushes the span onto the tracer's
     per-thread stack (so nested ``tracer.span`` calls parent themselves
-    here), exiting records the duration, pops the stack and hands the
+    here), exiting pops the stack, records the duration and hands the
     finished :class:`Span` to the ring buffer and sink.  An exception
     propagating through the body marks ``status="error"``.
     """
@@ -225,7 +243,7 @@ class SpanHandle:
         if exc_type is not None:
             self.span.status = "error"
             self.span.attrs.setdefault("error", exc_type.__name__)
-        self.tracer._finish(self, self.tracer.mono())
+        self.tracer._finish(self)
         return False
 
 
@@ -397,9 +415,8 @@ class Tracer:
     def _push(self, span: Span) -> None:
         self._stack().append(span)
 
-    def _finish(self, handle: SpanHandle, end_mono: float) -> None:
+    def _finish(self, handle: SpanHandle) -> None:
         span = handle.span
-        span.duration_s = max(0.0, end_mono - handle._start_mono)
         if handle._entered:
             stack = self._stack()
             # Pop back to (and including) this span; tolerate foreign frames
@@ -408,12 +425,21 @@ class Tracer:
                 top = stack.pop()
                 if top is span:
                     break
-        self._store(span)
+        self._store(span, handle._start_mono)
 
     # -- storage -----------------------------------------------------------
 
-    def _store(self, span: Span) -> None:
+    def _store(self, span: Span, start_mono: Optional[float] = None) -> None:
+        """Buffer a finished span, then hand it to the sink and observer.
+
+        With ``start_mono`` (a span closing through its handle) the clock is
+        read here, after the stack pop and under the buffer lock: the span's
+        duration covers its own bookkeeping, and no reader of the buffer
+        sees it before its duration is set.
+        """
         with self._lock:
+            if start_mono is not None:
+                span.duration_s = max(0.0, self.mono() - start_mono)
             if len(self._buffer) == self.capacity:
                 self._dropped += 1
             self._buffer.append(span)

@@ -1,9 +1,8 @@
 """The job-orchestration server (persistent queue + batch coalescing).
 
-This package is the top level of the system's two-level scheduling story:
-above the worker-level, static-weight LPT packing that
-:class:`~repro.service.execution.ExecutionService` already does, it adds a
-*queue-level* scheduler that owns job lifecycle and cross-user batching:
+This package owns job lifecycle and cross-user batching; the coalesced
+batches it forms run serially through
+:class:`~repro.service.execution.ExecutionService`:
 
 * :mod:`repro.server.jobs` — the :class:`Job` model
   (``compile``/``execute`` kinds, priorities, retries, JSON round-trip);

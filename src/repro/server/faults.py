@@ -21,7 +21,7 @@ Instrumented sites:
     coalesced batch.  An exception here fails (or retries) every job of the
     batch through the ordinary failure path.
 ``server.slow_worker``
-    Same place, armed with ``sleep_s`` instead: stalls the worker so run
+    Same place, armed with ``sleep_s`` instead: stalls the tick so run
     latencies blow past their SLO budgets deterministically.
 ``store.append``
     In :meth:`JobStore.append_records`, before the payload is written.

@@ -6,9 +6,7 @@ pop one job at a time: coalescing only works when the scheduler can see
 *all* currently pending work, group it by circuit fingerprint and hand whole
 groups to the backend.  :meth:`JobQueue.pop_batch` therefore drains every
 queued job in priority order in one call (blocking until at least one is
-available or the timeout lapses), which is the queue-level half of the
-two-level scheduling scheme — the worker-level half lives in
-:meth:`repro.service.execution.ExecutionService.run_jobs`.
+available or the timeout lapses).
 
 Ordering: higher *effective* priority first, then submission order (a
 monotonically increasing sequence number breaks ties), so the ordering is a

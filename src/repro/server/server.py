@@ -4,18 +4,14 @@
 long-running service.  Clients submit :class:`~repro.server.jobs.Job`
 objects (in-process through :meth:`JobServer.submit`, or cross-process by
 appending ``queued`` records to the persistent store that ``repro serve``
-polls); the scheduling loop then runs a *two-level* schedule per tick:
-
-1. **Queue level** — drain every pending job in priority order, compile
-   sources through a cached :class:`~repro.service.service.CompilationService`
-   (identical expressions dedup through the content-addressed cache), and
-   *coalesce* execute jobs sharing a circuit fingerprint into single backend
-   batches (:mod:`repro.server.coalescer`) — one vector-VM tape pass serves
-   every queued user of that circuit.
-2. **Worker level** — hand the coalesced groups to
-   :meth:`~repro.service.execution.ExecutionService.run_jobs`, which packs
-   them largest-first across the worker pool by static weight (each
-   circuit's analytical latency times its batch rows).
+polls); each scheduling tick then drains every pending job in priority
+order, compiles sources through a cached
+:class:`~repro.service.service.CompilationService` (identical expressions
+dedup through the content-addressed cache), *coalesces* execute jobs
+sharing a circuit fingerprint into single backend batches
+(:mod:`repro.server.coalescer`) — one vector-VM tape pass serves every
+queued user of that circuit — and runs the groups one after another through
+:meth:`~repro.service.execution.ExecutionService.run_jobs`.
 
 Every state transition is appended to the
 :class:`~repro.server.store.JobStore` (restart-safe: ``queued`` jobs are
@@ -31,7 +27,7 @@ priority aging keeps low-priority jobs from starving, a declarative
 :class:`~repro.server.telemetry.SLOPolicy` drives per-priority latency
 tracking plus cost-aware admission control (an arrival's drain time is
 the queued jobs at or above its priority, plus itself, times the server's
-EWMA of per-job tick seconds, over the worker count), and a
+EWMA of per-job tick seconds), and a
 :class:`~repro.server.faults.FaultInjector` gives the recovery tests exact
 crash/slowdown/corruption injection points.
 """
@@ -87,8 +83,6 @@ class JobServer:
         to the ``REPRO_BACKEND``/``reference`` default).
     compiler:
         Default compiler registry name for jobs that do not name one.
-    workers:
-        Worker threads the execution services pack coalesced groups across.
     compile_workers:
         Process-pool workers for the compilation services.
     params:
@@ -135,11 +129,11 @@ class JobServer:
     tracing:
         Enable end-to-end tracing: every lifecycle stage (``submit``,
         ``admission``, ``persist``, ``queue_wait``, ``poll_store``,
-        ``queue_drain``, ``coalesce``, ``schedule``, ``backend_compile``,
-        ``execute``, ``commit_result``) emits spans into a bounded ring
-        buffer, persisted to ``traces.jsonl`` under the state directory
-        when one exists, plus per-job mirror spans forming one connected
-        trace per submission.  Off by default (the disabled tracer's hot
+        ``queue_drain``, ``coalesce``, ``backend_compile``, ``execute``,
+        ``commit_result``) emits spans into a bounded ring buffer,
+        persisted to ``traces.jsonl`` under the state directory when one
+        exists, plus per-job mirror spans forming one connected trace per
+        submission.  Off by default (the disabled tracer's hot
         path is a no-op); the ``tracing`` studies component measures the
         residual overhead.
     tracer:
@@ -154,7 +148,6 @@ class JobServer:
         *,
         backend: Optional[str] = None,
         compiler: str = "greedy",
-        workers: int = 1,
         compile_workers: int = 1,
         cache: Optional[CompilationCache] = None,
         cache_dir: Optional[str] = None,
@@ -172,8 +165,6 @@ class JobServer:
         tracing: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if admission not in ("off", "shed", "downgrade"):
             raise ValueError("admission must be 'off', 'shed' or 'downgrade'")
         self.faults = fault_injector if fault_injector is not None else FaultInjector()
@@ -217,7 +208,6 @@ class JobServer:
         self._store_skips_seen = 0
         self.default_backend = backend or default_backend_name()
         self.default_compiler = compiler
-        self.workers = workers
         self.compile_workers = compile_workers
         self.params = params if params is not None else BFVParameters.default()
         self.poll_interval = poll_interval
@@ -237,7 +227,6 @@ class JobServer:
         #: Last-seen snapshot of the process-wide compiled-tape memo counters
         #: (repro.backends.tapeopt); per-tick deltas land in telemetry.
         self._tape_stats_seen: Dict[str, int] = {}
-        self.telemetry.gauge("workers").set(workers)
         self._recover()
 
     # -- persistence / recovery --------------------------------------------
@@ -350,13 +339,20 @@ class JobServer:
         Shed jobs reach the terminal ``SHED`` state without running;
         ``status``/``result`` surface it like any other outcome.
         """
+        # The stage span is dated from entry, so it also covers the
+        # duplicate check and its own construction.
+        submit_wall = self.tracer.wall() if self.tracer.enabled else 0.0
+        submit_mono = self.tracer.mono() if self.tracer.enabled else 0.0
         with self._lock:
             if job.id in self._jobs:
                 raise ValueError(f"job id {job.id!r} was already submitted")
             self._jobs[job.id] = job
-        submit_wall = self.tracer.wall() if self.tracer.enabled else 0.0
         with self.tracer.span(
-            "submit", trace_id=self.trace_id, attrs={"job": job.id}
+            "submit",
+            trace_id=self.trace_id,
+            attrs={"job": job.id},
+            start_wall=submit_wall,
+            start_mono=submit_mono,
         ):
             self._count_submission(job)
             reason = self._admit(job)
@@ -366,13 +362,14 @@ class JobServer:
             self.store.append(job)
             self._queue_push(job)
             self._update_queue_depth()
-        if self.tracer.enabled:
-            # Mirror onto the job's own trace so the submission boundary is
-            # part of its connected span tree, not just the server's.
-            self.tracer.record(
-                "submit", submit_wall, self.tracer.wall(),
-                trace_id=job.trace_id, parent_id=job.trace_root, cat="job",
-            )
+            if self.tracer.enabled:
+                # Mirror onto the job's own trace so the submission boundary
+                # is part of its connected span tree, not just the server's.
+                # Recorded inside the stage span, which then accounts for it.
+                self.tracer.record(
+                    "submit", submit_wall, self.tracer.wall(),
+                    trace_id=job.trace_id, parent_id=job.trace_root, cat="job",
+                )
         return job.id
 
     def _count_submission(self, job: Job) -> None:
@@ -385,11 +382,11 @@ class JobServer:
 
         The estimated drain time of an arrival is every queued job at or
         above its priority, plus itself, at the server's per-job cost
-        (:attr:`_service_s_ewma`), spread over the workers.  A cold server
-        has no cost yet and admits its warm-up traffic.  ``"downgrade"``
-        mode demotes over-budget arrivals to the floor priority (accepting
-        them as best effort) and only sheds when the job is already at or
-        below the floor.
+        (:attr:`_service_s_ewma`).  A cold server has no cost yet and
+        admits its warm-up traffic.  ``"downgrade"`` mode demotes
+        over-budget arrivals to the floor priority (accepting them as best
+        effort) and only sheds when the job is already at or below the
+        floor.
         """
         if self.admission == "off":
             return None
@@ -401,7 +398,7 @@ class JobServer:
         with self.tracer.span("admission", attrs={"job": job.id}) as span:
             per_job_s = self._service_s_ewma or 0.0
             depth = self.queue.depth_at_or_above(job.priority)
-            drain_s = (depth + 1) * per_job_s / self.workers
+            drain_s = (depth + 1) * per_job_s
             if drain_s <= budget:
                 return None
             if self.admission == "downgrade" and job.priority > self.admission_floor:
@@ -777,10 +774,7 @@ class JobServer:
             service = self._execution_services.get(backend_name)
             if service is None:
                 service = ExecutionService(
-                    backend_name,
-                    params=self.params,
-                    workers=self.workers,
-                    tracer=self.tracer,
+                    backend_name, params=self.params, tracer=self.tracer
                 )
                 self._execution_services[backend_name] = service
             return service

@@ -11,9 +11,8 @@ service suitable for experiment harnesses and, eventually, online serving:
 * :mod:`repro.service.service` — :class:`CompilationService`, the facade
   combining both, with a serial fallback that keeps results deterministic.
 * :mod:`repro.service.execution` — :class:`ExecutionService`, the batched
-  execution counterpart: jobs run on any registered execution backend under
-  LPT scheduling weighted by each circuit's static analytical latency times
-  its number of input sets.
+  execution counterpart: jobs run serially, in input order, on any
+  registered execution backend.
 """
 
 from repro.service.cache import (

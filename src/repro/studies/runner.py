@@ -202,7 +202,6 @@ class StudyRunner:
         config = run.config
         server = JobServer(
             state_dir=state_dir,
-            workers=config.workers,
             cache=CompilationCache(capacity=config.cache_capacity),
             admission=config.admission,
             coalesce=config.coalesce,

@@ -47,7 +47,6 @@ class RunConfig:
     memoize_circuits: bool = True
     cache_capacity: int = 512
     admission: str = "off"
-    workers: int = 2
     #: End-to-end span tracing (:mod:`repro.obs`).  Off by default so the
     #: default matrix measures the production configuration; the ``tracing``
     #: component flips it on in its baseline to price the tracing overhead.

@@ -336,7 +336,6 @@ def run_server_traffic(
     *,
     server: Optional[object] = None,
     state_dir: Optional[str] = None,
-    workers: int = 1,
     compile_workers: int = 1,
     compiler: str = "greedy",
     check_oracle: bool = True,
@@ -365,10 +364,7 @@ def run_server_traffic(
     owned = server is None
     if server is None:
         server = JobServer(
-            state_dir,
-            compiler=compiler,
-            workers=workers,
-            compile_workers=compile_workers,
+            state_dir, compiler=compiler, compile_workers=compile_workers
         )
     open_loop = any(arrival.at_s > 0.0 for arrival in schedule)
     job_ids: List[str] = []
@@ -533,7 +529,6 @@ def run_closed_loop_traffic(
     *,
     server: Optional[object] = None,
     state_dir: Optional[str] = None,
-    workers: int = 1,
     compile_workers: int = 1,
     compiler: str = "greedy",
     seed: int = 0,
@@ -573,10 +568,7 @@ def run_closed_loop_traffic(
     owned = server is None
     if server is None:
         server = JobServer(
-            state_dir,
-            compiler=compiler,
-            workers=workers,
-            compile_workers=compile_workers,
+            state_dir, compiler=compiler, compile_workers=compile_workers
         )
     user_seeds = np.random.SeedSequence(seed).spawn(config.users)
     submissions: List[List[Tuple[str, str]]] = [[] for _ in range(config.users)]
@@ -704,7 +696,6 @@ def benchmark_workloads(
     traffic_jobs: int = 60,
     rate: Optional[float] = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> Dict[str, object]:
     """The payload behind ``BENCH_workloads.json`` / ``bench-workloads``.
 
@@ -735,7 +726,7 @@ def benchmark_workloads(
             outcome = api.execute_batch(report, inputs=inputs, backend=backend)
             direct_wall = time.perf_counter() - direct_start
 
-            server = JobServer(backend=backend, compiler=workload.compiler, workers=workers)
+            server = JobServer(backend=backend, compiler=workload.compiler)
             try:
                 # Warm the server's compile memo outside the timed window —
                 # the direct path runs on a precompiled report, so the timed
@@ -801,7 +792,7 @@ def benchmark_workloads(
             )
 
     schedule = generate_schedule(default_mix(), traffic_jobs, seed=seed, rate=rate)
-    server_report = run_server_traffic(schedule, workers=workers)
+    server_report = run_server_traffic(schedule)
     direct_report = run_direct_traffic(schedule)
     return {
         "version": repro.__version__,

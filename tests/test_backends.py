@@ -32,7 +32,7 @@ from repro.compiler.executor import default_backend_name
 from repro.fhe import Evaluator, ExecutionMeter, FHEContext, LatencyModel
 from repro.fhe.params import BFVParameters
 from repro.kernels.registry import benchmark_by_name, benchmark_suite
-from repro.service import ExecutionJob, ExecutionService, makespan, partition_jobs
+from repro.service import ExecutionJob, ExecutionService
 
 #: Small ring for fast tests; parity must hold at any degree.
 PARAMS = BFVParameters.default(1024)
@@ -310,32 +310,25 @@ class TestExecutionService:
         return jobs
 
     def test_parallel_workers_produce_same_reports(self, compiled_suite):
+        # Execution has one serial path: there is no thread pool to select.
+        with pytest.raises(TypeError, match="workers"):
+            ExecutionService("vector-vm", params=PARAMS, workers=2)
         names = ["dot_product_4", "dot_product_8", "max_3", "sort_3"]
-        serial = ExecutionService("vector-vm", params=PARAMS, workers=1)
-        threaded = ExecutionService("vector-vm", params=PARAMS, workers=2)
+        service = ExecutionService("vector-vm", params=PARAMS)
         jobs = self._jobs(compiled_suite, names)
-        outputs_serial = [
-            [report.outputs for report in reports]
-            for reports in serial.run_jobs(jobs).reports
+        batch = service.run_jobs(jobs)
+        # Reports come back in input order, each equal to one direct
+        # execute_many of its job.
+        direct = [
+            service.backend.execute_many(job.program, list(job.inputs), params=PARAMS)
+            for job in jobs
         ]
-        threaded_batch = threaded.run_jobs(jobs)
-        outputs_threaded = [
-            [report.outputs for report in reports] for reports in threaded_batch.reports
+        assert [[r.outputs for r in reports] for reports in batch.reports] == [
+            [r.outputs for r in reports] for reports in direct
         ]
-        assert outputs_serial == outputs_threaded
-        assert threaded_batch.workers == 2
-        assert {record.worker for record in threaded_batch.records} == {0, 1}
-        # The LPT weight is static: analytical latency times batch rows.
-        model = LatencyModel(PARAMS)
-        weights = [
-            job.program.estimated_latency_ms(model) * len(job.inputs) for job in jobs
-        ]
-        assert [record.estimate_ms for record in threaded_batch.records] == weights
-        plans = partition_jobs(weights, 2)
-        assert threaded_batch.planned_makespan_ms == makespan(plans)
-        for plan in plans:
-            for index in plan.job_indices:
-                assert threaded_batch.records[index].worker == plan.worker
+        assert [record.name for record in batch.records] == names
+        assert [record.batch_size for record in batch.records] == [3] * len(names)
+        assert batch.total_executions == 3 * len(names)
 
     def test_warm_run_jobs_fingerprints_once_per_group(self, compiled_suite, monkeypatch):
         import repro.backends.tapeopt as tapeopt
@@ -358,15 +351,17 @@ class TestExecutionService:
         assert len(calls) <= len(jobs)
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             ExecutionService("reference", workers=0)
+        with pytest.raises(KeyError):
+            ExecutionService("no-such-backend")
 
     def test_empty_input_jobs_record_no_measurement(self, compiled_suite):
         _, report = next((b, r) for b, r in compiled_suite if b.name == "dot_product_4")
         service = ExecutionService("vector-vm", params=PARAMS)
         batch = service.run_jobs([ExecutionJob(program=report.circuit, inputs=[])])
         assert batch.reports == [[]]
-        assert batch.records[0].estimate_ms == 0.0
+        assert batch.records[0].batch_size == 0
 
     def test_accepts_bare_tuples(self, compiled_suite):
         benchmark, report = next(

@@ -40,6 +40,7 @@ from repro.obs.trace import (
     Span,
     Tracer,
     load_spans,
+    new_span_id,
 )
 from repro.server import FaultInjector, InjectedFault, Job, JobServer, JobStore
 from repro.__main__ import main as cli_main
@@ -145,6 +146,25 @@ class TestTracerCore:
         assert span.duration_s == 2.5
         backwards = tracer.record("oops", 12.5, 10.0)
         assert backwards.duration_s == 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_ids_stay_unique_in_a_forked_child(self):
+        parent_ids = {new_span_id() for _ in range(3)}
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: mint ids and hand them back
+            os.write(write_end, " ".join(new_span_id() for _ in range(3)).encode())
+            os._exit(0)
+        os.close(write_end)
+        child_ids = set(os.read(read_end, 4096).decode().split())
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        parent_ids |= {new_span_id() for _ in range(3)}
+        assert len(parent_ids) == 6 and len(child_ids) == 3
+        assert not parent_ids & child_ids
+        # The child drew its own process token, not a copy of the parent's.
+        child_tokens = {span_id[2:-6] for span_id in child_ids}
+        assert child_tokens.isdisjoint({span_id[2:-6] for span_id in parent_ids})
 
     def test_observer_sees_every_finished_span(self):
         seen = []

@@ -582,9 +582,52 @@ class TestJobServer:
         assert payload["verified"] is False
         assert payload["outputs"][0] == list(benchmark.reference(inputs))
 
+    def test_execution_does_no_scheduling_work(self, compiled_kernels, monkeypatch):
+        """Neither run_jobs nor a server tick prices its jobs: with the
+        latency estimate raising, both paths still execute every job, to
+        the same outputs."""
+        from repro.compiler.circuit import CircuitProgram
+        from repro.compiler.executor import declared_outputs
+        from repro.service.execution import ExecutionJob, ExecutionService
+
+        def no_estimate(self, latency_model):
+            raise AssertionError("execution must not estimate job latency")
+
+        monkeypatch.setattr(CircuitProgram, "estimated_latency_ms", no_estimate)
+        jobs = [
+            ExecutionJob(
+                program=circuit,
+                inputs=[benchmark.sample_inputs(seed=seed) for seed in range(2)],
+                name=name,
+            )
+            for name, (benchmark, circuit) in sorted(compiled_kernels.items())
+        ]
+        batch = ExecutionService("vector-vm", params=PARAMS).run_jobs(jobs)
+        direct = [
+            [declared_outputs(job.program, report.outputs) for report in reports]
+            for job, reports in zip(jobs, batch.reports)
+        ]
+        server = make_server()
+        try:
+            job_ids = [
+                [server.submit(Job(program=job.program, inputs=item)) for item in job.inputs]
+                for job in jobs
+            ]
+            assert server.tick() == sum(len(job.inputs) for job in jobs)
+            served = [
+                [server.result(job_id)["outputs"][0] for job_id in row] for row in job_ids
+            ]
+        finally:
+            server.close()
+        assert served == direct
+
     def test_workers_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            JobServer(workers=0)
+        # Execution has one serial path: the worker-count option is gone.
+        for workers in (0, 2):
+            with pytest.raises(TypeError, match="workers"):
+                JobServer(workers=workers)
+        with pytest.raises(ValueError, match="admission"):
+            JobServer(admission="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -938,12 +981,15 @@ class TestAdmissionControl:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_drain_estimate_boundary(self, workers):
-        """Admit iff (depth + 1) * per-job cost / workers fits the budget."""
+        """Admit iff (depth + 1) * per-job cost fits the budget.  The former
+        worker count is no longer accepted, and no longer divides the drain
+        estimate (at 2 the budget just below the drain time used to admit)."""
+        with pytest.raises(TypeError, match="workers"):
+            JobServer(workers=workers)
         cost, depth = 0.01, 3
-        drain_s = (depth + 1) * cost / workers
+        drain_s = (depth + 1) * cost
         for budget, expected in ((drain_s * 1.001, "queued"), (drain_s * 0.999, "shed")):
             server = JobServer(
-                workers=workers,
                 slo=SLOPolicy.from_budgets({0: budget}),
                 admission="shed",
             )

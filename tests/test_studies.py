@@ -130,10 +130,20 @@ class TestStudySpec:
             replicates=4,
             seed=9,
             warmup_runs=2,
-            base_config=RunConfig(workers=3),
+            base_config=RunConfig(admission="shed", tracing=True),
         )
         clone = StudySpec.from_dict(json.loads(json.dumps(spec.as_dict())))
         assert clone.as_dict() == spec.as_dict()
+        # The execution worker count is no longer a run knob; a ledger that
+        # still records one is rejected instead of silently ignored.
+        with pytest.raises(TypeError, match="workers"):
+            RunConfig(workers=3)
+        with pytest.raises(KeyError, match="workers"):
+            RunConfig.from_dict({"workers": 3})
+        record = spec.as_dict()
+        record["base_config"] = dict(record["base_config"], workers=3)
+        with pytest.raises(KeyError, match="workers"):
+            StudySpec.from_dict(record)
 
 
 class TestRunMatrix:

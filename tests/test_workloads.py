@@ -275,7 +275,9 @@ class TestTrafficRuns:
 
     def test_open_loop_schedule_completes(self):
         schedule = generate_schedule(default_mix(), 6, seed=5, rate=500.0)
-        report = run_server_traffic(schedule, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            run_server_traffic(schedule, workers=2)
+        report = run_server_traffic(schedule)
         assert report.correct == report.jobs == 6
         direct = run_direct_traffic(schedule)
         assert report.outputs == direct.outputs
