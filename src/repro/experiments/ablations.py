@@ -422,7 +422,6 @@ def run_system_ablation(
     replicates: int = 3,
     jobs_per_replicate: int = 8,
     seed: int = 0,
-    workers: int = 2,
     resume: bool = False,
     resamples: int = 2000,
 ) -> Dict[str, object]:
@@ -445,7 +444,6 @@ def run_system_ablation(
         replicates=replicates,
         jobs_per_replicate=jobs_per_replicate,
         seed=seed,
-        workers=workers,
         resume=resume,
         resamples=resamples,
     )

@@ -425,21 +425,14 @@ class Tracer:
                 top = stack.pop()
                 if top is span:
                     break
-        self._store(span, handle._start_mono)
+        # Read the end clock after the pop, so the duration covers it.
+        span.duration_s = max(0.0, self.mono() - handle._start_mono)
+        self._store(span)
 
     # -- storage -----------------------------------------------------------
 
-    def _store(self, span: Span, start_mono: Optional[float] = None) -> None:
-        """Buffer a finished span, then hand it to the sink and observer.
-
-        With ``start_mono`` (a span closing through its handle) the clock is
-        read here, after the stack pop and under the buffer lock: the span's
-        duration covers its own bookkeeping, and no reader of the buffer
-        sees it before its duration is set.
-        """
+    def _store(self, span: Span) -> None:
         with self._lock:
-            if start_mono is not None:
-                span.duration_s = max(0.0, self.mono() - start_mono)
             if len(self._buffer) == self.capacity:
                 self._dropped += 1
             self._buffer.append(span)

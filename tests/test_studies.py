@@ -345,3 +345,25 @@ class TestAnalysis:
         assert [c["condition"] for c in report["conditions"]] == [BASELINE, "coalescing"]
         assert report["ranking"][0]["component"] == "coalescing"
         assert report["ranking"][0]["importance"] == pytest.approx(0.2)
+
+
+class TestSystemAblationWrapper:
+    def test_runs_a_tiny_study_through_run_study(self, tmp_path):
+        """The experiments wrapper must keep calling ``api.run_study`` cleanly."""
+        from repro.experiments.ablations import run_system_ablation
+
+        study_dir = str(tmp_path / "study")
+        report = run_system_ablation(
+            study_dir,
+            components=["coalescing"],
+            workloads=["dot-product"],
+            replicates=1,
+            jobs_per_replicate=2,
+            resamples=50,
+        )
+        assert report["study_dir"] == study_dir
+        assert report["progress"]["complete"]
+        assert report["runs_recorded"] == 2
+        assert [c["condition"] for c in report["conditions"]] == [BASELINE, "coalescing"]
+        with pytest.raises(TypeError):
+            run_system_ablation(study_dir, workers=2)
