@@ -10,7 +10,12 @@ it and checks the invariants CI cares about:
 * the telemetry snapshot reports > 0 coalesced batches and the coalesced
   batch sizes add up (one vector-VM tape pass served N queued users);
 * results survive a server restart (the JSONL store replays them);
-* a job submitted through the store by a "client" process is picked up.
+* a job submitted through the store by a "client" process is picked up;
+* record parity: one fixed submission script run on an in-memory server
+  and on a state-dir server leaves byte-identical job records (volatile
+  fields masked), including ``result.outputs``, ``references`` and
+  ``correct`` — the in-memory store keeps records without a JSON round
+  trip, the state-dir store writes them as JSON lines.
 
 Exits non-zero (with a one-line reason) on any violation.
 """
@@ -18,6 +23,7 @@ Exits non-zero (with a one-line reason) on any violation.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -29,11 +35,68 @@ except ModuleNotFoundError:  # running from a checkout without PYTHONPATH=src
         0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     )
 
+from repro import api
 from repro.ir.printer import to_sexpr
 from repro.kernels.registry import benchmark_by_name
 from repro.server import Job, JobServer, JobStore
 
 KERNELS = ("dot_product_4", "l2_distance_4", "hamming_distance_4")
+#: Record fields that legitimately differ between two runs of one script.
+VOLATILE = ("id", "trace_id", "trace_root", "submitted_at", "started_at", "finished_at")
+
+
+def submission_script(server: JobServer) -> list:
+    """Submit a fixed mixed workload, drain it, return the job ids in order."""
+    sources = {name: to_sexpr(benchmark_by_name(name).expression()) for name in KERNELS}
+    circuit = api.compile("(Vec (* a b) (- c d))", "greedy", name="pre-lowered").circuit
+    jobs = []
+    for name, source in sources.items():
+        jobs += [Job(source=source, seed=user, name=f"{name}/u{user}") for user in range(4)]
+        jobs.append(Job(source=source, kind="compile", name=name))
+    jobs += [
+        Job(source="(+ (* a b) c)", inputs={"a": -2, "b": 3, "c": 2**40}, priority=2),
+        Job(source="(Vec (+ a b) (* a (- b)))", seed=7, input_range=1000),
+        Job(program=circuit, inputs={"a": 1, "b": 2, "c": 3, "d": 4}),
+    ]
+    ids = [server.submit(job) for job in jobs]
+    server.drain()
+    return ids
+
+
+def masked_records(records: list) -> str:
+    """One JSON line per record, volatile fields (and compile times) masked."""
+    lines = []
+    for record in records:
+        record = dict(record)
+        for key in VOLATILE:
+            record[key] = None
+        if record.get("kind") == "compile" and record.get("result"):
+            record["result"] = dict(record["result"], compile_time_s=None)
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines)
+
+
+def record_parity(state_dir: str) -> str:
+    """Run :func:`submission_script` in memory and on ``state_dir``; return
+    a failure reason, or "" when the masked records are byte-identical."""
+
+    def stored_records(server: JobServer) -> list:
+        ids = submission_script(server)
+        jobs = server.store.replay()  # the store's log, folded newest-wins
+        server.close()
+        return [jobs[job_id].to_record() for job_id in ids]
+
+    memory_records = stored_records(JobServer(backend="vector-vm"))
+    durable_records = stored_records(JobServer(state_dir, backend="vector-vm"))
+    for record in memory_records:
+        if record["status"] != "completed":
+            return f"job {record['name']} is {record['status']}: {record['error']}"
+        verified = record["kind"] == "execute" and record["source"] is not None
+        if verified and record["result"].get("correct") is not True:
+            return f"job {record['name']} not verified correct: {record['result']}"
+    if masked_records(memory_records) != masked_records(durable_records):
+        return "in-memory and state-dir job records differ"
+    return ""
 
 
 def main() -> int:
@@ -106,8 +169,15 @@ def main() -> int:
             f"jobs={expected} coalesced_batches={int(coalesced_batches)} "
             f"coalesced_jobs={int(coalesced_jobs)} backend={args.backend}"
         )
-        print("server smoke OK")
-        return 0
+
+    with tempfile.TemporaryDirectory(prefix="repro-server-parity-") as state_dir:
+        failure = record_parity(state_dir)
+        if failure:
+            print(f"FAIL: record parity: {failure}", file=sys.stderr)
+            return 1
+        print("record parity: in-memory and state-dir job records byte-identical")
+    print("server smoke OK")
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from repro.compiler.dsl import Program
 from repro.compiler.executor import (
     ExecutionReport,
     declared_outputs,
+    reference_check,
     reference_output,
 )
 from repro.compiler.pipeline import CompilationReport
@@ -422,10 +423,8 @@ def execute_batch(
     if verified:
         from repro.ir.evaluate import output_arity
 
-        slot_count = max(64, output_arity(expr) + 8)
-        references = [
-            reference_output(expr, item, slot_count=slot_count) for item in inputs_list
-        ]
+        check = reference_check(expr, slot_count=max(64, output_arity(expr) + 8))
+        references = [check.run(item) for item in inputs_list]
         outputs = [
             declared_outputs(report.circuit, execution.outputs)
             for execution in executions

@@ -23,7 +23,6 @@ bit-identical by construction.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.compiler.circuit import CircuitProgram
@@ -193,24 +192,10 @@ class NoiseLedger:
 def program_fingerprint(program: CircuitProgram) -> str:
     """Content hash of a circuit (instructions + outputs, name excluded).
 
-    The execution-side analogue of the compilation cache key: two circuits
-    with identical instruction tapes share one compiled tape and one
-    coalesced batch regardless of the benchmark name they were compiled
-    under.
+    Two circuits with identical instruction tapes share one compiled tape
+    and one coalesced batch regardless of the benchmark name they were
+    compiled under.  The digest is cached on the circuit
+    (:meth:`~repro.compiler.circuit.CircuitProgram.fingerprint`), so the
+    coalescer and the compiled-tape memo hash each circuit once.
     """
-    digest = hashlib.sha256()
-    for instruction in program.instructions:
-        digest.update(
-            repr(
-                (
-                    instruction.result,
-                    instruction.opcode.value,
-                    instruction.operands,
-                    instruction.step,
-                    instruction.layout,
-                    instruction.values,
-                )
-            ).encode("utf-8")
-        )
-    digest.update(repr(program.outputs).encode("utf-8"))
-    return digest.hexdigest()
+    return program.fingerprint()

@@ -10,10 +10,18 @@ multiplicative depth, estimated latency) populate Table 6.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Opcode", "Instruction", "InputSlot", "CircuitStats", "CircuitProgram"]
+__all__ = [
+    "Opcode",
+    "Instruction",
+    "InputSlot",
+    "CircuitStats",
+    "CircuitProgram",
+    "content_digest",
+]
 
 
 class Opcode(enum.Enum):
@@ -132,12 +140,20 @@ class CircuitProgram:
         Names of the scalar program inputs (before client-side packing).
     rotation_steps:
         The distinct rotation steps used (for rotation-key selection).
+
+    :meth:`fingerprint` caches the content digest; :meth:`emit` and
+    :meth:`mark_output` clear it.  Code that edits ``instructions`` or
+    ``outputs`` in place must build a new program instead.
     """
 
     name: str = "circuit"
     instructions: List[Instruction] = field(default_factory=list)
     outputs: List[Tuple[int, str, int]] = field(default_factory=list)
     scalar_inputs: List[str] = field(default_factory=list)
+    #: Cached :func:`content_digest`; name independent, so renamed copies
+    #: recompute the same value.  Kept through pickling (the digest is a
+    #: stable sha256, not a salted ``hash()``).
+    _fingerprint: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     # -- construction helpers ----------------------------------------------------
     def _new_register(self) -> int:
@@ -155,6 +171,7 @@ class CircuitProgram:
     ) -> int:
         """Append an instruction and return its result register."""
         register = self._new_register()
+        self._fingerprint = None
         self.instructions.append(
             Instruction(
                 result=register,
@@ -170,7 +187,15 @@ class CircuitProgram:
 
     def mark_output(self, register: int, name: str, length: int) -> None:
         """Declare ``register`` as output ``name`` with ``length`` slots."""
+        self._fingerprint = None
         self.outputs.append((register, name, length))
+
+    def fingerprint(self) -> str:
+        """The circuit's :func:`content_digest`, computed once per content."""
+        digest = self._fingerprint
+        if digest is None:
+            digest = self._fingerprint = content_digest(self)
+        return digest
 
     # -- queries -------------------------------------------------------------------
     @property
@@ -252,3 +277,30 @@ class CircuitProgram:
             if operation is not None:
                 total += latency_model.cost_ms(operation)
         return total
+
+
+def content_digest(program: CircuitProgram) -> str:
+    """Content hash of a circuit (instructions + outputs, name excluded).
+
+    The execution-side analogue of the compilation cache key: two circuits
+    with identical instruction tapes share one compiled tape and one
+    coalesced batch regardless of the benchmark name they were compiled
+    under.  Callers go through :meth:`CircuitProgram.fingerprint`, which
+    hashes each circuit once.
+    """
+    digest = hashlib.sha256()
+    for instruction in program.instructions:
+        digest.update(
+            repr(
+                (
+                    instruction.result,
+                    instruction.opcode.value,
+                    instruction.operands,
+                    instruction.step,
+                    instruction.layout,
+                    instruction.values,
+                )
+            ).encode("utf-8")
+        )
+    digest.update(repr(program.outputs).encode("utf-8"))
+    return digest.hexdigest()

@@ -21,9 +21,14 @@ callers that do not pass ``backend=`` explicitly (used by ``make
 bench-smoke`` to drive the existing benchmark harnesses through the vector
 VM).
 
-:func:`reference_output` computes the same outputs with the plaintext
-reference evaluator, which the tests use to verify end-to-end correctness of
-every compiled benchmark.
+:func:`reference_output` computes the same outputs in plaintext, which the
+tests use to verify end-to-end correctness of every compiled benchmark.  It
+runs the compiled plaintext check of :mod:`repro.ir.plaintext`
+(:func:`reference_check`): only the output slots' scalar ops, over exact
+integers mod ``t``, equal to the full-vector
+:func:`~repro.ir.evaluate.evaluate` by construction and by fuzz test.
+Callers verifying many input sets of one expression — the job server keeps
+one check per memoized circuit — compile it once.
 """
 
 from __future__ import annotations
@@ -33,14 +38,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.compiler.circuit import CircuitProgram
 from repro.fhe.params import BFVParameters
-from repro.ir.evaluate import evaluate
 from repro.ir.nodes import Expr
+from repro.ir.plaintext import PlaintextCheck, compile_check
 
 __all__ = [
     "ExecutionReport",
     "execute",
     "execute_many",
     "reference_output",
+    "reference_check",
     "declared_outputs",
     "default_backend_name",
 ]
@@ -145,16 +151,30 @@ def reference_output(
 
     BFV computes over ``Z_t``, so the reference is reduced modulo the
     plaintext modulus and mapped to centred representatives — exactly what
-    decrypting and decoding the compiled circuit yields.  Pass
-    ``plain_modulus=None``-compatible large values through the default, or an
-    explicit modulus matching non-default parameters.
-    """
-    from repro.ir.evaluate import output_arity
+    decrypting and decoding the compiled circuit yields.  ``plain_modulus``
+    defaults to the paper's parameters; pass it explicitly for non-default
+    ones.
 
+    This is :func:`reference_check` compiled and run once; callers checking
+    many input sets against one expression compile the check once instead.
+    """
+    return reference_check(
+        expr, length=length, slot_count=slot_count, plain_modulus=plain_modulus
+    ).run(inputs)
+
+
+def reference_check(
+    expr: Expr,
+    length: Optional[int] = None,
+    slot_count: int = 64,
+    plain_modulus: Optional[int] = None,
+) -> PlaintextCheck:
+    """The compiled plaintext check behind :func:`reference_output`.
+
+    Equal to centring ``evaluate(expr, ..., modulus=plain_modulus)[:length]``
+    for every input set (:mod:`repro.ir.plaintext`), at the cost of the
+    output slots' scalar ops only.
+    """
     if plain_modulus is None:
         plain_modulus = BFVParameters.default().plain_modulus
-    if length is None:
-        length = output_arity(expr)
-    slots = evaluate(expr, inputs, slot_count=max(slot_count, length), modulus=plain_modulus)
-    half = plain_modulus // 2
-    return [value - plain_modulus if value > half else value for value in slots[:length]]
+    return compile_check(expr, modulus=plain_modulus, length=length, slot_count=slot_count)

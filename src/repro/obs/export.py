@@ -45,6 +45,7 @@ STAGE_ORDER = (
     "backend_compile",
     "execute",
     "commit_result",
+    "verify",
 )
 
 

@@ -27,12 +27,13 @@ siblings do not overlap) under random interleavings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "NULL_TRACER",
@@ -42,11 +43,13 @@ __all__ = [
     "Tracer",
     "load_spans",
     "new_span_id",
+    "new_trace_context",
     "new_trace_id",
 ]
 
-_ID_LOCK = threading.Lock()
-_ID_COUNTER = 0
+#: Id serial numbers.  ``next()`` on an ``itertools.count`` is one C call
+#: under the GIL, so concurrent minting needs no lock.
+_ID_COUNTER = itertools.count(1)
 
 
 def _process_token() -> str:
@@ -54,8 +57,8 @@ def _process_token() -> str:
 
 
 #: Random half + pid of every id this process mints.  Drawn once per
-#: process, and again in a forked child, so minting an id (three per job
-#: submission) costs a counter step rather than an ``os.urandom`` call.
+#: process, and again in a forked child, so minting an id costs a counter
+#: step rather than an ``os.urandom`` call.
 _PROCESS_TOKEN = _process_token()
 
 
@@ -74,11 +77,7 @@ def _next_id(prefix: str) -> str:
     The random component keeps ids unique across processes sharing one
     ``traces.jsonl``; the counter keeps them unique within a process.
     """
-    global _ID_COUNTER
-    with _ID_LOCK:
-        _ID_COUNTER += 1
-        count = _ID_COUNTER
-    return f"{prefix}-{_PROCESS_TOKEN}{count:06x}"
+    return f"{prefix}-{_PROCESS_TOKEN}{next(_ID_COUNTER):06x}"
 
 
 def new_trace_id() -> str:
@@ -89,6 +88,17 @@ def new_trace_id() -> str:
 def new_span_id() -> str:
     """A fresh span id."""
     return _next_id("s")
+
+
+def new_trace_context() -> Tuple[str, str]:
+    """A fresh ``(trace id, root span id)`` pair from one counter step.
+
+    The two ids share a serial number; their prefixes keep them distinct
+    from each other and from every id :func:`new_trace_id` and
+    :func:`new_span_id` mint.
+    """
+    serial = f"{_PROCESS_TOKEN}{next(_ID_COUNTER):06x}"
+    return f"t-{serial}", f"s-{serial}"
 
 
 @dataclass
@@ -342,6 +352,10 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_HANDLE
+        # Read the start clocks first, so the duration covers building the
+        # span (the mirror of reading the end clock after the stack pop).
+        start_wall = self.wall() if start_wall is None else float(start_wall)
+        start_mono = self.mono() if start_mono is None else float(start_mono)
         current = self.current_span()
         if trace_id is None:
             trace_id = current.trace_id if current is not None else new_trace_id()
@@ -353,13 +367,11 @@ class Tracer:
             parent_id=parent_id,
             name=name,
             cat=cat,
-            start_wall=self.wall() if start_wall is None else float(start_wall),
+            start_wall=start_wall,
             attrs=dict(attrs) if attrs else {},
             thread=threading.get_ident(),
         )
-        return SpanHandle(
-            self, span, self.mono() if start_mono is None else float(start_mono)
-        )
+        return SpanHandle(self, span, start_mono)
 
     def record(
         self,

@@ -20,11 +20,10 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.backends.base import program_fingerprint
 from repro.compiler.circuit import CircuitProgram
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.server.jobs import Job
 
 __all__ = ["CoalescedGroup", "coalesce"]
@@ -41,10 +40,13 @@ class CoalescedGroup:
     #: Per-job input sets, parallel to ``jobs`` (job i owns the slice
     #: ``[offsets[i], offsets[i] + len(inputs_per_job[i]))`` of the batch).
     inputs_per_job: List[List[Mapping[str, int]]] = field(default_factory=list)
+    #: Input sets in the whole batch (``len(batched_inputs)``).
+    rows: int = 0
 
     def add(self, job: Job, inputs: Sequence[Mapping[str, int]]) -> None:
         self.jobs.append(job)
         self.inputs_per_job.append(list(inputs))
+        self.rows += len(inputs)
 
     @property
     def batched_inputs(self) -> List[Mapping[str, int]]:
@@ -71,39 +73,24 @@ class CoalescedGroup:
 
 def coalesce(
     entries: Sequence[Tuple[Job, CircuitProgram, Sequence[Mapping[str, int]], str]],
-    *,
-    tracer: Optional[Tracer] = None,
 ) -> List[CoalescedGroup]:
     """Group ``(job, circuit, inputs, backend_key)`` entries into batches.
 
     Entries arrive in scheduling (priority) order and groups come back
     ordered by their first member, so coalescing never reorders work across
     priorities — it only merges equal circuits that would have run anyway.
-
-    With a ``tracer`` the grouping work (fingerprint hashing included — that
-    is the cost coalescing amortizes) is recorded as one ``coalesce`` stage
-    span, nested under whatever span the calling thread has open.
+    Each circuit caches its fingerprint, so a circuit shared by many jobs
+    (the server's circuit memo) is hashed once, not once per job or tick.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("coalesce", attrs={"entries": len(entries)}) as span:
-        groups: Dict[Tuple[str, str], CoalescedGroup] = {}
-        ordered: List[CoalescedGroup] = []
-        #: Jobs sharing a circuit usually share the object too (the server's
-        #: circuit memo), so hash each distinct object once per call.
-        fingerprints: Dict[int, str] = {}
-        for job, program, inputs, backend_key in entries:
-            fingerprint = fingerprints.get(id(program))
-            if fingerprint is None:
-                fingerprint = fingerprints[id(program)] = program_fingerprint(program)
-            key = (fingerprint, backend_key)
-            group = groups.get(key)
-            if group is None:
-                group = CoalescedGroup(
-                    fingerprint=key[0], backend_key=backend_key, program=program
-                )
-                groups[key] = group
-                ordered.append(group)
-            group.add(job, inputs)
-        span.set_attr("groups", len(ordered))
-        span.set_attr("coalesced_jobs", sum(len(g.jobs) for g in ordered if g.coalesced))
+    groups: Dict[Tuple[str, str], CoalescedGroup] = {}
+    ordered: List[CoalescedGroup] = []
+    for job, program, inputs, backend_key in entries:
+        key = (program_fingerprint(program), backend_key)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = CoalescedGroup(
+                fingerprint=key[0], backend_key=backend_key, program=program
+            )
+            ordered.append(group)
+        group.add(job, inputs)
     return ordered

@@ -27,13 +27,12 @@ from __future__ import annotations
 import enum
 import itertools
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.circuit import CircuitProgram, InputSlot, Instruction, Opcode
-from repro.obs.trace import new_span_id, new_trace_id
+from repro.obs.trace import new_span_id, new_trace_context, new_trace_id
 
 __all__ = [
     "JobState",
@@ -61,15 +60,26 @@ class JobState(str, enum.Enum):
         return self in (JobState.COMPLETED, JobState.FAILED, JobState.SHED)
 
 
+#: ``next()`` on an ``itertools.count`` is one C call under the GIL, so
+#: concurrent submitters need no lock.
 _COUNTER = itertools.count()
-_COUNTER_LOCK = threading.Lock()
+#: This process's pid in hex, read once (and again in a forked child):
+#: ``os.getpid()`` per id costs more than the rest of the id.
+_PID_HEX = f"{os.getpid():x}"
+
+
+def _renew_pid() -> None:
+    global _PID_HEX
+    _PID_HEX = f"{os.getpid():x}"
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_pid)
 
 
 def new_job_id() -> str:
     """A process-unique, time-ordered job id (``job-<epoch-ms>-<pid>-<n>``)."""
-    with _COUNTER_LOCK:
-        serial = next(_COUNTER)
-    return f"job-{int(time.time() * 1000):x}-{os.getpid():x}-{serial:x}"
+    return f"job-{int(time.time() * 1000):x}-{_PID_HEX}-{next(_COUNTER):x}"
 
 
 def circuit_to_record(program: CircuitProgram) -> Dict[str, object]:
@@ -179,9 +189,11 @@ class Job:
             raise ValueError("a job needs a source expression or a pre-lowered circuit")
         if self.kind == "compile" and self.source is None:
             raise ValueError("compile jobs need a source expression")
-        if self.trace_id is None:
+        if self.trace_id is None and self.trace_root is None:
+            self.trace_id, self.trace_root = new_trace_context()
+        elif self.trace_id is None:
             self.trace_id = new_trace_id()
-        if self.trace_root is None:
+        elif self.trace_root is None:
             self.trace_root = new_span_id()
 
     def label(self) -> str:

@@ -196,8 +196,11 @@ class JobQueue:
         not its rank when it was pushed.
         """
         with self._not_empty:
-            if not self._entries and not self._not_empty.wait_for(
-                lambda: bool(self._entries), timeout=timeout
+            if not self._entries and (
+                (timeout is not None and timeout <= 0)
+                or not self._not_empty.wait_for(
+                    lambda: bool(self._entries), timeout=timeout
+                )
             ):
                 return []
             now = time.time()

@@ -11,7 +11,9 @@ dedup through the content-addressed cache), *coalesces* execute jobs
 sharing a circuit fingerprint into single backend batches
 (:mod:`repro.server.coalescer`) — one vector-VM tape pass serves every
 queued user of that circuit — and runs the groups one after another through
-:meth:`~repro.service.execution.ExecutionService.run_jobs`.
+:meth:`~repro.service.execution.ExecutionService.run_jobs`.  Each result is
+verified against the source's compiled plaintext check
+(:mod:`repro.ir.plaintext`), built once per circuit-memo entry.
 
 Every state transition is appended to the
 :class:`~repro.server.store.JobStore` (restart-safe: ``queued`` jobs are
@@ -38,12 +40,16 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from collections import OrderedDict, deque
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import backend_produces_outputs
 from repro.backends.registry import default_backend_name
-from repro.compiler.executor import declared_outputs, reference_output
+from repro.compiler.executor import declared_outputs, reference_check
+# Not called here: the server verifies through each memo entry's compiled
+# check.  The name stays importable because perfbench's layer tracer wraps
+# ``repro.server.server.reference_output``.
+from repro.compiler.executor import reference_output  # noqa: F401
 from repro.compiler.pipeline import CompilationReport
 from repro.compiler.registry import CompilerSpec
 from repro.fhe.params import BFVParameters
@@ -51,6 +57,7 @@ from repro.ir.analysis import variables
 from repro.ir.evaluate import output_arity
 from repro.ir.nodes import Expr
 from repro.ir.parser import parse
+from repro.ir.plaintext import PlaintextCheck
 from repro.obs.trace import NULL_TRACER, JsonlSpanSink, Span, Tracer, new_trace_id
 from repro.server.coalescer import CoalescedGroup, coalesce
 from repro.server.faults import FaultInjector
@@ -59,16 +66,56 @@ from repro.server.queue import ENQUEUED_AT_ATTR, JobQueue
 from repro.server.store import TRACE_NAME, JobStore
 from repro.server.telemetry import (
     LATENCY_BUCKETS,
+    Histogram,
     MetricsRegistry,
     SLOPolicy,
     SLOTracker,
 )
 from repro.api import sample_named_inputs
 from repro.service.cache import CompilationCache
-from repro.service.execution import ExecutionJob, ExecutionService
+from repro.service.execution import ExecutionBatchReport, ExecutionJob, ExecutionService
 from repro.service.service import CompilationService
 
 __all__ = ["JobServer"]
+
+
+class _CircuitEntry:
+    """One circuit-memo entry: what every job of one source shares.
+
+    ``check`` is the source's compiled plaintext reference
+    (:mod:`repro.ir.plaintext`), built on the first verification and kept
+    next to the expression, so the memo's capacity bounds it too.
+    """
+
+    __slots__ = ("circuit", "expr", "names", "_check")
+
+    def __init__(self, circuit: object, expr: Optional[Expr], names: List[str]) -> None:
+        self.circuit = circuit
+        #: Source expression; None for pre-lowered circuits (not verified).
+        self.expr = expr
+        self.names = names
+        self._check: Optional[PlaintextCheck] = None
+
+    def check(self, plain_modulus: int) -> PlaintextCheck:
+        if self._check is None:
+            self._check = reference_check(
+                self.expr,
+                slot_count=max(64, output_arity(self.expr) + 8),
+                plain_modulus=plain_modulus,
+            )
+        return self._check
+
+
+class _ExecutedBatch(NamedTuple):
+    """One backend's executed groups, waiting for ``commit_result``."""
+
+    groups: List[CoalescedGroup]
+    batch: ExecutionBatchReport
+    #: Whether the backend decrypts outputs worth checking.
+    verify: bool
+    #: Job id -> its circuit-memo entry (the plaintext check's owner).
+    circuits: Dict[str, _CircuitEntry]
+
 
 class JobServer:
     """A persistent-queue, batch-coalescing orchestration server.
@@ -130,7 +177,8 @@ class JobServer:
         Enable end-to-end tracing: every lifecycle stage (``submit``,
         ``admission``, ``persist``, ``queue_wait``, ``poll_store``,
         ``queue_drain``, ``coalesce``, ``backend_compile``, ``execute``,
-        ``commit_result``) emits spans into a bounded ring buffer,
+        ``commit_result`` with a ``verify`` sub-span per coalesced group)
+        emits spans into a bounded ring buffer,
         persisted to ``traces.jsonl`` under the state directory when one
         exists, plus per-job mirror spans forming one connected trace per
         submission.  Off by default (the disabled tracer's hot
@@ -181,8 +229,14 @@ class JobServer:
         else:
             self.tracer = NULL_TRACER
         self.tracing = self.tracer.enabled
+        #: ``(stage, seconds)`` of finished stage spans not yet folded into
+        #: their ``stage_<name>_s`` histograms (see _fold_stage_samples).
+        self._stage_samples: "deque[Tuple[str, float]]" = deque()
+        self._stage_histograms: Dict[str, Histogram] = {}
+        self.telemetry = MetricsRegistry()
         if self.tracer.enabled and self.tracer.observer is None:
             self.tracer.observer = self._observe_span
+            self.telemetry.add_collector(self._fold_stage_samples)
         #: The server-lifecycle trace every tick/stage span belongs to
         #: (per-job mirror spans belong to each job's own trace instead).
         self.trace_id = new_trace_id() if self.tracer.enabled else ""
@@ -192,7 +246,6 @@ class JobServer:
             per_priority_capacity=per_priority_capacity,
             aging_interval_s=aging_interval_s,
         )
-        self.telemetry = MetricsRegistry()
         self.slo = slo
         self.admission = admission
         self.admission_floor = admission_floor
@@ -215,10 +268,10 @@ class JobServer:
         self._jobs: Dict[str, Job] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
         self._job_done = threading.Condition(self._lock)
-        #: (compiler key, source) -> (circuit, expr, input names).  The hot
-        #: serving path: N queued users of one kernel must not pay N parses
-        #: and N cache-key hashes before coalescing even starts.
-        self._circuit_memo: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...], str], Tuple[object, Expr, List[str]]]" = OrderedDict()  # guarded-by: _lock
+        #: (compiler key, source) -> circuit, expr, input names and plaintext
+        #: check.  The hot serving path: N queued users of one kernel must
+        #: not pay N parses, cache-key hashes or check compiles.
+        self._circuit_memo: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...], str], _CircuitEntry]" = OrderedDict()  # guarded-by: _lock
         self._circuit_memo_cap = 4096
         self._compile_services: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], CompilationService] = {}
         self._execution_services: Dict[str, ExecutionService] = {}  # guarded-by: _lock
@@ -293,9 +346,28 @@ class JobServer:
         tight at serving timescales).
         """
         if span.cat == "stage":
-            self.telemetry.histogram(
-                f"stage_{span.name}_s", bounds=LATENCY_BUCKETS
-            ).observe(span.duration_s)
+            self._stage_samples.append((span.name, span.duration_s))
+
+    def _fold_stage_samples(self) -> None:
+        """Observe the queued stage durations into their histograms.
+
+        The observer runs after a span's end clock, so it only queues the
+        sample.  Submissions and ticks fold the queue inside their own
+        stages (which bounds it), and every telemetry snapshot folds it
+        first (a registry collector), so reads never lag.
+        """
+        samples = self._stage_samples
+        while samples:
+            try:
+                name, duration_s = samples.popleft()
+            except IndexError:  # drained by another thread since the check
+                return
+            histogram = self._stage_histograms.get(name)
+            if histogram is None:
+                histogram = self._stage_histograms[name] = self.telemetry.histogram(
+                    f"stage_{name}_s", bounds=LATENCY_BUCKETS
+                )
+            histogram.observe(duration_s)
 
     def _job_event(self, job: Job, name: str, *, status: str = "ok",
                    attrs: Optional[Dict[str, object]] = None) -> None:
@@ -354,6 +426,7 @@ class JobServer:
             start_wall=submit_wall,
             start_mono=submit_mono,
         ):
+            self._fold_stage_samples()
             self._count_submission(job)
             reason = self._admit(job)
             if reason is not None:
@@ -615,6 +688,8 @@ class JobServer:
                     trace_id=job.trace_id, parent_id=job.trace_root, cat="job",
                     attrs={"attempt": job.attempts, "priority": job.priority},
                 )
+        compile_jobs = [job for job in pending if job.kind == "compile"]
+        execute_jobs = [job for job in pending if job.kind == "execute"]
         if enabled:
             # queue_drain closes after the mark-running loop: draining the
             # queue and stamping/persist-staging the batch is one stage.
@@ -626,20 +701,31 @@ class JobServer:
 
         terminal = 0
         try:
-            compile_jobs = [job for job in pending if job.kind == "compile"]
-            execute_jobs = [job for job in pending if job.kind == "execute"]
             terminal += self._run_compile_jobs(compile_jobs, sink)
-            terminal += self._run_execute_jobs(execute_jobs, sink)
-            #: Crash-before-commit injection point: everything above ran but
-            #: none of it is durable yet; a fault here models the process dying
-            #: with the store still saying "queued".
-            self.faults.fire("server.before_commit")
-            self.store.append_records(sink)
+            failed, executed = self._run_execute_jobs(execute_jobs, sink)
+            terminal += failed
+            # One stage from the executed batches to the tick's bookkeeping:
+            # verify and build every result, persist the tick's records and
+            # fold the tick into telemetry.
+            with self.tracer.span("commit_result", attrs={"jobs": len(pending)}):
+                while executed:
+                    # Popped, so each batch's reports are freed in this stage.
+                    terminal += self._commit_batch(executed.pop(0), sink)
+                #: Crash-before-commit injection point: everything above ran
+                #: but none of it is durable yet; a fault here models the
+                #: process dying with the store still saying "queued".
+                self.faults.fire("server.before_commit")
+                self.store.append_records(sink)
+                self._account_tick(len(pending), tick_start)
         finally:
             if tick_span is not None:
                 tick_span.set_attr("terminal", terminal)
                 tick_span.__exit__(None, None, None)
+        return terminal
 
+    def _account_tick(self, jobs: int, tick_start: float) -> None:
+        """Fold a finished tick into telemetry and the admission cost."""
+        self._fold_stage_samples()
         self.telemetry.gauge("jobs_running").set(0)
         self._update_queue_depth()
         self._sync_tape_stats()
@@ -649,13 +735,12 @@ class JobServer:
         # (coalescing makes it an upper bound on marginal cost).  Compile
         # seconds stay out: a cold compile is paid once per circuit, and
         # counting it would price every later job at the cold-start figure.
-        per_job = max(0.0, wall - self._tick_compile_s) / len(pending)
+        per_job = max(0.0, wall - self._tick_compile_s) / jobs
         self._service_s_ewma = (
             per_job
             if self._service_s_ewma is None
             else 0.3 * per_job + 0.7 * self._service_s_ewma
         )
-        return terminal
 
     def _sync_tape_stats(self) -> None:
         """Fold the compiled-tape memo's counter deltas into telemetry.
@@ -708,16 +793,17 @@ class JobServer:
         finally:
             self._tick_compile_s += time.perf_counter() - start
 
-    def _compiled_circuit(self, job: Job) -> Tuple[object, Optional[Expr], List[str]]:
-        """``(circuit, source expression, input names)``, compiling if needed.
+    def _compiled_circuit(self, job: Job) -> _CircuitEntry:
+        """The job's circuit, source expression and input names, compiling
+        if needed.
 
         Memoized on ``(compiler configuration, source text)`` so a flood of
-        jobs for one kernel pays parsing/compile-cache hashing once; the
-        shared circuit *object* also lets the coalescer fingerprint each
-        distinct circuit once per tick.
+        jobs for one kernel pays parsing, compile-cache hashing and the
+        plaintext check's compile once; the shared circuit *object* also
+        carries one cached fingerprint for every tick.
         """
         if job.program is not None:
-            return job.program, None, list(job.program.scalar_inputs)
+            return _CircuitEntry(job.program, None, list(job.program.scalar_inputs))
         memo_key = (
             job.compiler or self.default_compiler,
             tuple(sorted(job.compiler_options.items())),
@@ -733,7 +819,7 @@ class JobServer:
         self.telemetry.counter("circuit_memo_misses").inc()
         expr = parse(job.source)
         report = self._compile(job, expr)
-        entry = (report.circuit, expr, list(variables(expr)))
+        entry = _CircuitEntry(report.circuit, expr, list(variables(expr)))
         if self.memoize_circuits:
             with self._lock:
                 self._circuit_memo[memo_key] = entry
@@ -786,57 +872,32 @@ class JobServer:
 
     def _run_execute_jobs(
         self, jobs: Sequence[Job], sink: List[Dict[str, object]]
-    ) -> int:
+    ) -> Tuple[int, List[_ExecutedBatch]]:
+        """Compile, coalesce and execute ``jobs``.
+
+        Returns the number of jobs that failed terminally on the way, plus
+        the executed backend batches for :meth:`_commit_batch`.
+        """
         terminal = 0
         entries = []
-        expressions: Dict[str, Optional[Expr]] = {}
+        circuits: Dict[str, _CircuitEntry] = {}
         with self.tracer.span("backend_compile", attrs={"jobs": len(jobs)}):
             for job in jobs:
                 try:
-                    program, expr, names = self._compiled_circuit(job)
-                    inputs = self._job_inputs(job, names)
+                    circuit = self._compiled_circuit(job)
+                    inputs = self._job_inputs(job, circuit.names)
                     backend_name = job.backend or self.default_backend
                     # Resolving the service now surfaces unknown-backend errors
                     # per job instead of failing the whole group later.
                     self._execution_service(backend_name)
-                    expressions[job.id] = expr
-                    entries.append((job, program, inputs, backend_name))
+                    circuits[job.id] = circuit
+                    entries.append((job, circuit.circuit, inputs, backend_name))
                 except Exception as error:
                     terminal += self._handle_failure(job, error, sink)
 
-        if self.coalesce:
-            groups = coalesce(entries, tracer=self.tracer)
-        else:
-            # Ablated: one group per job, as if the coalescer never existed
-            # (each still pays its own fingerprint hash — that cost is part
-            # of what coalescing amortizes).
-            groups = [
-                group
-                for entry in entries
-                for group in coalesce([entry], tracer=self.tracer)
-            ]
-        by_backend: Dict[str, List[CoalescedGroup]] = {}
-        for group in groups:
-            by_backend.setdefault(group.backend_key, []).append(group)
-
-        for backend_name, backend_groups in by_backend.items():
+        executed = []
+        for backend_name, backend_groups, exec_jobs in self._plan_batches(entries):
             service = self._execution_service(backend_name)
-            self.telemetry.counter("batches_total").inc(len(backend_groups))
-            for group in backend_groups:
-                self.telemetry.histogram("group_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)).observe(
-                    len(group.jobs)
-                )
-                if group.coalesced:
-                    self.telemetry.counter("batches_coalesced").inc()
-                    self.telemetry.counter("coalesced_jobs").inc(len(group.jobs))
-            exec_jobs = [
-                ExecutionJob(
-                    program=group.program,
-                    inputs=group.batched_inputs,
-                    name=group.jobs[0].label(),
-                )
-                for group in backend_groups
-            ]
             try:
                 self.faults.fire("server.slow_worker")
                 self.faults.fire("server.mid_batch")
@@ -846,37 +907,103 @@ class JobServer:
                     for job in group.jobs:
                         terminal += self._handle_failure(job, error, sink)
                 continue
-            self.telemetry.counter("executions_total").inc(batch.total_executions)
-            with self.tracer.span(
-                "commit_result",
-                attrs={"backend": backend_name, "groups": len(backend_groups)},
-            ):
-                for group, reports in zip(backend_groups, batch.reports):
-                    for job_index, (job, (lo, hi)) in enumerate(
-                        zip(group.jobs, group.slices())
-                    ):
-                        try:
-                            job.result = self._execution_result(
-                                job_index,
-                                group,
-                                reports[lo:hi],
-                                expressions.get(job.id),
-                            )
-                            terminal += self._finish(job, JobState.COMPLETED, sink)
-                        except Exception as error:
-                            terminal += self._handle_failure(job, error, sink)
+            verify = backend_produces_outputs(service.backend)
+            executed.append(_ExecutedBatch(backend_groups, batch, verify, circuits))
+        return terminal, executed
+
+    def _commit_batch(self, executed: _ExecutedBatch, sink: List[Dict[str, object]]) -> int:
+        """Verify one backend batch's groups and finish each member job."""
+        terminal = 0
+        self.telemetry.counter("executions_total").inc(executed.batch.total_executions)
+        for group, reports in zip(executed.groups, executed.batch.reports):
+            references = self._verify_group(group, executed.circuits, executed.verify)
+            for job_index, (job, (lo, hi)) in enumerate(zip(group.jobs, group.slices())):
+                try:
+                    job.result = self._execution_result(
+                        job_index, group, reports[lo:hi], references[job_index]
+                    )
+                    terminal += self._finish(job, JobState.COMPLETED, sink)
+                except Exception as error:
+                    terminal += self._handle_failure(job, error, sink)
         return terminal
+
+    def _plan_batches(
+        self, entries: Sequence[Tuple[Job, object, List[Dict[str, int]], str]]
+    ) -> List[Tuple[str, List[CoalescedGroup], List[ExecutionJob]]]:
+        """``(backend, groups, execution jobs)`` per backend, in first-use order.
+
+        The whole plan — grouping, batch telemetry and the per-group
+        :class:`~repro.service.execution.ExecutionJob` — is the ``coalesce``
+        stage.
+        """
+        with self.tracer.span("coalesce", attrs={"entries": len(entries)}) as span:
+            if self.coalesce:
+                groups = coalesce(entries)
+            else:
+                # Ablated: one group per job, as if the coalescer never existed.
+                groups = [group for entry in entries for group in coalesce([entry])]
+            by_backend: Dict[str, List[CoalescedGroup]] = {}
+            for group in groups:
+                by_backend.setdefault(group.backend_key, []).append(group)
+            plans = []
+            for backend_name, backend_groups in by_backend.items():
+                self.telemetry.counter("batches_total").inc(len(backend_groups))
+                for group in backend_groups:
+                    self.telemetry.histogram(
+                        "group_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
+                    ).observe(len(group.jobs))
+                    if group.coalesced:
+                        self.telemetry.counter("batches_coalesced").inc()
+                        self.telemetry.counter("coalesced_jobs").inc(len(group.jobs))
+                exec_jobs = [
+                    ExecutionJob(
+                        program=group.program,
+                        inputs=group.batched_inputs,
+                        name=group.jobs[0].label(),
+                    )
+                    for group in backend_groups
+                ]
+                plans.append((backend_name, backend_groups, exec_jobs))
+            span.set_attr("groups", len(groups))
+            span.set_attr(
+                "coalesced_jobs", sum(len(g.jobs) for g in groups if g.coalesced)
+            )
+        return plans
+
+    def _verify_group(
+        self,
+        group: CoalescedGroup,
+        circuits: Mapping[str, _CircuitEntry],
+        verify: bool,
+    ) -> List[object]:
+        """Each member job's plaintext references, under one ``verify`` span.
+
+        Per job: one reference list per input set, None when the job is not
+        verified (an accounting-only backend or a pre-lowered circuit), or
+        the exception the check raised, which fails that job alone when its
+        result is built.
+        """
+        references: List[object] = []
+        with self.tracer.span("verify", attrs={"jobs": len(group.jobs)}):
+            for job, inputs in zip(group.jobs, group.inputs_per_job):
+                circuit = circuits[job.id]
+                if not verify or circuit.expr is None:
+                    references.append(None)
+                    continue
+                try:
+                    check = circuit.check(self.params.plain_modulus)
+                    references.append([check.run(item) for item in inputs])
+                except Exception as error:
+                    references.append(error)
+        return references
 
     def _execution_result(
         self,
         job_index: int,
         group: CoalescedGroup,
         reports: Sequence[object],
-        expr: Optional[Expr],
+        references: object,
     ) -> Dict[str, object]:
-        with self._lock:
-            backend = self._execution_services[group.backend_key].backend
-        verified = backend_produces_outputs(backend) and expr is not None
         inputs = group.inputs_per_job[job_index]
         outputs = [
             declared_outputs(group.program, report.outputs) for report in reports
@@ -885,9 +1012,9 @@ class JobServer:
             "backend": group.backend_key,
             "inputs": [dict(item) for item in inputs],
             "outputs": outputs,
-            "coalesced_batch": len(group.batched_inputs),
+            "coalesced_batch": group.rows,
             "group_jobs": len(group.jobs),
-            "verified": verified,
+            "verified": references is not None,
         }
         if reports:
             head = reports[0]
@@ -895,17 +1022,9 @@ class JobServer:
             result["consumed_noise_budget"] = head.consumed_noise_budget
             result["remaining_noise_budget"] = head.remaining_noise_budget
             result["noise_budget_exhausted"] = head.noise_budget_exhausted
-        if verified:
-            slot_count = max(64, output_arity(expr) + 8)
-            references = [
-                reference_output(
-                    expr,
-                    item,
-                    slot_count=slot_count,
-                    plain_modulus=self.params.plain_modulus,
-                )
-                for item in inputs
-            ]
+        if isinstance(references, Exception):
+            raise references
+        if references is not None:
             result["references"] = references
             result["correct"] = outputs == references
         return result

@@ -13,7 +13,10 @@ Every job state change is appended to ``jobs.jsonl`` under the server's
   instance has seen.  No sockets, no daemons: the filesystem is the wire.
 
 ``state_dir=None`` gives an in-memory store with the same interface, used by
-purely in-process servers (tests, the benchmark load generator).
+purely in-process servers (tests, the benchmark load generator).  It keeps
+the record dicts :meth:`~repro.server.jobs.Job.to_record` built instead of
+round-tripping them through JSON; a rooted store writes the same bytes as
+ever.
 
 Appends and compaction hold an exclusive ``fcntl`` lock on a sidecar lock
 file on POSIX (not on the log itself, whose inode compaction replaces), so
@@ -168,13 +171,17 @@ class JobStore:
             self._append_records(records)
 
     def _append_records(self, records: Sequence[Dict[str, object]]) -> None:
+        if self.state_dir is None:
+            # to_record() builds each record from JSON values and nothing
+            # mutates it afterwards, so the log keeps it as built: a JSON
+            # round trip would only copy it into an equal dict.
+            with self._lock:
+                if self._offset == len(self._memory):
+                    self._offset += len(records)
+                self._memory.extend(records)
+            return
         lines = [json.dumps(record, sort_keys=True) for record in records]
         with self._lock:
-            if self.state_dir is None:
-                if self._offset == len(self._memory):
-                    self._offset += len(lines)
-                self._memory.extend(json.loads(line) for line in lines)
-                return
             lock_handle = self._locked_file()
             try:
                 fault = self.faults.fire("store.append") if self.faults is not None else None

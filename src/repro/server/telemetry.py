@@ -28,6 +28,7 @@ and the CLI need no new machinery.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -35,7 +36,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -244,17 +245,16 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
+        # The first bound >= value; past the last bound, the overflow slot.
+        slot = bisect.bisect_left(self.bounds, value)
         with self._lock:
-            slot = len(self.bounds)
-            for index, bound in enumerate(self.bounds):
-                if value <= bound:
-                    slot = index
-                    break
             self._buckets[slot] += 1
             self._count += 1
             self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:
@@ -455,6 +455,13 @@ class MetricsRegistry:
         #: ``meta`` block so consumers (``repro top``, ``repro metrics
         #: --watch/--delta``) can order snapshots and compute rates.
         self._sequence = 0  # guarded-by: _lock
+        #: Callables run before every snapshot, for owners that update
+        #: their instruments in batches.
+        self._collectors: List[Callable[[], None]] = []
+
+    def add_collector(self, collector: Callable[[], None]) -> None:
+        """Run ``collector`` before every :meth:`snapshot`."""
+        self._collectors.append(collector)
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -496,6 +503,8 @@ class MetricsRegistry:
         number, so two successive ``metrics.json`` reads can be turned into
         per-second rates.
         """
+        for collector in self._collectors:
+            collector()
         with self._lock:
             return {
                 "meta": {

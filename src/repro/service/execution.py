@@ -109,23 +109,19 @@ class ExecutionService:
         start = time.perf_counter()
         batch = ExecutionBatchReport(backend=self.backend_name)
         for job in jobs:
-            job = self._normalize_job(job)
-            record = ExecutionRecord(name=job.label(), batch_size=len(job.inputs))
-            with self.tracer.span(
-                "execute",
-                attrs={
-                    "backend": self.backend_name,
-                    "batch": record.batch_size,
-                    "name": record.name,
-                },
-            ):
+            # The span covers the job's bookkeeping too, not just the backend.
+            with self.tracer.span("execute", attrs={"backend": self.backend_name}) as span:
+                job = self._normalize_job(job)
+                record = ExecutionRecord(name=job.label(), batch_size=len(job.inputs))
+                span.set_attr("batch", record.batch_size)
+                span.set_attr("name", record.name)
                 job_start = time.perf_counter()
                 reports = self.backend.execute_many(
                     job.program, list(job.inputs), params=self.params
                 )
                 record.wall_time_s = time.perf_counter() - job_start
-            batch.records.append(record)
-            batch.reports.append(reports)
+                batch.records.append(record)
+                batch.reports.append(reports)
         batch.wall_time_s = time.perf_counter() - start
         return batch
 

@@ -290,6 +290,73 @@ class TestProgramFingerprint:
         _, other = next((b, r) for b, r in compiled_suite if b.name == "dot_product_8")
         assert program_fingerprint(circuit) != program_fingerprint(other.circuit)
 
+    @staticmethod
+    def _copy(circuit):
+        from repro.compiler.circuit import CircuitProgram
+
+        return CircuitProgram(
+            name=circuit.name,
+            instructions=list(circuit.instructions),
+            outputs=list(circuit.outputs),
+            scalar_inputs=list(circuit.scalar_inputs),
+        )
+
+    def test_emit_and_mark_output_clear_the_cached_digest(self, compiled_suite):
+        from repro.compiler.circuit import Opcode, content_digest
+
+        _, report = next((b, r) for b, r in compiled_suite if b.name == "dot_product_4")
+        circuit = self._copy(report.circuit)
+        first = program_fingerprint(circuit)
+        register = circuit.emit(Opcode.NEGATE, (circuit.outputs[0][0],))
+        emitted = program_fingerprint(circuit)
+        assert emitted != first and emitted == content_digest(circuit)
+        circuit.mark_output(register, "negated", 1)
+        marked = program_fingerprint(circuit)
+        assert marked not in (first, emitted) and marked == content_digest(circuit)
+
+    def test_renamed_and_pickled_copies_share_the_digest(self, compiled_suite):
+        import dataclasses
+        import pickle
+
+        from repro.service.service import _rename_report
+
+        _, report = next((b, r) for b, r in compiled_suite if b.name == "max_3")
+        digest = program_fingerprint(report.circuit)
+        renamed = _rename_report(report, "renamed").circuit
+        assert renamed.name == "renamed"
+        assert program_fingerprint(renamed) == digest
+        assert program_fingerprint(dataclasses.replace(report.circuit, name="x")) == digest
+        restored = pickle.loads(pickle.dumps(report.circuit))
+        assert program_fingerprint(restored) == digest
+        # The cache is not part of equality or the repr.
+        assert restored == self._copy(report.circuit)
+        assert digest not in repr(report.circuit)
+
+    def test_warm_server_ticks_hash_each_circuit_at_most_once(self, monkeypatch):
+        import repro.compiler.circuit as circuit_module
+        from repro.server import Job, JobServer
+
+        hashed = []
+        original = circuit_module.content_digest
+
+        def counting(program):
+            hashed.append(program)
+            return original(program)
+
+        monkeypatch.setattr(circuit_module, "content_digest", counting)
+        server = JobServer(backend="vector-vm", compiler="initial")
+        sources = ["(+ (* a b) c)", "(Vec (* a b) (- c d))", "(* (+ a b) (+ c d))"]
+        for round_ in range(3):
+            for user in range(4):
+                for source in sources:
+                    server.submit(Job(source=source, seed=round_ * 10 + user))
+            server.drain()
+        counters = server.telemetry.snapshot()["counters"]
+        assert counters["jobs_completed"] == 36
+        assert counters["batches_coalesced"] == 9
+        # One digest per distinct circuit over every coalesce and tape lookup.
+        assert len(hashed) == len({id(program) for program in hashed}) == len(sources)
+
 
 # ---------------------------------------------------------------------------
 # the batched execution service

@@ -324,6 +324,30 @@ class TestStageRollup:
         assert rollup["coverage"] == 0.0
         assert "0 spans" in render_stage_report(rollup)
 
+    def test_commit_result_holds_one_verify_span_per_group_and_the_persist(self):
+        server = JobServer(backend="vector-vm", tracer=Tracer())
+        for seed in range(3):
+            server.submit(Job(source=SOURCE, seed=seed))
+            server.submit(Job(source="(* (+ a b) (+ c d))", seed=seed))
+        server.drain()
+        spans = server.tracer.spans(cat="stage")
+        commit, = [span for span in spans if span.name == "commit_result"]
+        verify = [span for span in spans if span.name == "verify"]
+        assert [span.attrs["jobs"] for span in verify] == [3, 3]
+        assert {span.parent_id for span in verify} == {commit.span_id}
+        tick_persist = [
+            span for span in spans
+            if span.name == "persist" and span.parent_id == commit.span_id
+        ]
+        assert len(tick_persist) == 1
+        # Stage samples queued by the observer reach the histograms by the
+        # time a snapshot is read.
+        histograms = server.telemetry.snapshot()["histograms"]
+        assert histograms["stage_verify_s"]["count"] == 2
+        assert histograms["stage_commit_result_s"]["count"] == 1
+        assert histograms["stage_submit_s"]["count"] == 6
+        server.close()
+
 
 # ---------------------------------------------------------------------------
 # console + snapshot meta
