@@ -11,6 +11,9 @@ it and checks the invariants CI cares about:
   batch sizes add up (one vector-VM tape pass served N queued users);
 * results survive a server restart (the JSONL store replays them);
 * a job submitted through the store by a "client" process is picked up;
+* one malformed execute job (an input missing) fails alone: every job
+  drained in the same tick, including those sharing its circuit, still
+  completes verified correct;
 * record parity: one fixed submission script run on an in-memory server
   and on a state-dir server leaves byte-identical job records (volatile
   fields masked), including ``result.outputs``, ``references`` and
@@ -74,6 +77,27 @@ def masked_records(records: list) -> str:
             record["result"] = dict(record["result"], compile_time_s=None)
         lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines)
+
+
+def malformed_job_isolation(backend: str) -> str:
+    """Drain one tick mixing valid jobs with a job missing an input; return a
+    failure reason, or "" when only the malformed job failed."""
+    server = JobServer(backend=backend)
+    valid = [Job(source="(+ (* a b) c)", seed=user) for user in range(5)]
+    valid += [Job(source="(* a b)", seed=user) for user in range(3)]
+    bad = Job(source="(+ (* a b) c)", inputs={"a": 1, "b": 2})
+    for job in valid[:5] + [bad] + valid[5:]:
+        server.submit(job)
+    server.drain()
+    server.close()
+    if bad.status.value != "failed" or "missing value for program input 'c'" not in (
+        bad.error or ""
+    ):
+        return f"malformed job ended {bad.status.value}: {bad.error}"
+    for job in valid:
+        if job.status.value != "completed" or not (job.result or {}).get("correct"):
+            return f"job {job.id} ended {job.status.value}: {job.error}"
+    return ""
 
 
 def record_parity(state_dir: str) -> str:
@@ -169,6 +193,12 @@ def main() -> int:
             f"jobs={expected} coalesced_batches={int(coalesced_batches)} "
             f"coalesced_jobs={int(coalesced_jobs)} backend={args.backend}"
         )
+
+    failure = malformed_job_isolation(args.backend)
+    if failure:
+        print(f"FAIL: malformed-job isolation: {failure}", file=sys.stderr)
+        return 1
+    print("malformed job: failed alone; every other job of its tick verified correct")
 
     with tempfile.TemporaryDirectory(prefix="repro-server-parity-") as state_dir:
         failure = record_parity(state_dir)

@@ -157,7 +157,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="compiler factory option (repeatable)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="process-pool workers for batches")
     parser.add_argument("--cache-dir", default=None, help="directory for the on-disk cache tier")
 
 
@@ -177,6 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_parser.add_argument(
         "--json", action="store_true", help="emit the machine-readable report(s)"
+    )
+    compile_parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool workers for a multi-source batch",
     )
     _add_common(compile_parser)
 
@@ -1067,7 +1072,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sources[0],
                 args.compiler,
                 name=args.name,
-                workers=args.workers,
                 cache_dir=args.cache_dir,
                 **options,
             )
@@ -1104,7 +1108,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             input_range=args.input_range,
             name=args.name,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             **options,
         )
@@ -1130,7 +1133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             input_range=args.input_range,
             name=args.name,
             compiler=args.compiler,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             **options,
         )

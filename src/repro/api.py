@@ -20,7 +20,8 @@ registry name (with ``**options`` forwarded to the factory), by
 :class:`~repro.compiler.registry.CompilerSpec`, or by a live compiler
 object.  Every compilation runs through the
 :class:`~repro.service.service.CompilationService`, so ``cache_dir`` gives
-cross-process disk caching and ``workers`` fans batches out over a
+cross-process disk caching, and :func:`compile_batch` (the one entry point
+holding several jobs) takes ``workers`` to fan them out over a
 cost-balanced process pool.  Execution runs on a named
 :class:`~repro.backends.base.ExecutionBackend` (``reference``,
 ``vector-vm``, ``cost-sim``); ``python -m repro`` exposes the same facade on
@@ -125,11 +126,18 @@ def make_service(
     **options: object,
 ) -> CompilationService:
     """A :class:`CompilationService` for a named (or given) compiler."""
+    return CompilationService(
+        _with_options(compiler, options), workers=workers, cache=cache, cache_dir=cache_dir
+    )
+
+
+def _with_options(compiler: object, options: Mapping[str, object]) -> object:
+    """``compiler`` with factory ``options`` folded into a registry spec."""
     if isinstance(compiler, str) and options:
-        compiler = CompilerSpec.create(compiler, **options)
-    elif options:
+        return CompilerSpec.create(compiler, **options)
+    if options:
         raise ValueError("compiler options require a registry name, not an instance")
-    return CompilationService(compiler, workers=workers, cache=cache, cache_dir=cache_dir)
+    return compiler
 
 
 def compile(
@@ -137,7 +145,6 @@ def compile(
     compiler: Union[str, CompilerSpec, object, None] = None,
     *,
     name: Optional[str] = None,
-    workers: int = 1,
     cache: Optional[CompilationCache] = None,
     cache_dir: Optional[str] = None,
     service: Optional[CompilationService] = None,
@@ -148,25 +155,25 @@ def compile(
 
     ``compiler`` defaults to ``"greedy"``.  Pass ``service=`` to reuse an
     existing :class:`CompilationService` (its compiler and cache then apply,
-    so combining it with ``compiler``/``workers``/``cache`` arguments is an
-    error rather than a silent override).
+    so combining it with ``compiler``/``cache`` arguments is an error rather
+    than a silent override, and compiler options are unexpected keywords).
 
     Returns the same :class:`CompilationReport` (stats, costs, rewrite steps,
     pipeline trace, SEAL codegen) every compiler in the repo produces.
     """
     expr, suggested = to_expression(source)
     if service is not None:
-        if compiler is not None or options or cache is not None or cache_dir is not None or workers != 1:
-            raise ValueError(
-                "pass either service= or compiler/options/workers/cache arguments, not both"
-            )
+        if options:
+            raise TypeError(f"compile() with service= got unexpected keywords {sorted(options)}")
+        if compiler is not None or cache is not None or cache_dir is not None:
+            raise ValueError("pass either service= or compiler/cache arguments, not both")
     else:
-        service = make_service(
-            compiler if compiler is not None else "greedy",
-            workers=workers,
+        # Not make_service: it would take a stray workers= as its own, and a
+        # single program gives its process pool nothing to pack.
+        service = CompilationService(
+            _with_options(compiler if compiler is not None else "greedy", options),
             cache=cache,
             cache_dir=cache_dir,
-            **options,
         )
     return service.compile_expression(
         expr, name=name or suggested or "circuit", verify=verify
@@ -302,6 +309,23 @@ def _sample_inputs(expr: Expr, seed: int, input_range: int = 7) -> Dict[str, int
     return sample_named_inputs(variables(expr), seed, input_range)
 
 
+def _report_for(
+    source: Union[Source, CompilationReport],
+    compiler: Union[str, CompilerSpec, object, None],
+    name: Optional[str],
+    cache: Optional[CompilationCache],
+    cache_dir: Optional[str],
+    options: Mapping[str, object],
+) -> CompilationReport:
+    """``source`` compiled through :func:`compile`, or the given report
+    (which takes no compiler options)."""
+    if not isinstance(source, CompilationReport):
+        return compile(source, compiler, name=name, cache=cache, cache_dir=cache_dir, **options)
+    if options:
+        raise TypeError(f"a compiled report got unexpected keywords {sorted(options)}")
+    return source
+
+
 def execute(
     source: Union[Source, CompilationReport],
     inputs: Optional[Mapping[str, int]] = None,
@@ -311,7 +335,6 @@ def execute(
     seed: int = 0,
     input_range: int = 7,
     name: Optional[str] = None,
-    workers: int = 1,
     cache: Optional[CompilationCache] = None,
     cache_dir: Optional[str] = None,
     **options: object,
@@ -326,18 +349,7 @@ def execute(
     :attr:`RunOutcome.correct`); accounting-only backends skip verification
     because they decrypt nothing.
     """
-    if isinstance(source, CompilationReport):
-        report = source
-    else:
-        report = compile(
-            source,
-            compiler,
-            name=name,
-            workers=workers,
-            cache=cache,
-            cache_dir=cache_dir,
-            **options,
-        )
+    report = _report_for(source, compiler, name, cache, cache_dir, options)
     expr = report.source_expr
     if inputs is None:
         inputs = _sample_inputs(expr, seed=seed, input_range=input_range)
@@ -375,7 +387,6 @@ def execute_batch(
     seed: int = 0,
     input_range: int = 7,
     name: Optional[str] = None,
-    workers: int = 1,
     cache: Optional[CompilationCache] = None,
     cache_dir: Optional[str] = None,
     **options: object,
@@ -391,18 +402,7 @@ def execute_batch(
     instruction tape serves the entire batch — and each input set is
     verified against its own plaintext reference.
     """
-    if isinstance(source, CompilationReport):
-        report = source
-    else:
-        report = compile(
-            source,
-            compiler,
-            name=name,
-            workers=workers,
-            cache=cache,
-            cache_dir=cache_dir,
-            **options,
-        )
+    report = _report_for(source, compiler, name, cache, cache_dir, options)
     expr = report.source_expr
     if inputs is None:
         if batch < 1:
@@ -457,7 +457,6 @@ def serve(
     *,
     backend: Optional[str] = None,
     compiler: str = "greedy",
-    compile_workers: int = 1,
     cache_dir: Optional[str] = None,
     poll_interval: float = 0.05,
     queue_capacity: Optional[int] = None,
@@ -490,7 +489,6 @@ def serve(
         state_dir,
         backend=backend,
         compiler=compiler,
-        compile_workers=compile_workers,
         cache_dir=cache_dir,
         poll_interval=poll_interval,
         queue_capacity=queue_capacity,
@@ -687,7 +685,6 @@ def run_workload(
     seed: int = 0,
     compiler: Union[str, CompilerSpec, object, None] = None,
     backend: Union[str, BackendSpec, object, None] = None,
-    workers: int = 1,
     cache: Optional[CompilationCache] = None,
     cache_dir: Optional[str] = None,
     **options: object,
@@ -716,7 +713,6 @@ def run_workload(
         compiler=compiler if compiler is not None else resolved.compiler,
         backend=backend if backend is not None else resolved.backend,
         name=resolved.name,
-        workers=workers,
         cache=cache,
         cache_dir=cache_dir,
     )

@@ -87,7 +87,8 @@ class BenchmarkRunner:
     configured compiler is wrapped in a service sharing one
     :class:`CompilationCache`, so repeated runs (and kernels shared between
     experiments) skip recompilation, and ``workers > 1`` fans each
-    compiler's jobs out across a cost-balanced process pool.
+    compiler's batch of kernels out across a cost-balanced process pool.
+    Execution runs every result row directly on the configured backend.
     """
 
     def __init__(
@@ -99,7 +100,6 @@ class BenchmarkRunner:
         workers: int = 1,
         cache: Optional[CompilationCache] = None,
         cache_dir: Optional[str] = None,
-        server: Optional[object] = None,
     ) -> None:
         """``compilers`` maps a label to a compiler.
 
@@ -110,17 +110,10 @@ class BenchmarkRunner:
         stable across processes.  ``backend`` names the execution backend
         every result row runs on (resolved through the backend registry;
         None follows the ``REPRO_BACKEND``/``reference`` default).
-
-        ``server`` (a :class:`~repro.server.server.JobServer`) reroutes the
-        execution phase through the job-orchestration server instead: each
-        result row is submitted as a pre-compiled execute job, so the
-        harness doubles as a load generator for the server's coalescing
-        scheduler (identical circuits across rows share one backend batch).
         """
         if not compilers:
             raise ValueError("BenchmarkRunner needs at least one compiler")
         self.input_seed = input_seed
-        self.server = server
         self.backend, _ = resolve_backend(backend)
         self.backend_name = getattr(self.backend, "name", type(self.backend).__name__)
         self.cache = cache if cache is not None else CompilationCache(directory=cache_dir)
@@ -150,31 +143,6 @@ class BenchmarkRunner:
             correct = list(output) == list(reference)
         else:
             correct = True  # vacuous: accounting-only backends decrypt nothing
-        return self._build_result(
-            benchmark,
-            label,
-            report,
-            verified=verified,
-            correct=correct,
-            latency_ms=execution.latency_ms,
-            consumed_noise_budget=execution.consumed_noise_budget,
-            remaining_noise_budget=execution.remaining_noise_budget,
-            noise_budget_exhausted=execution.noise_budget_exhausted,
-        )
-
-    def _build_result(
-        self,
-        benchmark: Benchmark,
-        label: str,
-        report: CompilationReport,
-        *,
-        verified: bool,
-        correct: bool,
-        latency_ms: float,
-        consumed_noise_budget: float,
-        remaining_noise_budget: float,
-        noise_budget_exhausted: bool,
-    ) -> BenchmarkResult:
         stats = report.stats
         return BenchmarkResult(
             benchmark=benchmark.name,
@@ -182,10 +150,10 @@ class BenchmarkRunner:
             backend=self.backend_name,
             verified=verified,
             compile_time_s=report.compile_time_s,
-            execution_latency_ms=latency_ms,
-            consumed_noise_budget=consumed_noise_budget,
-            remaining_noise_budget=remaining_noise_budget,
-            noise_budget_exhausted=noise_budget_exhausted,
+            execution_latency_ms=execution.latency_ms,
+            consumed_noise_budget=execution.consumed_noise_budget,
+            remaining_noise_budget=execution.remaining_noise_budget,
+            noise_budget_exhausted=execution.noise_budget_exhausted,
             correct=correct,
             depth=stats.depth,
             mult_depth=stats.mult_depth,
@@ -211,8 +179,7 @@ class BenchmarkRunner:
         ``workloads`` holds registry names (``"dot-product"``) or built
         :class:`~repro.workloads.registry.Workload` objects; each is adapted
         to a :class:`Benchmark` (same seeded input sampling, same plaintext
-        reference) and run through the exact :meth:`run` path — including
-        ``server=`` load-generator routing when configured.
+        reference) and run through the exact :meth:`run` path.
         """
         from repro.workloads.registry import get_workload
 
@@ -237,8 +204,6 @@ class BenchmarkRunner:
             batch = service.compile_batch(jobs)
             self.last_batch_reports[label] = batch
             per_label_reports[label] = batch.reports
-        if self.server is not None:
-            return self._run_through_server(suite, per_label_reports)
         for index, benchmark in enumerate(suite):
             inputs = benchmark.sample_inputs(seed=self.input_seed)
             reference = benchmark.reference(inputs)
@@ -247,57 +212,6 @@ class BenchmarkRunner:
                 results.append(
                     self._make_result(benchmark, label, report, reference, inputs)
                 )
-        return results
-
-    def _run_through_server(
-        self,
-        suite: Sequence[Benchmark],
-        per_label_reports: Mapping[str, List[CompilationReport]],
-    ) -> List[BenchmarkResult]:
-        """Execution phase via the job-orchestration server (load-generator
-        mode): one pre-compiled execute job per result row, coalesced by the
-        server wherever rows share a circuit, verified here against the
-        plaintext reference exactly like the direct path."""
-        from repro.server.jobs import Job
-
-        rows = []
-        for index, benchmark in enumerate(suite):
-            inputs = benchmark.sample_inputs(seed=self.input_seed)
-            reference = benchmark.reference(inputs)
-            for label in self.services:
-                report = per_label_reports[label][index]
-                job = Job(
-                    kind="execute",
-                    program=report.circuit,
-                    inputs={key: int(value) for key, value in inputs.items()},
-                    backend=self.backend_name,
-                    name=f"{benchmark.name}/{label}",
-                )
-                self.server.submit(job)
-                rows.append((job, benchmark, label, report, reference))
-        self.server.drain()
-        results: List[BenchmarkResult] = []
-        verified = backend_produces_outputs(self.backend)
-        for job, benchmark, label, report, reference in rows:
-            payload = self.server.result(job.id, wait=True, timeout=300.0)
-            if verified:
-                outputs = payload["outputs"][0]
-                correct = list(outputs) == list(reference)
-            else:
-                correct = True  # vacuous: accounting-only backends decrypt nothing
-            results.append(
-                self._build_result(
-                    benchmark,
-                    label,
-                    report,
-                    verified=verified,
-                    correct=correct,
-                    latency_ms=payload.get("latency_ms", 0.0),
-                    consumed_noise_budget=payload.get("consumed_noise_budget", 0.0),
-                    remaining_noise_budget=payload.get("remaining_noise_budget", 0.0),
-                    noise_budget_exhausted=payload.get("noise_budget_exhausted", False),
-                )
-            )
         return results
 
     # -- summaries -------------------------------------------------------------------

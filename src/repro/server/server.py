@@ -52,6 +52,7 @@ from repro.compiler.executor import declared_outputs, reference_check
 from repro.compiler.executor import reference_output  # noqa: F401
 from repro.compiler.pipeline import CompilationReport
 from repro.compiler.registry import CompilerSpec
+from repro.core.exceptions import CompilationError
 from repro.fhe.params import BFVParameters
 from repro.ir.analysis import variables
 from repro.ir.evaluate import output_arity
@@ -87,13 +88,14 @@ class _CircuitEntry:
     next to the expression, so the memo's capacity bounds it too.
     """
 
-    __slots__ = ("circuit", "expr", "names", "_check")
+    __slots__ = ("circuit", "expr", "names", "name_set", "_check")
 
     def __init__(self, circuit: object, expr: Optional[Expr], names: List[str]) -> None:
         self.circuit = circuit
         #: Source expression; None for pre-lowered circuits (not verified).
         self.expr = expr
         self.names = names
+        self.name_set = frozenset(names)
         self._check: Optional[PlaintextCheck] = None
 
     def check(self, plain_modulus: int) -> PlaintextCheck:
@@ -104,6 +106,26 @@ class _CircuitEntry:
                 plain_modulus=plain_modulus,
             )
         return self._check
+
+    def input_set(self, job: Job) -> Dict[str, int]:
+        """``job``'s inputs for this circuit: sampled from its seed, or its
+        explicit inputs checked with the backends' own messages, so a
+        malformed job fails alone rather than the batch it would join."""
+        inputs = job.inputs
+        if inputs is None:
+            return sample_named_inputs(self.names, job.seed, job.input_range)
+        # The per-name walk only runs when the C-level set checks (every
+        # name present, every value a plain int) fail.
+        if not (inputs.keys() >= self.name_set and {int}.issuperset(map(type, inputs.values()))):
+            for name in self.names:
+                value = inputs.get(name)
+                if value is None:
+                    raise CompilationError(f"missing value for program input {name!r}")
+                if isinstance(value, (list, tuple)):
+                    raise CompilationError(
+                        f"input {name!r} is packed slot-wise and must be a scalar"
+                    )
+        return dict(inputs)
 
 
 class _ExecutedBatch(NamedTuple):
@@ -130,8 +152,6 @@ class JobServer:
         to the ``REPRO_BACKEND``/``reference`` default).
     compiler:
         Default compiler registry name for jobs that do not name one.
-    compile_workers:
-        Process-pool workers for the compilation services.
     params:
         BFV parameters every execution runs under (defaults to the paper's).
     poll_interval:
@@ -196,7 +216,6 @@ class JobServer:
         *,
         backend: Optional[str] = None,
         compiler: str = "greedy",
-        compile_workers: int = 1,
         cache: Optional[CompilationCache] = None,
         cache_dir: Optional[str] = None,
         params: Optional[BFVParameters] = None,
@@ -261,7 +280,6 @@ class JobServer:
         self._store_skips_seen = 0
         self.default_backend = backend or default_backend_name()
         self.default_compiler = compiler
-        self.compile_workers = compile_workers
         self.params = params if params is not None else BFVParameters.default()
         self.poll_interval = poll_interval
         self.cache = cache if cache is not None else CompilationCache(directory=cache_dir)
@@ -777,9 +795,7 @@ class JobServer:
         service = self._compile_services.get(key)
         if service is None:
             spec = CompilerSpec.create(name, **job.compiler_options)
-            service = CompilationService(
-                spec, workers=self.compile_workers, cache=self.cache
-            )
+            service = CompilationService(spec, cache=self.cache)
             self._compile_services[key] = service
         return service
 
@@ -865,11 +881,6 @@ class JobServer:
                 self._execution_services[backend_name] = service
             return service
 
-    def _job_inputs(self, job: Job, input_names: Sequence[str]) -> List[Dict[str, int]]:
-        if job.inputs is not None:
-            return [dict(job.inputs)]
-        return [sample_named_inputs(input_names, job.seed, job.input_range)]
-
     def _run_execute_jobs(
         self, jobs: Sequence[Job], sink: List[Dict[str, object]]
     ) -> Tuple[int, List[_ExecutedBatch]]:
@@ -885,7 +896,7 @@ class JobServer:
             for job in jobs:
                 try:
                     circuit = self._compiled_circuit(job)
-                    inputs = self._job_inputs(job, circuit.names)
+                    inputs = [circuit.input_set(job)]
                     backend_name = job.backend or self.default_backend
                     # Resolving the service now surfaces unknown-backend errors
                     # per job instead of failing the whole group later.

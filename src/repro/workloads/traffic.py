@@ -337,7 +337,6 @@ def run_server_traffic(
     *,
     server: Optional[object] = None,
     state_dir: Optional[str] = None,
-    compile_workers: int = 1,
     compiler: str = "greedy",
     check_oracle: bool = True,
     result_timeout: float = 300.0,
@@ -364,9 +363,7 @@ def run_server_traffic(
 
     owned = server is None
     if server is None:
-        server = JobServer(
-            state_dir, compiler=compiler, compile_workers=compile_workers
-        )
+        server = JobServer(state_dir, compiler=compiler)
     open_loop = any(arrival.at_s > 0.0 for arrival in schedule)
     job_ids: List[str] = []
     start = time.perf_counter()
@@ -445,7 +442,6 @@ def run_server_traffic(
 def run_direct_traffic(
     schedule: Sequence[Arrival],
     *,
-    workers: int = 1,
     cache: Optional[object] = None,
     check_oracle: bool = True,
 ) -> TrafficReport:
@@ -474,7 +470,6 @@ def run_direct_traffic(
             compiler=head.compiler,
             backend=head.backend,
             name=head.workload.name,
-            workers=workers,
             cache=cache,
         )
         for position, arrival in enumerate(members):
@@ -530,7 +525,6 @@ def run_closed_loop_traffic(
     *,
     server: Optional[object] = None,
     state_dir: Optional[str] = None,
-    compile_workers: int = 1,
     compiler: str = "greedy",
     seed: int = 0,
 ) -> TrafficReport:
@@ -568,9 +562,7 @@ def run_closed_loop_traffic(
 
     owned = server is None
     if server is None:
-        server = JobServer(
-            state_dir, compiler=compiler, compile_workers=compile_workers
-        )
+        server = JobServer(state_dir, compiler=compiler)
     user_seeds = np.random.SeedSequence(seed).spawn(config.users)
     submissions: List[List[Tuple[str, str]]] = [[] for _ in range(config.users)]
     errors: List[BaseException] = []

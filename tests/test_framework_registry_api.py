@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -342,7 +343,9 @@ class TestApiFacade:
         service = api.make_service("initial")
         with pytest.raises(ValueError, match="not both"):
             repro.compile(EXPR, "coyote", service=service)
-        with pytest.raises(ValueError, match="not both"):
+        # workers= is gone from compile(): with service= it is an unexpected
+        # keyword, not a conflicting setting.
+        with pytest.raises(TypeError, match="workers"):
             repro.compile(EXPR, service=service, workers=2)
         # A bare service= is the supported reuse path.
         report = repro.compile(EXPR, service=service)
@@ -357,6 +360,26 @@ class TestApiFacade:
         assert outcome.outputs == declared_outputs(
             report.circuit, outcome.execution.outputs
         )
+
+    def test_single_program_entry_points_take_no_workers(self):
+        # Only compile_batch holds a batch for the process pool. The
+        # single-program entry points pass workers= on as a compiler (or
+        # workload) factory option, which the factory rejects; beside a
+        # compiled report it is rejected outright.
+        report = repro.compile(EXPR, compiler="initial")
+        calls = (
+            lambda: repro.compile(EXPR, compiler="initial", workers=2),
+            lambda: repro.execute(EXPR, compiler="initial", workers=2),
+            lambda: repro.execute(report, workers=2),
+            lambda: repro.execute_batch(EXPR, compiler="initial", workers=2),
+            lambda: repro.execute_batch(report, workers=2),
+            lambda: repro.run_workload("dot-product", workers=2),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="workers"):
+                call()
+        batch = api.compile_batch([EXPR, "(* a b)"], compiler="initial", workers=2)
+        assert batch.workers == 2 and len(batch.reports) == 2
 
     def test_cli_value_parser_handles_shell_booleans(self):
         from repro.__main__ import _parse_value
@@ -481,6 +504,19 @@ class TestCli:
         )
         assert completed.returncode == 0
         assert "OK" in completed.stdout
+
+    def test_workers_is_a_compile_flag_only(self, capsys):
+        from repro.__main__ import main
+
+        for command in ("run", "run-batch"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "(+ a b)", "--workers", "2"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        argv = ["compile", "(+ a b)", "(* a b)", "--compiler", "initial", "--workers", "2"]
+        assert main([*argv, "--json"]) == 0
+        batch = json.loads(capsys.readouterr().out)["batch"]
+        assert batch["workers"] == 2 and batch["jobs"] == 2
 
     def test_compile_with_cache_dir_and_options(self, tmp_path):
         argv = (

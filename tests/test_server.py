@@ -4,10 +4,10 @@ Covers the job model (JSON round-trip including the circuit codec), the
 persistent JSONL store (replay, cross-process polling, compaction, crash
 recovery), the priority queue, the batch coalescer, the :class:`JobServer`
 lifecycle (mixed workloads, coalescing telemetry, retries, priorities,
-background serving), the ``repro.api`` client surface
-(``serve``/``submit``/``status``/``result``), the server CLI, the
-``BenchmarkRunner(server=...)`` load-generator routing, admission control
-and the ``seed``/``input_range`` parameters of
+background serving, per-job input validation), the ``repro.api`` client
+surface (``serve``/``submit``/``status``/``result``, with server results
+matching ``api.execute_batch`` on outputs and FHE accounting), the server
+CLI, admission control and the ``seed``/``input_range`` parameters of
 ``api.execute``/``api.execute_batch``.
 """
 
@@ -24,7 +24,7 @@ from repro.__main__ import main as cli_main
 from repro.compiler import build_compiler
 from repro.fhe.params import BFVParameters
 from repro.ir.printer import to_sexpr
-from repro.kernels.registry import benchmark_by_name, small_benchmark_suite
+from repro.kernels.registry import benchmark_by_name
 from repro.server import (
     CoalescedGroup,
     Job,
@@ -518,6 +518,29 @@ class TestJobServer:
         assert counters["jobs_completed"] == 3
         assert flaky.attempts == 3
 
+    def test_malformed_execute_job_fails_alone(self):
+        """A job missing an input (or giving a list for a scalar) fails on
+        its own; the jobs it would have shared a backend batch with still
+        complete and verify."""
+        server = make_server()
+        good = [server.submit(Job(source="(+ (* a b) c)", seed=seed)) for seed in range(5)]
+        missing = server.submit(Job(source="(+ (* a b) c)", inputs={"a": 1, "b": 2}))
+        packed = server.submit(Job(source="(* a b)", inputs={"a": [1, 2], "b": 3}))
+        good += [server.submit(Job(source="(* a b)", seed=seed)) for seed in range(3)]
+        assert server.drain() == 10
+        for job_id in good:
+            assert server.status(job_id)["status"] == "completed"
+            assert server.result(job_id)["correct"]
+        for job_id, message in (
+            (missing, "missing value for program input 'c'"),
+            (packed, "input 'a' is packed slot-wise and must be a scalar"),
+        ):
+            job = server.get(job_id)
+            assert job.status is JobState.FAILED
+            assert job.error.startswith(f"CompilationError: {message}")
+        counters = server.telemetry.snapshot()["counters"]
+        assert counters["jobs_completed"] == 8 and counters["jobs_failed"] == 2
+
     def test_duplicate_submission_rejected(self):
         server = make_server()
         job = Job(source=SOURCE)
@@ -622,10 +645,14 @@ class TestJobServer:
         assert served == direct
 
     def test_workers_validation(self):
-        # Execution has one serial path: the worker-count option is gone.
+        # Execution has one serial path and the server compiles one job at a
+        # time, so neither worker-count option exists.
         for workers in (0, 2):
             with pytest.raises(TypeError, match="workers"):
                 JobServer(workers=workers)
+            with pytest.raises(TypeError, match="compile_workers"):
+                JobServer(compile_workers=workers)
+        assert not hasattr(JobServer(), "compile_workers")
         with pytest.raises(ValueError, match="admission"):
             JobServer(admission="bogus")
 
@@ -635,12 +662,31 @@ class TestJobServer:
 # ---------------------------------------------------------------------------
 class TestServerApi:
     def test_serve_submit_status_result(self):
+        with pytest.raises(TypeError, match="compile_workers"):
+            api.serve(compile_workers=2, start=False)
         server = api.serve(backend="vector-vm", start=False)
-        job_id = api.submit(SOURCE, {"a": 1, "b": 2, "c": 3, "d": 4}, server=server)
+        inputs = {"a": 1, "b": 2, "c": 3, "d": 4}
+        job_id = api.submit(SOURCE, inputs, server=server)
         assert api.status(job_id, server=server)["status"] == "queued"
         server.drain()
         payload = api.result(job_id, server=server, wait=False)
         assert payload["correct"] and payload["outputs"] == [[21]]
+        # Default parameters on both sides: the server's FHE accounting
+        # equals the facade's for the same inputs, bit for bit.
+        direct = api.execute_batch(SOURCE, inputs=[inputs], backend="vector-vm")
+        report = direct.executions[0]
+        assert payload["outputs"] == direct.outputs
+        assert (
+            payload["latency_ms"],
+            payload["consumed_noise_budget"],
+            payload["remaining_noise_budget"],
+            payload["noise_budget_exhausted"],
+        ) == (
+            report.latency_ms,
+            report.consumed_noise_budget,
+            report.remaining_noise_budget,
+            report.noise_budget_exhausted,
+        )
 
     def test_submit_to_state_dir_and_drain_elsewhere(self, tmp_path):
         state_dir = str(tmp_path)
@@ -720,31 +766,6 @@ class TestServerCli:
         assert "1 job(s)" in capsys.readouterr().out
         assert cli_main(["jobs", "--state-dir", state, "--status", "failed"]) == 0
         assert "0 job(s)" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# harness routing
-# ---------------------------------------------------------------------------
-class TestHarnessServerRouting:
-    def test_runner_routes_through_server_with_identical_rows(self):
-        from repro.experiments.harness import BenchmarkRunner
-
-        suite = small_benchmark_suite()[:3]
-        # Default params on both sides, so latency/noise figures must match
-        # the direct path bit for bit.
-        server = JobServer(backend="vector-vm")
-        routed = BenchmarkRunner(
-            {"greedy": "greedy"}, backend="vector-vm", server=server
-        ).run(suite)
-        direct = BenchmarkRunner({"greedy": "greedy"}, backend="vector-vm").run(suite)
-        assert [r.correct for r in routed] == [True] * len(suite)
-        for a, b in zip(routed, direct):
-            assert (a.benchmark, a.execution_latency_ms, a.consumed_noise_budget) == (
-                b.benchmark,
-                b.execution_latency_ms,
-                b.consumed_noise_budget,
-            )
-        assert server.telemetry.snapshot()["counters"]["jobs_completed"] == len(suite)
 
 
 class TestHistogramPercentile:

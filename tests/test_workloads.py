@@ -31,6 +31,7 @@ from repro.workloads import (
     generate_schedule,
     get_workload,
     register_workload,
+    run_closed_loop_traffic,
     run_direct_traffic,
     run_server_traffic,
     workload_info,
@@ -275,8 +276,17 @@ class TestTrafficRuns:
 
     def test_open_loop_schedule_completes(self):
         schedule = generate_schedule(default_mix(), 6, seed=5, rate=500.0)
-        with pytest.raises(TypeError, match="workers"):
-            run_server_traffic(schedule, workers=2)
+        # No traffic runner takes a worker count: execution is serial and the
+        # server compiles one job at a time.
+        removed = (
+            lambda: run_server_traffic(schedule, workers=2),
+            lambda: run_server_traffic(schedule, compile_workers=2),
+            lambda: run_closed_loop_traffic(default_mix(), compile_workers=2),
+            lambda: run_direct_traffic(schedule, workers=2),
+        )
+        for call in removed:
+            with pytest.raises(TypeError, match="workers"):
+                call()
         report = run_server_traffic(schedule)
         assert report.correct == report.jobs == 6
         direct = run_direct_traffic(schedule)
@@ -338,32 +348,13 @@ class TestWorkloadApi:
         assert repro.sample_named_inputs is api.sample_named_inputs
 
     def test_benchmark_runner_runs_workloads(self):
+        # One execution path: the runner no longer routes rows through a server.
+        with pytest.raises(TypeError, match="server"):
+            BenchmarkRunner({"greedy": "greedy"}, server=object())
         runner = BenchmarkRunner({"greedy": "greedy"}, backend="vector-vm")
         rows = runner.run_workloads(["dot-product", "nn-linear"])
         assert [row.benchmark for row in rows] == ["dot_product_8", "nn_linear_4x2"]
         assert all(row.correct for row in rows)
-
-    def test_benchmark_runner_server_mode_matches_direct(self):
-        from repro.server import JobServer
-
-        direct_rows = BenchmarkRunner({"greedy": "greedy"}, backend="vector-vm").run_workloads(
-            ["l2-distance"]
-        )
-        server = JobServer(backend="vector-vm")
-        try:
-            server_rows = BenchmarkRunner(
-                {"greedy": "greedy"}, backend="vector-vm", server=server
-            ).run_workloads(["l2-distance"])
-        finally:
-            server.close()
-        def stable(row):  # drop wall-clock fields; everything else matches
-            fields = row.as_dict()
-            fields.pop("compile_time_s")
-            return fields
-
-        assert [stable(row) for row in direct_rows] == [
-            stable(row) for row in server_rows
-        ]
 
 
 class TestWorkloadCli:
