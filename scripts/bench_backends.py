@@ -89,7 +89,7 @@ def main() -> int:
                 "fused_total": tape_stats["fused_total"],
                 "eliminated": tape_stats["eliminated"],
                 "arena_slots": tape_stats["arena_slots"],
-                "live_slots": tape.view.width,
+                "live_slots": len(tape.live),
             },
             "wall_s": {backend: {} for backend in BACKENDS},
             "speedup_vs_reference": {},

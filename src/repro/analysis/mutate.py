@@ -26,9 +26,11 @@ them:
     single-use legality check skipped.
 
 ``drop-live-slot``
-    Remove one slot from the tape's live set and rebuild the compact slot
-    view from the rest: the backward liveness pass missing one rotation
-    or operand edge, so execution never computes a slot an output needs.
+    Remove one slot from the tape's live set, delete its position from
+    every compact constant and load, and rebuild the gathers and output
+    positions from the rest: the backward liveness pass missing one
+    rotation or operand edge, so execution never computes a slot an output
+    needs.
 
 All randomness is a ``random.Random(seed)``; the same seed replays the same
 mutants.  :func:`run_mutation_harness` verifies the pristine schedule is
@@ -44,9 +46,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.analysis import AnalysisReport
 from repro.analysis.tape_check import verify_plan_ops
-from repro.backends.tape import CompiledTape, SlotView, TapeOp, build_slot_view
+from repro.backends.tape import CompiledTape, TapeOp, live_indices
 from repro.compiler.circuit import CircuitProgram
 
 __all__ = [
@@ -78,14 +82,14 @@ _LARGE_BOUND = 1 << 62
 
 @dataclass(frozen=True)
 class Mutation:
-    """One injected defect: a doctored op schedule (or slot view) for one
-    bucket; ``view`` replaces the tape's compact slot view when set."""
+    """One injected defect: a doctored op schedule (or tape) for one
+    bucket; ``tape`` replaces the verified tape when set."""
 
     kind: str
     description: str
     ops: Tuple[TapeOp, ...]
     bucket: int
-    view: Optional[SlotView] = None
+    tape: Optional[CompiledTape] = None
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,31 @@ def _buffer_live_after(ops: Sequence[TapeOp], index: int, buffer: int) -> bool:
         if op.dst == buffer:
             return False
     return False
+
+
+def _drop_live_slot(tape: CompiledTape, index: int) -> CompiledTape:
+    """``tape`` without live slot ``tape.live[index]``: its position is
+    deleted from every compact array and load, later positions shift down,
+    and the gathers and output positions are rebuilt over the rest."""
+    mutant = copy.copy(tape)  # never executed: shares the original's pool
+    mutant.live = np.delete(tape.live, index)
+    mutant.consts = [np.delete(const, index) for const in tape.consts]
+    mutant.loads = [
+        dataclasses.replace(
+            load,
+            template=np.delete(load.template, index),
+            columns=tuple(
+                (position - (position > index), name)
+                for position, name in load.columns
+                if position != index
+            ),
+        )
+        for load in tape.loads
+    ]
+    mutant.gathers, mutant.output_positions = live_indices(
+        mutant.live, tape.ops, tape.outputs, tape.n
+    )
+    return mutant
 
 
 def enumerate_mutations(
@@ -260,16 +289,14 @@ def enumerate_mutations(
             )
 
     elif kind == "drop-live-slot":
-        live = [int(slot) for slot in tape.view.live]
-        for slot in live:
-            kept = [other for other in live if other != slot]
+        for index, slot in enumerate(tape.live.tolist()):
             mutations.append(
                 Mutation(
                     kind,
-                    f"drop live slot {slot} from the slot view",
+                    f"drop live slot {slot} from the tape",
                     tuple(ops),
                     bucket,
-                    view=build_slot_view(tape, kept),
+                    tape=_drop_live_slot(tape, index),
                 )
             )
 
@@ -282,12 +309,9 @@ def verify_mutation(
     program: CircuitProgram, tape: CompiledTape, mutation: Mutation
 ) -> AnalysisReport:
     """Run the tape verifier over one mutant schedule."""
-    if mutation.view is not None:
-        tape = copy.copy(tape)  # never executed: shares the original's pool
-        tape.view = mutation.view
     return verify_plan_ops(
         program,
-        tape,
+        mutation.tape or tape,
         mutation.ops,
         bucket=mutation.bucket,
         location=f"mutant[{mutation.kind}]:{program.name}",

@@ -8,7 +8,7 @@ preserve:
     Every buffer an op reads was written first (def-before-use over the
     re-derived def-use chains), nothing ever writes into the read-only
     constant pool, rotation steps are normalized into ``[1, n)`` (the
-    slot view keys its gather indices by normalized step), and the no-alias
+    tape keys its gather indices by normalized step), and the no-alias
     constraints of the multi-step superinstructions hold: rotations write
     their destination before the source is fully read (``dst`` must not
     alias *any* operand) and the fused accumulator forms overwrite ``dst``
@@ -33,22 +33,30 @@ preserve:
     normalized term domain (commutative operands sorted, rotation steps
     reduced mod ``n``, loads and constants keyed by their centred slot
     content, fused superinstructions unfolded, congruence-preserving
-    reductions erased).  Every tape output's term must equal the circuit's
-    term for that output — one oracle that catches swapped operands,
-    clobbered lifetimes, dropped or reordered ops and illegal fusion.
-    Fusion legality is additionally checked directly: the inner term a
-    fused op consumed must be single-use in the live part of the original
-    program, mirroring the optimizer's own precondition.
+    reductions erased).  The tape's leaves are the compact arrays the VM
+    executes (values at the live set ``L``, load columns as positions in
+    ``L``); the circuit side builds each leaf from its instruction
+    independently and restricts it to ``L``.  Every tape output's term
+    must equal the circuit's term for that output — one oracle that catches
+    swapped operands, clobbered lifetimes, dropped or reordered ops,
+    illegal fusion and wrong constant or template values.  Fusion legality
+    is additionally checked directly: the inner term a fused op consumed
+    must be single-use in the live part of the original program, mirroring
+    the optimizer's own precondition.
 
 ``tape-slots`` (slot-liveness narrowing)
-    The VM executes every tape over its live slots only
-    (:class:`~repro.backends.tape.SlotView`).  Per plan, the checker
-    recomputes the backward dependency cone of every output slot with its
-    own boolean-mask analysis and proves the cone lies inside the view's
-    live set ``L``; that every rotation gather sends each position whose
-    source slot ``(L[i] + step) % n`` is live to that slot's position; that
-    every output position array addresses slots ``[:length]``; and that the
-    compact constants and loads are the full-width ones restricted to ``L``.
+    The VM executes every tape over its live slots only.  Per plan, the
+    checker recomputes the backward dependency cone of every output slot
+    with its own boolean-mask analysis and proves the cone lies inside the
+    tape's live set ``L``; that every rotation gather sends each position
+    whose source slot ``(L[i] + step) % n`` is live to that slot's
+    position; that every output position array addresses slots
+    ``[:length]``; and that every constant and load template is ``|L|``
+    wide with every load position inside it.  This is what makes the
+    restriction in ``tape-equivalence`` sound: an output slot's value
+    depends only on leaf values inside its cone, the cone lies in ``L``,
+    and the rotations route cone slots correctly, so leaves that agree on
+    ``L`` give outputs that agree.
 """
 
 from __future__ import annotations
@@ -202,7 +210,7 @@ def check_arena(
                     "rotation-normalization",
                     Severity.ERROR,
                     f"rotation step {op.step} is not normalized into "
-                    f"[1, {tape.n}); the slot view keys its gather indices "
+                    f"[1, {tape.n}); the tape keys its gather indices "
                     "by normalized step",
                     location=where,
                 )
@@ -331,7 +339,7 @@ def iter_op_bounds(tape: CompiledTape, ops: Sequence[TapeOp], *, bucket: int):
     }
     for load in tape.loads:
         bounds[load.buffer] = max(
-            load.const_bound, bucket if load.var_columns else 0
+            load.const_bound, bucket if load.names else 0
         )
     reduced = tape.half
     for index, op in enumerate(ops):
@@ -367,8 +375,20 @@ def _binary(kind: str, x: object, y: object) -> Tuple:
     return (kind, x, y)
 
 
+def _live_positions(tape: CompiledTape) -> Optional[np.ndarray]:
+    """Each slot's position in the tape's live set (-1 when dead), or None
+    when the live set is not strictly increasing inside ``[0, n)``."""
+    n = tape.n
+    live = np.asarray(tape.live)
+    if len(live) and (live[0] < 0 or live[-1] >= n or np.any(np.diff(live) <= 0)):
+        return None
+    position = np.full(n, -1, dtype=np.int64)
+    position[live] = np.arange(len(live))
+    return position
+
+
 def _circuit_terms(
-    program: CircuitProgram, t: int, n: int
+    program: CircuitProgram, t: int, n: int, position: np.ndarray
 ) -> Dict[str, object]:
     """Symbolic terms of every declared circuit output.
 
@@ -376,9 +396,12 @@ def _circuit_terms(
     rotation steps are reduced mod ``n`` (step 0 is the identity),
     commutative operands are sorted, OUTPUT markers are aliases, and loads
     and plaintext constants are keyed by their centred slot content — so
-    deduplication and CSE become the identity in this domain.
+    deduplication and CSE become the identity in this domain.  Leaves are
+    built full width from each instruction, then restricted to the live
+    slots (``position`` maps a slot to its position, -1 when dead).
     """
     half = t // 2
+    live = np.flatnonzero(position >= 0)
 
     def centred(value: int) -> int:
         residue = int(value) % t
@@ -396,7 +419,12 @@ def _circuit_terms(
                     template[column] = centred(slot.constant)
                 else:
                     var_columns.append((column, slot.name))
-            terms[dst] = ("load", tuple(var_columns), template.tobytes())
+            columns = tuple(
+                (int(position[column]), name)
+                for column, name in var_columns
+                if position[column] >= 0
+            )
+            terms[dst] = ("load", columns, template[live].tobytes())
         elif opcode is Opcode.LOAD_PLAIN:
             if instruction.name == "broadcast":
                 plain = np.full(n, centred(instruction.values[0]), dtype=np.int64)
@@ -404,7 +432,7 @@ def _circuit_terms(
                 plain = np.zeros(n, dtype=np.int64)
                 values = [centred(v) for v in instruction.values]
                 plain[: len(values)] = values
-            terms[dst] = ("plain", plain.tobytes())
+            terms[dst] = ("plain", plain[live].tobytes())
         elif opcode is Opcode.ROTATE:
             step = instruction.step % n
             source = terms[instruction.operands[0]]
@@ -475,8 +503,12 @@ def check_equivalence(
     location: str,
 ) -> None:
     n, t = tape.n, tape.t
+    position = _live_positions(tape)
+    if position is None:  # reported by tape-slots
+        report.mark_ran("tape-equivalence")
+        return
     try:
-        circuit_outputs = _circuit_terms(program, t, n)
+        circuit_outputs = _circuit_terms(program, t, n, position)
     except (KeyError, ValueError) as exc:
         report.add(
             "tape-equivalence",
@@ -489,16 +521,17 @@ def check_equivalence(
         return
 
     # Symbolically execute the tape over the arena.  Buffer contents are
-    # terms in the same domain: constants and loads keyed by centred
-    # content, fused ops unfolded into the shapes the circuit side builds.
+    # terms in the same domain: constants and loads keyed by the compact
+    # content the VM executes, fused ops unfolded into the shapes the
+    # circuit side builds.
     buffers: Dict[int, object] = {
-        index: ("plain", tape.consts[index].tobytes())
-        for index in range(len(tape.consts))
+        index: ("plain", const.tobytes())
+        for index, const in enumerate(tape.consts)
     }
     for load in tape.loads:
         buffers[load.buffer] = (
             "load",
-            tuple(load.var_columns),
+            tuple(load.columns),
             load.template.tobytes(),
         )
 
@@ -583,7 +616,7 @@ def check_equivalence(
 
 
 # ---------------------------------------------------------------------------
-# tape-slots: the compact slot view covers every output's dependency cone
+# tape-slots: the live slot set covers every output's dependency cone
 # ---------------------------------------------------------------------------
 def _output_cone(tape: CompiledTape, ops: Sequence[TapeOp]) -> np.ndarray:
     """Mask of every slot some output slot depends on, through ``ops``.
@@ -633,8 +666,8 @@ def _preview(slots: np.ndarray, limit: int = 5) -> str:
 @register_checker(
     "tape-slots",
     "tape",
-    "slot narrowing: output cones inside the live set, gathers and "
-    "output positions consistent with it",
+    "slot narrowing: output cones inside the live set, gathers, output "
+    "positions and compact data consistent with it",
 )
 def check_slots(
     report: AnalysisReport,
@@ -645,26 +678,21 @@ def check_slots(
     location: str,
 ) -> None:
     n = tape.n
-    view = tape.view
-    live = np.asarray(view.live, dtype=np.int64)
+    live = np.asarray(tape.live)
     width = len(live)
 
     def error(rule: str, message: str, where: str = location) -> None:
         report.add("tape-slots", rule, Severity.ERROR, message, location=where)
 
-    if width and (
-        live[0] < 0 or live[-1] >= n or np.any(np.diff(live) <= 0)
-    ):
+    position = _live_positions(tape)
+    if position is None:
         error(
             "live-set-malformed",
             "the live slot set is not strictly increasing inside [0, n)",
         )
         report.mark_ran("tape-slots")
         return
-    in_live = np.zeros(n, dtype=bool)
-    in_live[live] = True
-    position = np.full(n, -1, dtype=np.int64)
-    position[live] = np.arange(width)
+    in_live = position >= 0
 
     outside = _output_cone(tape, ops) & ~in_live
     if outside.any():
@@ -681,7 +709,7 @@ def check_slots(
             continue
         checked.add(op.step)
         where = f"{location} op {index} ({op.kind})"
-        gather = view.gathers.get(op.step)
+        gather = tape.gathers.get(op.step)
         if gather is None or np.shape(gather) != (width,):
             error(
                 "gather-missing",
@@ -702,13 +730,13 @@ def check_slots(
                 where,
             )
 
-    if len(view.outputs) != len(tape.outputs):
+    if len(tape.output_positions) != len(tape.outputs):
         error(
             "output-positions",
-            f"{len(view.outputs)} output position arrays for "
+            f"{len(tape.output_positions)} output position arrays for "
             f"{len(tape.outputs)} tape outputs",
         )
-    for output, positions in zip(tape.outputs, view.outputs):
+    for output, positions in zip(tape.outputs, tape.output_positions):
         expected = position[: output.length]
         if not np.array_equal(positions, expected) or np.any(expected < 0):
             error(
@@ -717,27 +745,23 @@ def check_slots(
                 f"[:{output.length}] in the live set",
             )
 
-    consistent = len(view.consts) == len(tape.consts) and all(
-        np.array_equal(compact, const[live])
-        for compact, const in zip(view.consts, tape.consts)
-    )
-    consistent = consistent and len(view.loads) == len(tape.loads)
-    for load, (buffer, template, columns) in zip(tape.loads, view.loads):
-        remapped = tuple(
-            (int(position[column]), name)
-            for column, name in load.var_columns
-            if position[column] >= 0
-        )
-        consistent = consistent and (
-            buffer == load.buffer
-            and np.array_equal(template, load.template[live])
-            and tuple(columns) == remapped
-        )
-    if not consistent:
+    misshapen = [
+        f"c{index}"
+        for index, const in enumerate(tape.consts)
+        if np.shape(const) != (width,)
+    ]
+    n_consts = len(tape.consts)
+    for load in tape.loads:
+        if np.shape(load.template) != (width,) or any(
+            not 0 <= slot_position < width for slot_position, _ in load.columns
+        ):
+            misshapen.append(f"load r{load.buffer - n_consts}")
+    if misshapen:
         error(
-            "compact-data",
-            "compact constants or loads differ from the full-width tape "
-            "restricted to the live set",
+            "compact-shape",
+            f"{', '.join(misshapen)}: every constant and load template must "
+            f"be {width} wide (one value per live slot) with every load "
+            "position inside it",
         )
     report.mark_ran("tape-slots")
 
@@ -773,7 +797,7 @@ def verify_tape(
     """Statically verify ``tape`` against the circuit it was compiled from.
 
     Output coverage and translation validation run once over the raw tape;
-    arena safety, the interval analysis and the slot-view check run per
+    arena safety, the interval analysis and the slot check run per
     reduction plan — one per bucketed ``input_bounds`` entry — since reduce
     placement depends on the input-magnitude bucket.
     """

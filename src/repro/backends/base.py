@@ -27,6 +27,7 @@ from typing import List, Mapping, Optional, Protocol, Sequence, runtime_checkabl
 
 from repro.compiler.circuit import CircuitProgram
 from repro.compiler.executor import ExecutionReport, Value
+from repro.core.exceptions import CompilationError
 from repro.fhe.meter import ExecutionMeter
 from repro.fhe.params import BFVParameters
 
@@ -36,6 +37,7 @@ __all__ = [
     "NoiseLedger",
     "backend_produces_outputs",
     "program_fingerprint",
+    "scalar_input",
 ]
 
 
@@ -47,6 +49,22 @@ def backend_produces_outputs(backend: object) -> bool:
     accounting-only results as unverified rather than vacuously correct.
     """
     return bool(getattr(backend, "produces_outputs", True))
+
+
+def scalar_input(inputs: Mapping[str, Value], name: str) -> Value:
+    """``inputs[name]``, checked to be present and a scalar.
+
+    The one input check every backend (and the server's per-job pre-check)
+    raises through, so a malformed input reads the same everywhere.
+    """
+    value = inputs.get(name)
+    if value is None:
+        raise CompilationError(f"missing value for program input {name!r}")
+    if isinstance(value, (list, tuple)):
+        raise CompilationError(
+            f"input {name!r} is packed slot-wise and must be a scalar"
+        )
+    return value
 
 
 @runtime_checkable

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.backends.base import BaseBackend
+from repro.backends.base import BaseBackend, scalar_input
 from repro.backends.registry import register_backend
 from repro.compiler.circuit import CircuitProgram, Instruction, Opcode
 from repro.compiler.executor import ExecutionReport, Value
@@ -28,14 +28,7 @@ __all__ = ["ReferenceBackend"]
 def _slot_value(slot, inputs: Mapping[str, Value]) -> int:
     if slot.constant is not None:
         return int(slot.constant)
-    value = inputs.get(slot.name)
-    if value is None:
-        raise CompilationError(f"missing value for program input {slot.name!r}")
-    if isinstance(value, (list, tuple)):
-        raise CompilationError(
-            f"input {slot.name!r} is packed slot-wise and must be a scalar"
-        )
-    return int(value)
+    return int(scalar_input(inputs, slot.name))
 
 
 def _build_plaintext(instruction: Instruction, context: FHEContext) -> Plaintext:

@@ -12,16 +12,15 @@ carries no bound arithmetic, no ledger calls and no allocations.
 Four pieces live here:
 
 * the tape data model (:class:`TapeOp`, :class:`TapeLoad`,
-  :class:`TapeOutput`, :class:`TapeAccounting`, :class:`CompiledTape`),
-  which is full width: every buffer is ``n`` slots, as the verifier, the
-  symbolic-equivalence checker and :meth:`CompiledTape.render` read it;
+  :class:`TapeOutput`, :class:`TapeAccounting`, :class:`CompiledTape`);
 * **slot-liveness narrowing** — :func:`live_slots` runs one backward pass
-  from each output's ``[:length]`` and :func:`build_slot_view` precomputes
-  the tape's :class:`SlotView` over the sorted live set ``L``: compact
-  constants and load templates, load columns remapped to positions in
-  ``L``, one gather index per rotation step and one position array per
-  output.  Execution only ever touches ``(B, |L|)`` arenas, usually a few
-  dozen slots of ``n = 16384``;
+  from each output's ``[:length]`` to the sorted live set ``L`` and
+  :func:`live_indices` derives one gather index per rotation step and one
+  position array per output over it.  A tape keeps only what it executes:
+  constants and load templates hold the values of the slots in ``L``
+  (column ``i`` is slot ``L[i]``), load columns are positions in ``L``,
+  and every arena is ``(B, |L|)``, usually a few dozen slots of
+  ``n = 16384``;
 * **reduction planning** — :meth:`CompiledTape.plan_for` simulates static
   magnitude bounds for a given input-magnitude bucket and interleaves
   congruence-preserving ``reduce`` ops exactly where an int64 overflow could
@@ -55,6 +54,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.base import scalar_input
 from repro.compiler.executor import ExecutionReport, Value
 from repro.core.exceptions import CompilationError
 from repro.fhe.params import BFVParameters
@@ -68,10 +68,9 @@ __all__ = [
     "TapeAccounting",
     "TapePlan",
     "TapeProfile",
-    "SlotView",
     "CompiledTape",
     "live_slots",
-    "build_slot_view",
+    "live_indices",
     "set_tape_profiling",
     "tape_profiling_enabled",
 ]
@@ -199,15 +198,18 @@ class TapeOp:
 class TapeLoad:
     """One deduplicated encrypted input: fill ``buffer`` from a template.
 
-    ``template`` holds the centred constant slots (zero elsewhere) over all
-    ``n`` slots and ``var_columns`` are the ``(column, input_name)`` pairs
-    overwritten per batch row; execution copies only their live slots (see
-    :class:`SlotView`).
+    ``template`` holds the centred constant slots of the layout at the
+    tape's live slots (zero elsewhere) and ``columns`` the ``(position,
+    input_name)`` pairs overwritten per batch row, positions in the live
+    set.  ``names`` lists every input the layout reads, dead slots
+    included: execution checks each of them, and a load with any is
+    variable, which seeds the reduction plans' bound with the bucket.
     """
 
     buffer: int
     template: np.ndarray
-    var_columns: Tuple[Tuple[int, str], ...]
+    columns: Tuple[Tuple[int, str], ...]
+    names: Tuple[str, ...]
     const_bound: int
 
 
@@ -289,60 +291,31 @@ def live_slots(
     return sorted(live)
 
 
-@dataclass(frozen=True, eq=False)
-class SlotView:
-    """A tape's compact execution view over its sorted live slot set ``L``.
+def live_indices(
+    live: np.ndarray, ops: Sequence[TapeOp], outputs: Sequence[TapeOutput], n: int
+) -> Tuple[Dict[int, np.ndarray], Tuple[np.ndarray, ...]]:
+    """The gathers and output positions of a tape over its live set ``L``.
 
-    Column ``i`` of every compact buffer holds slot ``L[i]``.  ``gathers``
-    maps each rotation step to the index ``np.take`` reads the source
-    through: ``pos[(L[i] + step) % n]``, or ``i`` itself when that source
-    slot is dead (a position of the same buffer, so no bound can grow).
+    ``gathers`` maps each rotation step to the index ``np.take`` reads the
+    source through: ``pos[(L[i] + step) % n]``, or ``i`` itself when that
+    source slot is dead (a position of the same buffer, so no bound can
+    grow).  The positions of slots ``[:length]`` follow, one array per
+    output (-1 marks a slot missing from ``L``).
     """
-
-    live: np.ndarray
-    consts: Tuple[np.ndarray, ...]
-    #: ``(buffer, template[L], ((position, input_name), ...))`` per load.
-    loads: Tuple[Tuple[int, np.ndarray, Tuple[Tuple[int, str], ...]], ...]
-    gathers: Dict[int, np.ndarray]
-    #: Positions in ``L`` of slots ``[:length]``, one array per tape output.
-    outputs: Tuple[np.ndarray, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.live)
-
-
-def build_slot_view(tape: "CompiledTape", live: Sequence[int]) -> SlotView:
-    """Precompute the compact consts, loads, gathers and output positions."""
-    n = tape.n
-    slots = np.asarray(sorted(live), dtype=np.int64)
-    position = np.full(n, -1, dtype=np.int64)
-    position[slots] = np.arange(len(slots))
-    consts = []
-    for const in tape.consts:
-        compact = const[slots]
-        compact.flags.writeable = False  # read-only: every run shares it
-        consts.append(compact)
-    loads = tuple(
-        (
-            load.buffer,
-            load.template[slots],
-            tuple(
-                (int(position[column]), name)
-                for column, name in load.var_columns
-                if position[column] >= 0
-            ),
-        )
-        for load in tape.loads
-    )
-    identity = np.arange(len(slots))
+    slots = live.tolist()
+    position = {slot: index for index, slot in enumerate(slots)}
     gathers: Dict[int, np.ndarray] = {}
-    for op in tape.ops:
+    for op in ops:
         if op.kind in ROTATIONS and op.step not in gathers:
-            source = position[(slots + op.step) % n]
-            gathers[op.step] = np.where(source >= 0, source, identity)
-    outputs = tuple(position[: output.length] for output in tape.outputs)
-    return SlotView(slots, tuple(consts), loads, gathers, outputs)
+            gathers[op.step] = np.array(
+                [position.get((slot + op.step) % n, i) for i, slot in enumerate(slots)],
+                dtype=np.int64,
+            )
+    positions = tuple(
+        np.array([position.get(slot, -1) for slot in range(output.length)], dtype=np.int64)
+        for output in outputs
+    )
+    return gathers, positions
 
 
 class CompiledTape:
@@ -352,6 +325,7 @@ class CompiledTape:
         self,
         *,
         params: BFVParameters,
+        live: np.ndarray,
         consts: List[np.ndarray],
         const_bounds: List[int],
         slot_count: int,
@@ -365,6 +339,8 @@ class CompiledTape:
         self.t = params.plain_modulus
         self.n = params.slot_count
         self.half = self.t // 2
+        #: The sorted live slots; every arena is ``(B, len(live))``.
+        self.live = live
         for const in consts:
             const.flags.writeable = False  # the pool is shared across runs
         self.consts = consts
@@ -375,8 +351,12 @@ class CompiledTape:
         self.outputs = outputs
         self.accounting = accounting
         self.stats = stats
-        #: The compact execution view; every arena is ``(B, view.width)``.
-        self.view = build_slot_view(self, live_slots(ops, outputs, self.n))
+        self.gathers, self.output_positions = live_indices(live, ops, outputs, self.n)
+        #: Every input any load reads (dead slots included), in load order:
+        #: execution checks and marshals each of them.
+        self.input_names = tuple(
+            dict.fromkeys(name for load in loads for name in load.names)
+        )
         self._plans: Dict[int, TapePlan] = {}
         self._pool: Dict[int, List[List[np.ndarray]]] = {}
         self._lock = threading.Lock()
@@ -418,7 +398,7 @@ class CompiledTape:
             bounds[index] = const_bound
         for load in self.loads:
             bounds[load.buffer] = max(
-                load.const_bound, bucket if load.var_columns else 0
+                load.const_bound, bucket if load.names else 0
             )
         reduced = self.half  # |centred residue| <= t // 2 after a reduce
         scheduled: List[TapeOp] = []
@@ -474,7 +454,7 @@ class CompiledTape:
             pool = self._pool.get(batch)
             if pool:
                 return pool.pop()
-        width = self.view.width
+        width = len(self.live)
         return [
             np.empty((batch, width), dtype=np.int64) for _ in range(self.slot_count)
         ]
@@ -527,43 +507,32 @@ class CompiledTape:
         # largest centred magnitude, which selects the reduction plan.
         name_values: Dict[str, np.ndarray] = {}
         input_bound = 0
-        for load in self.loads:
-            for _, name in load.var_columns:
-                if name in name_values:
-                    continue
-                values = np.empty(batch, dtype=np.int64)
-                for row, inputs in enumerate(inputs_list):
-                    value = inputs.get(name)
-                    if value is None:
-                        raise CompilationError(
-                            f"missing value for program input {name!r}"
-                        )
-                    if isinstance(value, (list, tuple)):
-                        raise CompilationError(
-                            f"input {name!r} is packed slot-wise and must be a scalar"
-                        )
-                    residue = int(value) % t
-                    values[row] = residue - t if residue > half else residue
-                name_values[name] = values
-                if batch:
-                    input_bound = max(input_bound, int(np.max(np.abs(values))))
+        for name in self.input_names:
+            values = np.empty(batch, dtype=np.int64)
+            for row, inputs in enumerate(inputs_list):
+                value = inputs.get(name)
+                if type(value) is not int:  # missing, packed or non-int
+                    value = int(scalar_input(inputs, name))
+                residue = value % t
+                values[row] = residue - t if residue > half else residue
+            name_values[name] = values
+            input_bound = max(input_bound, int(np.max(np.abs(values))))
 
         plan = self.plan_for(input_bound)
-        view = self.view
         slots = self._checkout(batch)
         try:
-            buffers = list(view.consts) + slots
-            for buffer, template, columns in view.loads:
-                target = buffers[buffer]
-                np.copyto(target, template)
-                for position, name in columns:
+            buffers = self.consts + slots
+            for load in self.loads:
+                target = buffers[load.buffer]
+                np.copyto(target, load.template)
+                for position, name in load.columns:
                     target[:, position] = name_values[name]
             if _PROFILING:
                 _interpret_profiled(
-                    plan.ops, buffers, t, half, view.gathers, self._profile(), batch
+                    plan.ops, buffers, t, half, self.gathers, self._profile(), batch
                 )
             else:
-                _interpret(plan.ops, buffers, t, half, view.gathers)
+                _interpret(plan.ops, buffers, t, half, self.gathers)
             reports = self._build_reports(buffers, batch, backend_name)
         finally:
             self._checkin(batch, slots)
@@ -587,7 +556,7 @@ class CompiledTape:
             )
             for _ in range(batch)
         ]
-        for output, positions in zip(self.outputs, self.view.outputs):
+        for output, positions in zip(self.outputs, self.output_positions):
             array = buffers[output.buffer]
             if not output.is_ciphertext:
                 raw = array[positions] % t
@@ -626,7 +595,7 @@ class CompiledTape:
                 consts=stats.get("consts"),
                 fused=stats.get("fused_total"),
                 slots=self.slot_count,
-                live=self.view.width,
+                live=len(self.live),
                 n=self.n,
             )
         )
@@ -635,15 +604,17 @@ class CompiledTape:
             parts = ", ".join(f"{k}={v}" for k, v in eliminated.items() if v)
             lines.append(f"eliminated: {parts}")
         for index, bound in enumerate(self.const_bounds):
-            preview = np.array2string(
-                self.consts[index][:6], separator=", ", threshold=6
+            preview = ", ".join(
+                f"{slot}: {value}"
+                for slot, value in zip(self.live[:6].tolist(), self.consts[index][:6].tolist())
             )
-            lines.append(f"  c{index} = const {preview} ... |v|<={bound}")
+            extra = ", ..." if len(self.live) > 6 else ""
+            lines.append(f"  c{index} = const {{{preview}{extra}}} |v|<={bound}")
         for load in self.loads:
             names = ", ".join(
-                f"{name}@{column}" for column, name in load.var_columns[:4]
+                f"{name}@{self.live[position]}" for position, name in load.columns[:4]
             )
-            extra = "" if len(load.var_columns) <= 4 else ", ..."
+            extra = "" if len(load.columns) <= 4 else ", ..."
             lines.append(
                 f"  {buf(load.buffer)} = load_input [{names}{extra}] "
                 f"(|const|<={load.const_bound})"

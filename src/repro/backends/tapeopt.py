@@ -11,7 +11,9 @@ peephole passes over the SSA instruction list and emits a
 2. **Constant/load hoisting + dedup** — identical ``LOAD_PLAIN`` constants
    collapse into one read-only constant-pool entry, identical ``LOAD_INPUT``
    layouts into one load, and identical pure subexpressions are value
-   numbered (CSE).  Dead values left behind are dropped.
+   numbered (CSE).  Dead values left behind are dropped.  Constants and
+   load templates stay content until the ops exist; they are then built
+   only at the tape's live slots (:func:`~repro.backends.tape.live_slots`).
 3. **Superinstruction fusion** — the dominant reduction chains fuse:
    ``mul``/``mul_plain`` feeding a single-use ``add``/``sub`` becomes
    ``mul_add``/``mul_sub_*``, and a single-use ``rotate`` feeding ``mul``,
@@ -55,6 +57,7 @@ from repro.backends.tape import (
     TapeLoad,
     TapeOp,
     TapeOutput,
+    live_slots,
 )
 from repro.compiler.circuit import CircuitProgram, Opcode
 from repro.core.exceptions import CompilationError
@@ -189,10 +192,15 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         residue = int(value) % t
         return residue - t if residue > half else residue
 
-    consts: List[np.ndarray] = []
+    # Constants and loads stay content until the live slots are known:
+    # ``(broadcast, centred values)`` per constant, ``(constant columns,
+    # variable columns, const bound)`` per load.
+    consts: List[Tuple[bool, List[int]]] = []
     const_bounds: List[int] = []
     const_index: Dict[object, int] = {}
-    raw_loads: List[Tuple[np.ndarray, Tuple[Tuple[int, str], ...], int]] = []
+    raw_loads: List[
+        Tuple[List[Tuple[int, int]], List[Tuple[int, str]], int]
+    ] = []
     values: List[_Def] = []
     ref_of: Dict[int, Tuple[str, int]] = {}
     numbering: Dict[object, int] = {}
@@ -216,34 +224,28 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
                 ref_of[dst] = ("v", hit)
                 eliminated["dedup_loads"] += 1
                 continue
-            template = np.zeros(n, dtype=np.int64)
+            const_columns: List[Tuple[int, int]] = []
             var_columns: List[Tuple[int, str]] = []
             const_bound = 0
             for column, slot in enumerate(instruction.layout):
                 if slot.constant is not None:
                     value = centred(slot.constant)
-                    template[column] = value
+                    const_columns.append((column, value))
                     const_bound = max(const_bound, abs(value))
                 else:
                     var_columns.append((column, slot.name))
-            raw_loads.append((template, tuple(var_columns), const_bound))
+            raw_loads.append((const_columns, var_columns, const_bound))
             ref_of[dst] = new_value(_Def("load", load=len(raw_loads) - 1), key)
         elif opcode is Opcode.LOAD_PLAIN:
             key = ("plain", instruction.name == "broadcast", instruction.values)
             index = const_index.get(key)
             if index is None:
-                if instruction.name == "broadcast":
-                    value = centred(instruction.values[0])
-                    plain = np.full(n, value, dtype=np.int64)
-                    bound = abs(value)
-                else:
-                    plain = np.zeros(n, dtype=np.int64)
-                    centred_values = [centred(v) for v in instruction.values]
-                    plain[: len(centred_values)] = centred_values
-                    bound = max((abs(v) for v in centred_values), default=0)
+                broadcast = instruction.name == "broadcast"
+                raw = instruction.values[:1] if broadcast else instruction.values
+                centred_values = [centred(v) for v in raw]
                 index = len(consts)
-                consts.append(plain)
-                const_bounds.append(bound)
+                consts.append((broadcast, centred_values))
+                const_bounds.append(max((abs(v) for v in centred_values), default=0))
                 const_index[key] = index
             else:
                 eliminated["dedup_consts"] += 1
@@ -297,19 +299,19 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
     ]
 
     # -- dead-value elimination ---------------------------------------------
-    live = [False] * len(values)
+    reachable = [False] * len(values)
     stack = [ref[1] for _, ref, _, _ in output_refs if ref[0] == "v"]
     while stack:
         vid = stack.pop()
-        if live[vid]:
+        if reachable[vid]:
             continue
-        live[vid] = True
+        reachable[vid] = True
         defn = values[vid]
         for ref in (defn.x, defn.y, defn.acc):
-            if ref is not None and ref[0] == "v" and not live[ref[1]]:
+            if ref is not None and ref[0] == "v" and not reachable[ref[1]]:
                 stack.append(ref[1])
-    eliminated["dead"] = sum(1 for flag in live if not flag)
-    order = [vid for vid in range(len(values)) if live[vid]]
+    eliminated["dead"] = sum(1 for flag in reachable if not flag)
+    order = [vid for vid in range(len(values)) if reachable[vid]]
 
     # -- fusion passes -------------------------------------------------------
     output_vids = {ref[1] for _, ref, _, _ in output_refs if ref[0] == "v"}
@@ -328,41 +330,17 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         return counts
 
     # Pass A: mul feeding a single-use add/sub -> mul_add / mul_sub_*.
-    counts = use_counts()
-    consumed: set = set()
-    for vid in order:
-        defn = values[vid]
-        if defn.kind not in ("add", "sub"):
-            continue
-        for attr, other_attr in (("x", "y"), ("y", "x")):
-            ref = getattr(defn, attr)
-            if ref is None or ref[0] != "v":
+    # Pass B: single-use rotate folding into its consumer -> rot_*.
+    for producer_kind, consumer_kinds in (
+        ("mul", ("add", "sub")),
+        ("rot", ("mul", "add", "mul_add")),
+    ):
+        counts = use_counts()
+        consumed: set = set()
+        for vid in order:
+            defn = values[vid]
+            if defn.kind not in consumer_kinds:
                 continue
-            pvid = ref[1]
-            producer = values[pvid]
-            if (
-                producer.kind == "mul"
-                and counts[pvid] == 1
-                and pvid not in output_vids
-                and pvid not in consumed
-            ):
-                other = getattr(defn, other_attr)
-                if defn.kind == "add":
-                    defn.kind = "mul_add"
-                else:
-                    defn.kind = "mul_sub_l" if attr == "x" else "mul_sub_r"
-                defn.x, defn.y, defn.acc = producer.x, producer.y, other
-                consumed.add(pvid)
-                fused[defn.kind] += 1
-                break
-    order = [vid for vid in order if vid not in consumed]
-
-    # Pass B: single-use rotate folding into its consumer.
-    counts = use_counts()
-    consumed = set()
-    for vid in order:
-        defn = values[vid]
-        if defn.kind in ("mul", "add"):
             for attr, other_attr in (("x", "y"), ("y", "x")):
                 ref = getattr(defn, attr)
                 if ref is None or ref[0] != "v":
@@ -370,37 +348,25 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
                 pvid = ref[1]
                 producer = values[pvid]
                 if (
-                    producer.kind == "rot"
+                    producer.kind == producer_kind
                     and counts[pvid] == 1
                     and pvid not in output_vids
                     and pvid not in consumed
                 ):
                     other = getattr(defn, other_attr)
-                    defn.kind = "rot_mul" if defn.kind == "mul" else "rot_add"
-                    defn.x, defn.y, defn.step = producer.x, other, producer.step
+                    if producer_kind == "rot":
+                        defn.kind = "rot_" + defn.kind
+                        defn.x, defn.y, defn.step = producer.x, other, producer.step
+                    else:
+                        if defn.kind == "add":
+                            defn.kind = "mul_add"
+                        else:
+                            defn.kind = "mul_sub_l" if attr == "x" else "mul_sub_r"
+                        defn.x, defn.y, defn.acc = producer.x, producer.y, other
                     consumed.add(pvid)
                     fused[defn.kind] += 1
                     break
-        elif defn.kind == "mul_add":
-            for attr, other_attr in (("x", "y"), ("y", "x")):
-                ref = getattr(defn, attr)
-                if ref is None or ref[0] != "v":
-                    continue
-                pvid = ref[1]
-                producer = values[pvid]
-                if (
-                    producer.kind == "rot"
-                    and counts[pvid] == 1
-                    and pvid not in output_vids
-                    and pvid not in consumed
-                ):
-                    other = getattr(defn, other_attr)
-                    defn.kind = "rot_mul_add"
-                    defn.x, defn.y, defn.step = producer.x, other, producer.step
-                    consumed.add(pvid)
-                    fused["rot_mul_add"] += 1
-                    break
-    order = [vid for vid in order if vid not in consumed]
+        order = [vid for vid in order if vid not in consumed]
 
     # -- register-arena coloring --------------------------------------------
     load_vids = [vid for vid in order if values[vid].kind == "load"]
@@ -464,52 +430,26 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         | {ref[1] for _, ref, _, _ in output_refs if ref[0] == "c"}
     )
     const_remap = {old: new for new, old in enumerate(used_consts)}
-    final_consts = [consts[old] for old in used_consts]
-    final_const_bounds = [const_bounds[old] for old in used_consts]
-    n_consts = len(final_consts)
+    n_consts = len(used_consts)
 
-    def buffer_of(ref: Tuple[str, int]) -> int:
+    def buffer_of(ref: Optional[Tuple[str, int]]) -> int:
+        if ref is None:
+            return -1
         if ref[0] == "c":
             return const_remap[ref[1]]
         return n_consts + slot_of[ref[1]]
 
-    tape_loads = [
-        TapeLoad(
-            buffer=n_consts + slot_of[vid],
-            template=raw_loads[values[vid].load][0],
-            var_columns=raw_loads[values[vid].load][1],
-            const_bound=raw_loads[values[vid].load][2],
+    ops = [
+        TapeOp(
+            values[vid].kind,
+            n_consts + slot_of[vid],
+            a=buffer_of(values[vid].x),
+            b=buffer_of(values[vid].y),
+            c=buffer_of(values[vid].acc),
+            step=values[vid].step,
         )
-        for vid in load_vids
+        for vid in op_vids
     ]
-
-    ops: List[TapeOp] = []
-    for vid in op_vids:
-        defn = values[vid]
-        dst = n_consts + slot_of[vid]
-        if defn.kind in ("neg", "rot"):
-            ops.append(TapeOp(defn.kind, dst, a=buffer_of(defn.x), step=defn.step))
-        elif defn.kind in ("add", "sub", "mul", "rot_add", "rot_mul"):
-            ops.append(
-                TapeOp(
-                    defn.kind,
-                    dst,
-                    a=buffer_of(defn.x),
-                    b=buffer_of(defn.y),
-                    step=defn.step,
-                )
-            )
-        else:  # mul_add / mul_sub_l / mul_sub_r / rot_mul_add
-            ops.append(
-                TapeOp(
-                    defn.kind,
-                    dst,
-                    a=buffer_of(defn.x),
-                    b=buffer_of(defn.y),
-                    c=buffer_of(defn.acc),
-                    step=defn.step,
-                )
-            )
 
     accounting, per_output = _replay_accounting(program, params)
     outputs = [
@@ -522,6 +462,40 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         )
         for name, ref, length, register in output_refs
     ]
+
+    # -- materialize constants and loads at the live slots only -------------
+    live = np.asarray(live_slots(ops, outputs, n), dtype=np.int64)
+    position_of = {slot: position for position, slot in enumerate(live.tolist())}
+
+    def at_live(columns) -> np.ndarray:
+        array = np.zeros(len(live), dtype=np.int64)
+        for column, value in columns:
+            if column in position_of:
+                array[position_of[column]] = value
+        return array
+
+    final_consts = [
+        np.full(len(live), centred_values[0], dtype=np.int64)
+        if broadcast
+        else at_live(enumerate(centred_values))
+        for broadcast, centred_values in (consts[old] for old in used_consts)
+    ]
+    tape_loads = []
+    for vid in load_vids:
+        const_columns, var_columns, const_bound = raw_loads[values[vid].load]
+        tape_loads.append(
+            TapeLoad(
+                buffer=n_consts + slot_of[vid],
+                template=at_live(const_columns),
+                columns=tuple(
+                    (position_of[column], name)
+                    for column, name in var_columns
+                    if column in position_of
+                ),
+                names=tuple(name for _, name in var_columns),
+                const_bound=const_bound,
+            )
+        )
 
     compute_before = sum(
         1 for instruction in program.instructions if instruction.is_compute()
@@ -540,8 +514,9 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
     }
     return CompiledTape(
         params=params,
+        live=live,
         consts=final_consts,
-        const_bounds=final_const_bounds,
+        const_bounds=[const_bounds[old] for old in used_consts],
         slot_count=slot_count,
         loads=tape_loads,
         ops=ops,

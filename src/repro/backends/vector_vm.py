@@ -7,8 +7,8 @@ fused, liveness-colored onto a fixed register arena, with all noise/latency
 accounting replayed once at compile time.  The arena holds only the tape's
 **live slots**: a backward slot-liveness pass from the outputs finds the
 handful of the ``n`` slots any output depends on, so every buffer is
-``(B, |live|)`` int64 and rotations are precomputed gathers over that
-compact index (:class:`~repro.backends.tape.SlotView`).  Executing a batch
+``(B, |live|)`` int64, constants and load templates hold only those slots,
+and rotations are precomputed gathers over that compact index.  Executing a batch
 is then a single pass of the tape's dispatch loop
 (:func:`repro.backends.tape._interpret`) issuing in-place numpy ops over
 the arena — no ciphertext objects, no per-instruction ledger calls.  With

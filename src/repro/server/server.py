@@ -43,7 +43,7 @@ import traceback
 from collections import OrderedDict, deque
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import backend_produces_outputs
+from repro.backends.base import backend_produces_outputs, scalar_input
 from repro.backends.registry import default_backend_name
 from repro.compiler.executor import declared_outputs, reference_check
 # Not called here: the server verifies through each memo entry's compiled
@@ -52,7 +52,6 @@ from repro.compiler.executor import declared_outputs, reference_check
 from repro.compiler.executor import reference_output  # noqa: F401
 from repro.compiler.pipeline import CompilationReport
 from repro.compiler.registry import CompilerSpec
-from repro.core.exceptions import CompilationError
 from repro.fhe.params import BFVParameters
 from repro.ir.analysis import variables
 from repro.ir.evaluate import output_arity
@@ -118,13 +117,7 @@ class _CircuitEntry:
         # name present, every value a plain int) fail.
         if not (inputs.keys() >= self.name_set and {int}.issuperset(map(type, inputs.values()))):
             for name in self.names:
-                value = inputs.get(name)
-                if value is None:
-                    raise CompilationError(f"missing value for program input {name!r}")
-                if isinstance(value, (list, tuple)):
-                    raise CompilationError(
-                        f"input {name!r} is packed slot-wise and must be a scalar"
-                    )
+                scalar_input(inputs, name)
         return dict(inputs)
 
 

@@ -10,11 +10,16 @@ all hold on everything the repo actually ships.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro import api
 from repro.analysis.tape_check import verify_tape
 from repro.backends.tapeopt import compile_tape
+from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
 from repro.fhe.params import BFVParameters
 from repro.workloads import available_workloads, build_workload
 
@@ -95,3 +100,52 @@ def test_verified_execution_through_backend() -> None:
     stats = tape_cache_stats()
     assert stats["verified"] >= 1
     assert stats["findings"] == 0
+
+
+def _const_and_template_tape():
+    """out[:2] = [x, 5] * [3, 4]: one live constant and one live template
+    constant, both reaching the output."""
+    program = CircuitProgram(name="compact")
+    packed = program.emit(
+        Opcode.LOAD_INPUT,
+        name="x",
+        layout=[InputSlot(name="x"), InputSlot(constant=5)],
+    )
+    plain = program.emit(Opcode.LOAD_PLAIN, name="weights", values=[3, 4])
+    product = program.emit(Opcode.MUL_PLAIN, (packed, plain))
+    program.mark_output(product, "scaled", 2)
+    tape = compile_tape(program, PARAMS)
+    assert tape.live.tolist() == [0, 1]
+    assert verify_tape(program, tape).ok
+    return program, tape
+
+
+def _rules(report):
+    return {(f.checker, f.rule) for f in report.findings}
+
+
+@pytest.mark.parametrize("target", ["const", "template"])
+def test_changed_compact_value_is_an_output_mismatch(target) -> None:
+    """One wrong live-slot value in the data the VM executes diverges."""
+    program, tape = _const_and_template_tape()
+    mutant = copy.copy(tape)
+    if target == "const":
+        changed = tape.consts[0].copy()
+        changed[1] += 1
+        mutant.consts = [changed]
+    else:
+        load = tape.loads[0]
+        changed = load.template.copy()
+        changed[1] += 1
+        mutant.loads = [dataclasses.replace(load, template=changed)]
+    report = verify_tape(program, mutant)
+    assert ("tape-equivalence", "output-mismatch") in _rules(report)
+
+
+def test_wrong_width_compact_array_is_a_shape_finding() -> None:
+    """A constant one slot wider than the live set is misshapen."""
+    program, tape = _const_and_template_tape()
+    mutant = copy.copy(tape)
+    mutant.consts = [np.append(tape.consts[0], 0)]
+    report = verify_tape(program, mutant)
+    assert ("tape-slots", "compact-shape") in _rules(report)

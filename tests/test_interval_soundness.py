@@ -6,8 +6,9 @@ intermediate products fused superinstructions materialize in ``dst``
 before accumulating — must stay within the static bound
 :func:`repro.analysis.tape_check.iter_op_bounds` derives for that op.
 The concrete side is an exact-arithmetic (Python int) re-interpretation
-of the scheduled ops, so numpy's int64 wraparound can never mask an
-unsound bound.
+of the scheduled ops over the compact arena the VM executes (one value per
+live slot, rotations through the tape's gathers), so numpy's int64
+wraparound can never mask an unsound bound.
 """
 
 from __future__ import annotations
@@ -53,23 +54,21 @@ def _kernels() -> st.SearchStrategy[str]:
 
 
 # -- exact concrete interpretation -------------------------------------------
-def _rotated(row, step, n):
-    return [row[(i + step) % n] for i in range(n)]
+def _rotated(row, gather):
+    return [row[position] for position in gather]
 
 
 def _concrete_rows(tape, inputs):
-    """Materialize every buffer's initial row as exact Python ints."""
+    """Materialize every buffer's initial compact row as exact Python ints."""
     t, half = tape.t, tape.half
-    rows = [
-        [int(v) for v in np.asarray(const).reshape(-1)]
-        for const in tape.consts
-    ]
-    rows.extend([0] * tape.n for _ in range(tape.slot_count))
+    width = len(tape.live)
+    rows = [[int(v) for v in const] for const in tape.consts]
+    rows.extend([0] * width for _ in range(tape.slot_count))
     for load in tape.loads:
-        row = [int(v) for v in np.asarray(load.template).reshape(-1)]
-        for column, name in load.var_columns:
+        row = [int(v) for v in load.template]
+        for position, name in load.columns:
             residue = int(inputs[name]) % t
-            row[column] = residue - t if residue > half else residue
+            row[position] = residue - t if residue > half else residue
         rows[load.buffer] = row
     return rows
 
@@ -79,7 +78,7 @@ def _max_abs(row) -> int:
 
 
 def _check_plan(tape, ops, bucket, inputs) -> None:
-    t, half, n = tape.t, tape.half, tape.n
+    t, half = tape.t, tape.half
     rows = _concrete_rows(tape, inputs)
     for index, op, product_bound, result_bound in iter_op_bounds(
         tape, ops, bucket=bucket
@@ -97,13 +96,13 @@ def _check_plan(tape, ops, bucket, inputs) -> None:
         elif kind == "neg":
             result = [-x for x in a]
         elif kind == "rot":
-            result = _rotated(a, op.step, n)
+            result = _rotated(a, tape.gathers[op.step])
         elif kind == "rot_add":
-            result = [x + y for x, y in zip(_rotated(a, op.step, n), b)]
+            result = [x + y for x, y in zip(_rotated(a, tape.gathers[op.step]), b)]
         elif kind == "rot_mul":
-            result = [x * y for x, y in zip(_rotated(a, op.step, n), b)]
+            result = [x * y for x, y in zip(_rotated(a, tape.gathers[op.step]), b)]
         elif kind in ("mul_add", "mul_sub_l", "mul_sub_r", "rot_mul_add"):
-            lhs = _rotated(a, op.step, n) if kind == "rot_mul_add" else a
+            lhs = _rotated(a, tape.gathers[op.step]) if kind == "rot_mul_add" else a
             intermediate = [x * y for x, y in zip(lhs, b)]
             assert product_bound is not None
             assert _max_abs(intermediate) <= product_bound, (index, kind)

@@ -65,7 +65,11 @@ def _batches(names, seed):
 )
 def test_vector_vm_matches_reference(expr, compiler):
     program = api.compile(expr, compiler=compiler).circuit
-    assert get_compiled_tape(program, PARAMS).view.width < PARAMS.slot_count
+    tape = get_compiled_tape(program, PARAMS)
+    width = len(tape.live)
+    assert width < PARAMS.slot_count
+    for array in tape.consts + [load.template for load in tape.loads]:
+        assert array.shape == (width,)
     for inputs_list in _batches(program.scalar_inputs, SEED):
         expected = [
             execute(program, inputs, params=PARAMS, backend="reference")

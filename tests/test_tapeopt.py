@@ -329,11 +329,11 @@ class TestSlotNarrowing:
         program.mark_output(total, "pair", 1)
 
         tape = compile_tape(program, PARAMS)
-        assert tape.view.live.tolist() == [0, 2]
+        assert tape.live.tolist() == [0, 2]
         # position 0 (slot 0) reads slot 2 -> position 1; slot 4 is dead,
         # so position 1 reads itself.
-        assert tape.view.gathers[2].tolist() == [1, 1]
-        assert tape.view.loads[0][2] == ((0, "x0"), (1, "x2"))
+        assert tape.gathers[2].tolist() == [1, 1]
+        assert tape.loads[0].columns == ((0, "x0"), (1, "x2"))
         assert f"(B, 2 live of {PARAMS.slot_count})" in tape.render()
         reference = assert_backend_parity(
             program, [{"x0": 1, "x1": 10, "x2": 100, "x3": 1000}]
