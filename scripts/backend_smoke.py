@@ -8,7 +8,8 @@ and ``cost-sim`` and checks the backend-parity invariants CI cares about:
   batched execution);
 * all three backends report identical latency, operation counts and noise
   accounting;
-* cost-sim produces accounting but no outputs;
+* cost-sim produces accounting but no outputs, and a 3-row ``execute_many``
+  gives three such reports, each with ``execute``'s accounting;
 * the tape optimizer actually engages: fused-superinstruction count > 0 on
   a rotation-heavy kernel, and the process-wide compiled-tape memo hits on
   the second execution of the same circuit.
@@ -37,6 +38,15 @@ from repro.kernels.registry import benchmark_by_name
 KERNELS = ("dot_product_8", "matrix_multiply_3x3", "box_blur_3x3", "sort_3")
 #: Rotation-heavy kernel on which peephole fusion must demonstrably engage.
 FUSION_KERNEL = "dot_product_8"
+#: Report fields every backend must agree on exactly.
+ACCOUNTING = (
+    "latency_ms",
+    "operation_counts",
+    "consumed_noise_budget",
+    "remaining_noise_budget",
+    "noise_budget_exhausted",
+    "encrypted_inputs",
+)
 
 
 def main() -> int:
@@ -57,6 +67,7 @@ def main() -> int:
         reference = [execute(circuit, item, params=params, backend="reference") for item in inputs]
         vm = execute_many(circuit, inputs, params=params, backend="vector-vm")
         sim = execute(circuit, inputs[0], params=params, backend="cost-sim")
+        sim_many = execute_many(circuit, [inputs[0]] * 3, params=params, backend="cost-sim")
 
         if name == FUSION_KERNEL:
             stats = get_compiled_tape(circuit, params).stats
@@ -88,14 +99,7 @@ def main() -> int:
                 return 1
         head = reference[0]
         for label, other in (("vector-vm", vm[0]), ("cost-sim", sim)):
-            for metric in (
-                "latency_ms",
-                "operation_counts",
-                "consumed_noise_budget",
-                "remaining_noise_budget",
-                "noise_budget_exhausted",
-                "encrypted_inputs",
-            ):
+            for metric in ACCOUNTING:
                 if getattr(head, metric) != getattr(other, metric):
                     print(
                         f"FAIL: {name} {label} {metric} diverges: "
@@ -105,6 +109,18 @@ def main() -> int:
                     return 1
         if sim.outputs != {}:
             print("FAIL: cost-sim produced outputs", file=sys.stderr)
+            return 1
+        if len(sim_many) != 3 or any(
+            report.batch_size != 3
+            or report.outputs != {}
+            or any(getattr(report, metric) != getattr(sim, metric) for metric in ACCOUNTING)
+            for report in sim_many
+        ):
+            print(
+                f"FAIL: {name} cost-sim execute_many on 3 rows diverges from "
+                f"execute: {sim_many!r} vs {sim!r}",
+                file=sys.stderr,
+            )
             return 1
         print(
             f"{name:20s} OK  ({args.batch} input sets, "

@@ -159,7 +159,7 @@ def _drop_live_slot(tape: CompiledTape, index: int) -> CompiledTape:
     """``tape`` without live slot ``tape.live[index]``: its position is
     deleted from every compact array and load, later positions shift down,
     and the gathers and output positions are rebuilt over the rest."""
-    mutant = copy.copy(tape)  # never executed: shares the original's pool
+    mutant = copy.copy(tape)  # never executed: shares the original's plans
     mutant.live = np.delete(tape.live, index)
     mutant.consts = [np.delete(const, index) for const in tape.consts]
     mutant.loads = [

@@ -18,14 +18,17 @@ backends register themselves (see :mod:`repro.backends.registry`):
 All backends meter through one :class:`~repro.fhe.meter.ExecutionMeter` and
 replicate the evaluator's noise formulas through one :class:`NoiseLedger`,
 which is what makes their latency, operation-count and noise figures
-bit-identical by construction.
+bit-identical by construction.  The vector VM and ``cost-sim`` share one
+walk of that ledger, :func:`replay_accounting`, and build their reports from
+its :class:`TapeAccounting` with :meth:`TapeAccounting.reports`.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro.compiler.circuit import CircuitProgram
+from repro.compiler.circuit import CircuitProgram, Opcode
 from repro.compiler.executor import ExecutionReport, Value
 from repro.core.exceptions import CompilationError
 from repro.fhe.meter import ExecutionMeter
@@ -35,6 +38,8 @@ __all__ = [
     "ExecutionBackend",
     "BaseBackend",
     "NoiseLedger",
+    "TapeAccounting",
+    "replay_accounting",
     "backend_produces_outputs",
     "program_fingerprint",
     "scalar_input",
@@ -205,6 +210,106 @@ class NoiseLedger:
     def output_budget(self, register: int) -> float:
         """Remaining budget of an output register, clamped at zero."""
         return max(0.0, self.budget[register])
+
+
+@dataclass(frozen=True)
+class TapeAccounting:
+    """Input-independent accounting of one circuit, replayed once."""
+
+    latency_ms: float
+    operation_counts: Dict[str, int]
+    encrypted_inputs: int
+    remaining_noise_budget: float
+    consumed_noise_budget: float
+    noise_budget_exhausted: bool
+
+    def reports(self, batch: int, backend: str) -> List[ExecutionReport]:
+        """``batch`` reports carrying this accounting and no outputs yet.
+
+        Each report gets its own ``operation_counts`` copy, so callers may
+        mutate one report without touching the others.
+        """
+        return [
+            ExecutionReport(
+                latency_ms=self.latency_ms,
+                operation_counts=dict(self.operation_counts),
+                encrypted_inputs=self.encrypted_inputs,
+                consumed_noise_budget=self.consumed_noise_budget,
+                remaining_noise_budget=self.remaining_noise_budget,
+                noise_budget_exhausted=self.noise_budget_exhausted,
+                backend=backend,
+                batch_size=batch,
+            )
+            for _ in range(batch)
+        ]
+
+
+def replay_accounting(
+    program: CircuitProgram, params: BFVParameters
+) -> Tuple[TapeAccounting, Dict[int, Tuple[bool, float]]]:
+    """Replay a circuit's instructions through the ledger/meter formulas.
+
+    Mirrors the reference evaluator's metering statement for statement
+    (same operations, same order), so every float is identical to a metered
+    execution; accounting is input independent, so one replay stands for
+    every run.  Returns the aggregate accounting plus per-output-register
+    ``(is_ciphertext, clamped_budget)`` pairs.
+    """
+    meter = ExecutionMeter(params=params)
+    ledger = NoiseLedger(meter)
+    encrypted_inputs = 0
+    for instruction in program.instructions:
+        opcode = instruction.opcode
+        dst = instruction.result
+        if opcode is Opcode.LOAD_INPUT:
+            ledger.load_input(dst)
+            encrypted_inputs += 1
+        elif opcode is Opcode.LOAD_PLAIN:
+            pass
+        elif opcode is Opcode.ADD:
+            ledger.add(dst, *instruction.operands, "add")
+        elif opcode is Opcode.SUB:
+            ledger.add(dst, *instruction.operands, "sub")
+        elif opcode is Opcode.MUL:
+            ledger.multiply_relinearize(dst, *instruction.operands)
+        elif opcode is Opcode.ADD_PLAIN:
+            ledger.add_plain(dst, instruction.operands[0], "add")
+        elif opcode is Opcode.SUB_PLAIN:
+            ledger.add_plain(dst, instruction.operands[0], "sub")
+        elif opcode is Opcode.MUL_PLAIN:
+            ledger.multiply_plain(dst, instruction.operands[0])
+        elif opcode is Opcode.NEGATE:
+            ledger.negate(dst, instruction.operands[0])
+        elif opcode is Opcode.ROTATE:
+            ledger.rotate(dst, instruction.operands[0], instruction.step)
+        elif opcode is Opcode.OUTPUT:
+            ledger.alias(dst, instruction.operands[0])
+        else:  # pragma: no cover - defensive
+            raise CompilationError(f"unknown opcode {opcode}")
+
+    initial_budget = params.initial_noise_budget
+    minimum_budget = initial_budget
+    exhausted = False
+    per_output: Dict[int, Tuple[bool, float]] = {}
+    for register, _, _ in program.outputs:
+        if not ledger.is_ciphertext(register):
+            per_output[register] = (False, 0.0)
+            continue
+        budget = ledger.output_budget(register)
+        minimum_budget = min(minimum_budget, budget)
+        if budget <= 0.0:
+            exhausted = True
+        per_output[register] = (True, budget)
+    remaining = max(0.0, minimum_budget)
+    accounting = TapeAccounting(
+        latency_ms=meter.total_latency_ms,
+        operation_counts=meter.operation_counts(),
+        encrypted_inputs=encrypted_inputs,
+        remaining_noise_budget=remaining,
+        consumed_noise_budget=initial_budget - remaining,
+        noise_budget_exhausted=exhausted,
+    )
+    return accounting, per_output
 
 
 def program_fingerprint(program: CircuitProgram) -> str:

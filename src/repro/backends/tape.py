@@ -5,14 +5,15 @@ A :class:`CompiledTape` is what :mod:`repro.backends.tapeopt` produces from a
 :class:`TapeOp` superinstructions over a fixed **register arena** (liveness
 colored buffer slots plus a read-only constant pool), with every piece of
 noise/latency accounting precomputed at compile time.  Executing a tape is
-then pure numpy: the slots are checked out of a per-tape pool, every
-operation writes through ``out=`` into an existing buffer, and the hot loop
-carries no bound arithmetic, no ledger calls and no allocations.
+then pure numpy: each batch allocates its arena as one ``(slots, B, |L|)``
+block (a few dozen live slots wide, so a few microseconds) that is dropped
+with the batch, every operation writes through ``out=`` into an arena
+buffer, and the hot loop carries no bound arithmetic and no ledger calls.
 
 Four pieces live here:
 
 * the tape data model (:class:`TapeOp`, :class:`TapeLoad`,
-  :class:`TapeOutput`, :class:`TapeAccounting`, :class:`CompiledTape`);
+  :class:`TapeOutput`, :class:`CompiledTape`);
 * **slot-liveness narrowing** — :func:`live_slots` runs one backward pass
   from each output's ``[:length]`` to the sorted live set ``L`` and
   :func:`live_indices` derives one gather index per rotation step and one
@@ -37,8 +38,10 @@ buffer, so every buffer only ever holds values the full-width buffer holds
 too, and the per-buffer magnitude bounds the reduction plans rely on still
 hold.
 
-The accounting figures attached to the tape are replayed from the *original*
-instruction sequence through the same
+The accounting figures attached to the tape
+(:class:`~repro.backends.base.TapeAccounting`) are replayed from the
+*original* instruction sequence by
+:func:`~repro.backends.base.replay_accounting`, through the same
 :class:`~repro.backends.base.NoiseLedger`/:class:`~repro.fhe.meter.ExecutionMeter`
 machinery the reference backend uses — noise accounting is input
 independent, so replaying it once at compile time is float-for-float
@@ -49,12 +52,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.base import scalar_input
+from repro.backends.base import TapeAccounting, scalar_input
 from repro.compiler.executor import ExecutionReport, Value
 from repro.core.exceptions import CompilationError
 from repro.fhe.params import BFVParameters
@@ -65,7 +68,6 @@ __all__ = [
     "TapeOp",
     "TapeLoad",
     "TapeOutput",
-    "TapeAccounting",
     "TapePlan",
     "TapeProfile",
     "CompiledTape",
@@ -87,11 +89,6 @@ _NO_ALIAS_ALL = ROTATIONS
 #: Fused ops whose destination must not alias the accumulator operand ``c``
 #: (the first ufunc overwrites ``dst`` before the second reads ``c``).
 _NO_ALIAS_ACC = frozenset({"mul_add", "mul_sub_l", "mul_sub_r", "rot_mul_add"})
-
-#: How many checked-in arenas a tape keeps per batch size.  Two covers the
-#: steady state (one server tick in flight plus one warm spare) without
-#: letting a long-lived tape pin unbounded memory.
-_POOL_DEPTH = 2
 
 #: Opt-in per-superinstruction profiling.  Off by default; the only cost on
 #: the disabled path is one module-global boolean check per *batch* (not per
@@ -224,18 +221,6 @@ class TapeOutput:
     budget: float = 0.0
 
 
-@dataclass(frozen=True)
-class TapeAccounting:
-    """Input-independent accounting, replayed once at tape-compile time."""
-
-    latency_ms: float
-    operation_counts: Dict[str, int]
-    encrypted_inputs: int
-    remaining_noise_budget: float
-    consumed_noise_budget: float
-    noise_budget_exhausted: bool
-
-
 class TapePlan:
     """One executable schedule: tape ops with reduce ops interleaved.
 
@@ -358,7 +343,6 @@ class CompiledTape:
             dict.fromkeys(name for load in loads for name in load.names)
         )
         self._plans: Dict[int, TapePlan] = {}
-        self._pool: Dict[int, List[List[np.ndarray]]] = {}
         self._lock = threading.Lock()
         #: Lazily created on the first profiled batch; ``None`` until then.
         self.profile: Optional[TapeProfile] = None
@@ -448,33 +432,6 @@ class CompiledTape:
             bounds[op.dst] = result
         return scheduled
 
-    # -- arena pool ----------------------------------------------------------
-    def _checkout(self, batch: int) -> List[np.ndarray]:
-        with self._lock:
-            pool = self._pool.get(batch)
-            if pool:
-                return pool.pop()
-        width = len(self.live)
-        return [
-            np.empty((batch, width), dtype=np.int64) for _ in range(self.slot_count)
-        ]
-
-    def _checkin(self, batch: int, slots: List[np.ndarray]) -> None:
-        with self._lock:
-            pool = self._pool.setdefault(batch, [])
-            if len(pool) < _POOL_DEPTH:
-                pool.append(slots)
-
-    def pooled_bytes(self) -> int:
-        """Bytes of arena buffers parked in the pool (all batch sizes)."""
-        with self._lock:
-            return sum(
-                buffer.nbytes
-                for arenas in self._pool.values()
-                for arena in arenas
-                for buffer in arena
-            )
-
     # -- profiling -----------------------------------------------------------
     def _profile(self) -> TapeProfile:
         profile = self.profile
@@ -519,43 +476,28 @@ class CompiledTape:
             input_bound = max(input_bound, int(np.max(np.abs(values))))
 
         plan = self.plan_for(input_bound)
-        slots = self._checkout(batch)
-        try:
-            buffers = self.consts + slots
-            for load in self.loads:
-                target = buffers[load.buffer]
-                np.copyto(target, load.template)
-                for position, name in load.columns:
-                    target[:, position] = name_values[name]
-            if _PROFILING:
-                _interpret_profiled(
-                    plan.ops, buffers, t, half, self.gathers, self._profile(), batch
-                )
-            else:
-                _interpret(plan.ops, buffers, t, half, self.gathers)
-            reports = self._build_reports(buffers, batch, backend_name)
-        finally:
-            self._checkin(batch, slots)
-        return reports
+        # One block per batch: concurrent callers never share an arena, and
+        # nothing is kept once the reports are built.
+        arena = np.empty((self.slot_count, batch, len(self.live)), dtype=np.int64)
+        buffers = self.consts + list(arena)
+        for load in self.loads:
+            target = buffers[load.buffer]
+            np.copyto(target, load.template)
+            for position, name in load.columns:
+                target[:, position] = name_values[name]
+        if _PROFILING:
+            _interpret_profiled(
+                plan.ops, buffers, t, half, self.gathers, self._profile(), batch
+            )
+        else:
+            _interpret(plan.ops, buffers, t, half, self.gathers)
+        return self._build_reports(buffers, batch, backend_name)
 
     def _build_reports(
         self, buffers: List[np.ndarray], batch: int, backend_name: str
     ) -> List[ExecutionReport]:
-        accounting = self.accounting
         t, half = self.t, self.half
-        reports = [
-            ExecutionReport(
-                latency_ms=accounting.latency_ms,
-                operation_counts=dict(accounting.operation_counts),
-                encrypted_inputs=accounting.encrypted_inputs,
-                consumed_noise_budget=accounting.consumed_noise_budget,
-                remaining_noise_budget=accounting.remaining_noise_budget,
-                noise_budget_exhausted=accounting.noise_budget_exhausted,
-                backend=backend_name,
-                batch_size=batch,
-            )
-            for _ in range(batch)
-        ]
+        reports = self.accounting.reports(batch, backend_name)
         for output, positions in zip(self.outputs, self.output_positions):
             array = buffers[output.buffer]
             if not output.is_ciphertext:

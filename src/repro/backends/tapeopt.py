@@ -24,8 +24,8 @@ peephole passes over the SSA instruction list and emits a
    operand slot (numpy ufuncs are exact-aliasing safe); rotations and the
    multi-step fused ops get a destination slot disjoint from their operands.
 5. **Accounting replay** — the *original* instruction sequence is replayed
-   once through :class:`~repro.backends.base.NoiseLedger` and
-   :class:`~repro.fhe.meter.ExecutionMeter`; the resulting latency,
+   once through :func:`~repro.backends.base.replay_accounting` (the same
+   walk ``cost-sim`` runs); the resulting latency,
    operation counts and noise budgets are input independent and therefore
    float-for-float identical to metering each execution.
 
@@ -37,8 +37,8 @@ The module also owns the process-wide compiled-tape memo
 (:func:`get_compiled_tape`): tapes are keyed by circuit fingerprint and BFV
 parameters, so the JobServer's coalesced batches — and any number of backend
 instances — reuse compiled tapes across ticks.  :func:`tape_cache_stats`
-exposes hit/miss/compile counters and pooled arena bytes for smoke tests
-and server telemetry.
+exposes the memo's hit/miss/compile counters and size for smoke tests and
+server telemetry.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import NoiseLedger, program_fingerprint
+from repro.backends.base import program_fingerprint, replay_accounting
 from repro.backends.tape import (
     CompiledTape,
-    TapeAccounting,
     TapeLoad,
     TapeOp,
     TapeOutput,
@@ -61,7 +60,6 @@ from repro.backends.tape import (
 )
 from repro.compiler.circuit import CircuitProgram, Opcode
 from repro.core.exceptions import CompilationError
-from repro.fhe.meter import ExecutionMeter
 from repro.fhe.params import BFVParameters
 
 __all__ = [
@@ -106,77 +104,6 @@ _BINARY_KINDS = {
     Opcode.SUB_PLAIN: "sub",
     Opcode.MUL_PLAIN: "mul",
 }
-
-
-# ---------------------------------------------------------------------------
-# accounting replay (input independent, once per tape)
-# ---------------------------------------------------------------------------
-def _replay_accounting(
-    program: CircuitProgram, params: BFVParameters
-) -> Tuple[TapeAccounting, Dict[int, Tuple[bool, float]]]:
-    """Replay the original tape through the ledger/meter formulas.
-
-    Mirrors the reference evaluator's metering statement for statement
-    (same operations, same order), so every float is identical to a metered
-    execution.  Returns the aggregate accounting plus per-output-register
-    ``(is_ciphertext, clamped_budget)`` pairs.
-    """
-    meter = ExecutionMeter(params=params)
-    ledger = NoiseLedger(meter)
-    encrypted_inputs = 0
-    for instruction in program.instructions:
-        opcode = instruction.opcode
-        dst = instruction.result
-        if opcode is Opcode.LOAD_INPUT:
-            ledger.load_input(dst)
-            encrypted_inputs += 1
-        elif opcode is Opcode.LOAD_PLAIN:
-            pass
-        elif opcode is Opcode.ADD:
-            ledger.add(dst, *instruction.operands, "add")
-        elif opcode is Opcode.SUB:
-            ledger.add(dst, *instruction.operands, "sub")
-        elif opcode is Opcode.MUL:
-            ledger.multiply_relinearize(dst, *instruction.operands)
-        elif opcode is Opcode.ADD_PLAIN:
-            ledger.add_plain(dst, instruction.operands[0], "add")
-        elif opcode is Opcode.SUB_PLAIN:
-            ledger.add_plain(dst, instruction.operands[0], "sub")
-        elif opcode is Opcode.MUL_PLAIN:
-            ledger.multiply_plain(dst, instruction.operands[0])
-        elif opcode is Opcode.NEGATE:
-            ledger.negate(dst, instruction.operands[0])
-        elif opcode is Opcode.ROTATE:
-            ledger.rotate(dst, instruction.operands[0], instruction.step)
-        elif opcode is Opcode.OUTPUT:
-            ledger.alias(dst, instruction.operands[0])
-        else:  # pragma: no cover - defensive
-            raise CompilationError(f"unknown opcode {opcode}")
-
-    initial_budget = params.initial_noise_budget
-    minimum_budget = initial_budget
-    exhausted = False
-    per_output: Dict[int, Tuple[bool, float]] = {}
-    for register, _, _ in program.outputs:
-        if not ledger.is_ciphertext(register):
-            per_output[register] = (False, 0.0)
-            continue
-        budget = ledger.output_budget(register)
-        minimum_budget = min(minimum_budget, budget)
-        if budget <= 0.0:
-            exhausted = True
-        per_output[register] = (True, budget)
-    remaining = max(0.0, minimum_budget)
-    consumed = initial_budget - remaining
-    accounting = TapeAccounting(
-        latency_ms=meter.total_latency_ms,
-        operation_counts=meter.operation_counts(),
-        encrypted_inputs=encrypted_inputs,
-        remaining_noise_budget=remaining,
-        consumed_noise_budget=consumed,
-        noise_budget_exhausted=exhausted,
-    )
-    return accounting, per_output
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +378,7 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         for vid in op_vids
     ]
 
-    accounting, per_output = _replay_accounting(program, params)
+    accounting, per_output = replay_accounting(program, params)
     outputs = [
         TapeOutput(
             name=name,
@@ -580,14 +507,10 @@ def get_compiled_tape(
 
 
 def tape_cache_stats() -> Dict[str, int]:
-    """Snapshot of the tape-memo counters (hits/misses/compiles/size) plus
-    ``arena_bytes``, the arena memory pooled by every memoized tape."""
+    """Snapshot of the tape-memo counters (hits/misses/compiles/size)."""
     with _cache_lock:
         snapshot = dict(_counters)
         snapshot["size"] = len(_cache)
-        snapshot["arena_bytes"] = sum(
-            tape.pooled_bytes() for tape in _cache.values()
-        )
         return snapshot
 
 

@@ -172,10 +172,10 @@ def render_top(
 
     lines.append(
         "queue_depth {depth:g}  running {running:g}  "
-        "tape_arena_bytes {arena:g}".format(
+        "tape_memo_size {memo:g}".format(
             depth=float(gauges.get("queue_depth", 0) or 0),
             running=float(gauges.get("jobs_running", 0) or 0),
-            arena=float(gauges.get("tape_arena_bytes", 0) or 0),
+            memo=float(gauges.get("tape_memo_size", 0) or 0),
         )
     )
     submitted = counters.get("jobs_submitted", 0.0)

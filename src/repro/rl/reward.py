@@ -13,9 +13,10 @@ are what the reward-weight ablation (Table 1) varies.
 
 The terminal reward can optionally be grounded in *simulated execution
 latency* instead of the analytical cost: :meth:`RewardConfig.simulated_latency_ms`
-lowers the expression and runs it through the execution-backend registry on
-the accounting-only ``cost-sim`` backend (no crypto, microseconds per
-evaluation), which is exactly the latency the paper's Fig. 5 measures.
+lowers the expression and replays its accounting
+(:func:`repro.backends.base.replay_accounting`, the walk the ``cost-sim``
+backend and the vector VM run; no crypto, microseconds per evaluation),
+which is exactly the latency the paper's Fig. 5 measures.
 Enable with ``use_latency_terminal=True``.
 """
 
@@ -43,10 +44,8 @@ class RewardConfig:
     #: Penalty for selecting an inapplicable rule.
     invalid_action_penalty: float = 0.1
     #: Ground the terminal reward in simulated execution latency (lower +
-    #: cost-sim backend) instead of the analytical expression cost.
+    #: accounting replay) instead of the analytical expression cost.
     use_latency_terminal: bool = False
-    #: Execution backend evaluating latency terminals (registry name).
-    latency_backend: str = "cost-sim"
 
     @classmethod
     def with_weights(cls, ops: float, depth: float, mult: float, **kwargs) -> "RewardConfig":
@@ -71,15 +70,15 @@ class RewardConfig:
     def simulated_latency_ms(self, expr) -> float:
         """Simulated execution latency of ``expr`` once lowered to a circuit.
 
-        Lowers the expression and runs the instruction tape on the
-        configured accounting-only backend — the same latency model every
-        execution backend meters with, at a tiny fraction of a reference
-        execution's wall-clock, which is what makes per-episode latency
-        rewards affordable during RL rollouts.
+        Lowers the expression and replays its instructions through the
+        accounting models under the default parameters — the same latency
+        model every execution backend meters with, at a tiny fraction of a
+        reference execution's wall-clock, which is what makes per-episode
+        latency rewards affordable during RL rollouts.
         """
-        from repro.backends.registry import get_backend
+        from repro.backends.base import replay_accounting
         from repro.compiler.lowering import lower
+        from repro.fhe.params import BFVParameters
 
-        program = lower(expr)
-        report = get_backend(self.latency_backend).execute(program, inputs={})
-        return report.latency_ms
+        accounting, _ = replay_accounting(lower(expr), BFVParameters.default())
+        return accounting.latency_ms

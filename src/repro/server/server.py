@@ -764,7 +764,7 @@ class JobServer:
         analysis counters (``tapes_verified`` / ``analysis_findings``) are
         touched every tick so they appear in snapshots even at zero: an
         absent findings counter is indistinguishable from "never checked".
-        The ``tape_arena_bytes`` gauge is the memo's pooled arena memory.
+        The ``tape_memo_size`` gauge is the number of memoized tapes.
         """
         from repro.backends.tapeopt import tape_cache_stats
 
@@ -779,7 +779,7 @@ class JobServer:
             if delta > 0 or always:
                 self.telemetry.counter(counter).inc(delta)
             self._tape_stats_seen[key] = stats[key]
-        self.telemetry.gauge("tape_arena_bytes").set(stats["arena_bytes"])
+        self.telemetry.gauge("tape_memo_size").set(stats["size"])
 
     # -- compilation --------------------------------------------------------
     def _compile_service(self, job: Job) -> CompilationService:

@@ -566,6 +566,13 @@ class TestBackendRouting:
         reference = execute(lower(expr), {"a": 1, "b": 2, "c": 3, "d": 4})
         assert latency == reference.latency_ms
 
+    def test_reward_config_has_no_latency_backend_knob(self):
+        from repro.rl.reward import RewardConfig
+
+        for name in ("cost-sim", "reference", "vector-vm"):
+            with pytest.raises(TypeError):
+                RewardConfig(latency_backend=name)
+
     def test_env_latency_terminal_episode(self):
         from repro.ir.parser import parse
         from repro.rl.env import EnvConfig, FheRewriteEnv

@@ -11,6 +11,11 @@ sweep of the whole workload registry, plain and under the tape profiler.
 
 from __future__ import annotations
 
+import gc
+import random
+import threading
+import tracemalloc
+
 import pytest
 
 from repro import api
@@ -280,7 +285,7 @@ class TestTapeMemo:
         reset_tape_cache()
         zeros = {
             "hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0,
-            "size": 0, "arena_bytes": 0,
+            "size": 0,
         }
         assert tape_cache_stats() == zeros
         program = compiled("(+ (* a b) c)")
@@ -340,28 +345,77 @@ class TestSlotNarrowing:
         )
         assert reference[0].outputs == {"pair": [101]}
 
-    def test_pooled_arenas_stay_small(self):
+    def test_random_batch_sizes_retain_no_arena_memory(self):
+        # A seeded stream of 300 batch sizes in 1..256 through one memoized
+        # tape: every arena is dropped with its batch, so the bytes still
+        # allocated afterwards stay far below one arena per size seen.
         reset_tape_cache()
         benchmark = benchmark_by_name("matrix_multiply_5x5")
         program = compiled(benchmark.expression())
         tape = get_compiled_tape(program, BFVParameters.default())
-        for batch in range(1, 9):
-            inputs = [benchmark.sample_inputs(seed=seed) for seed in range(batch)]
-            tape.execute_batch(inputs)
-        assert 0 < tape.pooled_bytes() < 1 << 20
-        assert tape_cache_stats()["arena_bytes"] == tape.pooled_bytes()
+        inputs = [benchmark.sample_inputs(seed=seed) for seed in range(256)]
+        rng = random.Random(2026)
+        sizes = [rng.randint(1, 256) for _ in range(300)]
+        tape.execute_batch(inputs)  # plan the reductions before measuring
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for size in sizes:
+                tape.execute_batch(inputs[:size])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
-    def test_server_exports_the_arena_gauge(self, tmp_path):
+    def test_concurrent_batches_on_one_tape_match_the_serial_run(self):
+        # The server may drain on a client thread beside its serving loop:
+        # batches running at once on one memoized tape must not share arenas.
+        reset_tape_cache()
+        benchmark = benchmark_by_name("matrix_multiply_5x5")
+        program = compiled(benchmark.expression())
+        tape = get_compiled_tape(program, BFVParameters.default())
+        inputs = [benchmark.sample_inputs(seed=seed) for seed in range(64)]
+        rng = random.Random(7)
+        jobs = [
+            [(rng.randrange(64), rng.randint(1, 64)) for _ in range(50)]
+            for _ in range(4)
+        ]
+
+        def run(batches):
+            return [
+                [report.outputs for report in tape.execute_batch(inputs[start : start + size])]
+                for start, size in batches
+            ]
+
+        serial = [run(batches) for batches in jobs]
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def worker(index):
+            barrier.wait()
+            results[index] = run(jobs[index])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == serial
+
+    def test_server_exports_the_tape_memo_gauge(self, tmp_path):
         from repro.obs.console import read_snapshot, render_top
         from repro.server import Job, JobServer
 
+        reset_tape_cache()
         server = JobServer(str(tmp_path), backend="vector-vm")
         server.submit(Job(source="(+ (* a b) c)", seed=1))
         server.drain()
         server.close()
         snapshot = read_snapshot(server.store.metrics_path)
-        assert snapshot["gauges"]["tape_arena_bytes"] > 0
-        assert "tape_arena_bytes" in render_top(snapshot)
+        assert snapshot["gauges"]["tape_memo_size"] == tape_cache_stats()["size"] == 1
+        assert "tape_memo_size 1" in render_top(snapshot)
 
 
 class TestWorkloadRegistrySweep:
