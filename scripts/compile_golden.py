@@ -4,12 +4,15 @@
 Compiles the benchmark suite (without the deep trees) with ``greedy``,
 ``coyote`` and ``chehab-rl`` (the registry's default agent: 512 PPO
 timesteps over 64 expressions, seed 0), plus ``beam`` on the twelve small
-serving kernels, and records for each case:
+serving kernels and ``coyote`` on the deep trees, and records for each case:
 
 * the rewrite steps as ``(rule_name, location_index)`` pairs;
 * the optimized expression as an s-expression;
 * the lowered circuit's instruction stream and outputs;
-* the circuit statistics and the analytical initial/final costs.
+* the circuit statistics and the analytical initial/final costs;
+* every pipeline stage's ``cost_before``/``cost_after`` snapshot;
+* for ``coyote``, the ``vectorize-search`` work counters (layout and lane
+  candidates scored).
 
 The fixture also stores a digest of the trained agent's policy parameters,
 so a change to the rewriter that altered RL training would show too.
@@ -70,6 +73,8 @@ BEAM_KERNELS = (
     "roberts_cross_3x3",
     "matrix_multiply_3x3",
 )
+#: Greedy takes seconds on the deep trees; Coyote is pinned on them.
+DEEP_TREE_COMPILERS = ("coyote",)
 
 
 def _instruction_text(instruction) -> str:
@@ -93,17 +98,24 @@ def _instruction_text(instruction) -> str:
     return " ".join(parts)
 
 
-def _record(report) -> Dict[str, object]:
+def _record(report, compiler: str) -> Dict[str, object]:
     circuit = report.circuit
-    return {
+    record: Dict[str, object] = {
         "steps": [[step.rule_name, int(step.location_index)] for step in report.rewrite_steps],
         "optimized": to_sexpr(report.optimized_expr),
         "instructions": [_instruction_text(ins) for ins in circuit.instructions],
         "outputs": [[int(reg), name, int(length)] for reg, name, length in circuit.outputs],
         "stats": report.stats.as_dict(),
+        "stage_costs": [
+            f"{stage.name} {float(stage.cost_before)!r} -> {float(stage.cost_after)!r}"
+            for stage in report.trace.stages
+        ],
         "initial_cost": repr(float(report.initial_cost)),
         "final_cost": repr(float(report.final_cost)),
     }
+    if compiler == "coyote":
+        record["counters"] = dict(report.trace.stage("vectorize-search").counters)
+    return record
 
 
 def policy_digest(agent) -> str:
@@ -124,6 +136,11 @@ def _cases() -> List[tuple]:
             cases.append((benchmark, compiler))
     for name in BEAM_KERNELS:
         cases.append((benchmark_by_name(name), "beam"))
+    shallow = {benchmark.name for benchmark in benchmark_suite(include_deep_trees=False)}
+    for benchmark in benchmark_suite():
+        if benchmark.name not in shallow:
+            for compiler in DEEP_TREE_COMPILERS:
+                cases.append((benchmark, compiler))
     return cases
 
 
@@ -140,7 +157,7 @@ def generate() -> Dict[str, object]:
         # Round-trip through the text form, as a job's source does.
         expr = parse(to_sexpr(benchmark.expression()))
         report = compilers[compiler].compile_expression(expr, name=benchmark.name)
-        cases[f"{compiler}/{benchmark.name}"] = _record(report)
+        cases[f"{compiler}/{benchmark.name}"] = _record(report, compiler)
     return {
         "policy_digest": policy_digest(make_default_agent(**RL_OPTIONS)),
         "cases": cases,
