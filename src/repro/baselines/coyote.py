@@ -13,9 +13,14 @@ reproduction implements the same *class* of algorithm:
    packed nodes, which is what makes compile time climb steeply with program
    size, as in Fig. 6) and keeps the one that minimises data movement.  All
    candidates of a pack are scored in one numpy pass (see
-   :func:`_movement_scores`);
+   :func:`_movement_scores`).  An outer search repeats this for several
+   input-data layouts: each candidate is planned into an :class:`_OpTally`
+   that only adds up weighted opcode counts, and a circuit is built for
+   the cheapest plan alone;
 4. resolve the layout *after* packing: every operand vector is gathered from
-   its producers with rotate + plaintext-mask + add sequences.
+   its producers with rotate + plaintext-mask + add sequences.  Every
+   instruction a plan emits feeds the output, so a candidate's score needs
+   no dead code elimination first.
 
 Step 4 is the behavioural signature the paper reports for Coyote: correct
 circuits that contain many rotations and ciphertext-plaintext
@@ -26,9 +31,8 @@ much larger compilation times on big kernels.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +74,12 @@ class CoyoteOptions:
     #: Random seed of the lane-assignment search.
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("search_candidates", "max_candidates", "layout_candidates"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"CoyoteOptions.{name} must be at least 1, got {value!r}")
+
 
 @dataclass
 class _Placement:
@@ -92,44 +102,88 @@ class _VectorizeSearchStage:
         folded = state.expr
         outputs = list(folded.elements) if isinstance(folded, Vec) else [folded]
 
-        # Outer layout search: score several candidate input-data layouts by
-        # fully planning the vectorized circuit for each and keeping the one
-        # with the lowest estimated cost (rotations + masks dominate).
+        # Outer layout search: plan several candidate input-data layouts,
+        # score each plan from the operations it would emit (rotations and
+        # masks dominate) and build a circuit for the cheapest one only.
         rng = np.random.default_rng(compiler.options.seed)
         # Every candidate plans over the same DAG; only the layout differs.
         dag = build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs))
         leaf_count = sum(1 for node in dag.nodes if isinstance(node.expr, (Var, Const)))
-        candidates = max(1, min(compiler.options.layout_candidates, max(1, leaf_count)))
-        best_program: Optional[CircuitProgram] = None
-        best_score = float("inf")
+        candidates = min(compiler.options.layout_candidates, max(1, leaf_count))
         state.counters["cost_evals"] = candidates
         state.counters["lane_candidates"] = 0
+        best_score = float("inf")
+        best_candidate = 0
+        best_rng_state: Dict[str, object] = {}
         for candidate in range(candidates):
-            permute = candidate > 0
-            program = compiler._vectorize(
-                dag, outputs, state.name, rng, permute_leaves=permute, counters=state.counters
+            rng_state = rng.bit_generator.state
+            tally = _OpTally()
+            compiler._vectorize(
+                dag, outputs, tally, rng, permute_leaves=candidate > 0, counters=state.counters
             )
-            program = dead_code_eliminate(program)
-            score = _layout_score(program)
-            if score < best_score:
-                best_score = score
-                best_program = program
-        assert best_program is not None
-        state.circuit = best_program
+            if tally.score < best_score:
+                best_score = tally.score
+                best_candidate = candidate
+                best_rng_state = rng_state
+        # Replay the winner's plan from the RNG state it started with; its
+        # lane candidates are already counted.  A plan emits no dead code
+        # (every register it emits feeds the output), so a tally scores what
+        # dead code elimination would leave; the pipeline's ``dce`` stage
+        # still runs on the winner.
+        rng.bit_generator.state = best_rng_state
+        program = CircuitProgram(name=state.name)
+        compiler._vectorize(
+            dag, outputs, program, rng, permute_leaves=best_candidate > 0, counters={}
+        )
+        state.circuit = program
         # Coyote does no expression-level rewriting: the analytical cost of
         # the folded expression is both the initial and the final cost.
         state.initial_cost = state.final_cost = compiler.cost_model.cost(folded)
 
 
-def _layout_score(program: CircuitProgram) -> float:
-    """Estimated cost of a candidate circuit: rotations and masks dominate."""
-    counts = Counter(instruction.opcode for instruction in program.instructions)
-    return (
-        100.0 * counts[Opcode.MUL]
-        + 50.0 * counts[Opcode.ROTATE]
-        + 25.0 * counts[Opcode.MUL_PLAIN]
-        + 1.0 * (counts[Opcode.ADD] + counts[Opcode.ADD_PLAIN])
-    )
+#: Layout-score weight of each opcode (absent opcodes weigh nothing):
+#: rotations and masks dominate a candidate layout's estimated cost.
+_LAYOUT_WEIGHTS: Dict[Opcode, float] = {
+    Opcode.MUL: 100.0,
+    Opcode.ROTATE: 50.0,
+    Opcode.MUL_PLAIN: 25.0,
+    Opcode.ADD: 1.0,
+    Opcode.ADD_PLAIN: 1.0,
+}
+
+
+class _OpTally:
+    """An emit sink that only adds up the layout score of what it is sent.
+
+    It takes the :meth:`CircuitProgram.emit` and
+    :meth:`CircuitProgram.mark_output` calls and hands out the same dense
+    register numbers a program would, so one body,
+    :meth:`CoyoteCompiler._vectorize`, either scores a candidate (into a
+    tally) or builds it (into a program).
+    """
+
+    def __init__(self) -> None:
+        self.score = 0.0
+        self.scalar_inputs: List[str] = []
+        self._registers = 0
+
+    def emit(
+        self,
+        opcode: Opcode,
+        operands: Sequence[int] = (),
+        *,
+        step: int = 0,
+        name: Optional[str] = None,
+        layout: Sequence[InputSlot] = (),
+        values: Sequence[int] = (),
+    ) -> int:
+        self.score += _LAYOUT_WEIGHTS.get(opcode, 0.0)
+        register = self._registers
+        self._registers += 1
+        return register
+
+    def mark_output(self, register: int, name: str, length: int) -> None:
+        pass
 
 
 class CoyoteCompiler:
@@ -163,14 +217,17 @@ class CoyoteCompiler:
         self,
         dag: Dag,
         outputs: Sequence[Expr],
-        name: str,
+        program: Union[CircuitProgram, _OpTally],
         rng: np.random.Generator,
         permute_leaves: bool,
         counters: Dict[str, int],
-    ) -> CircuitProgram:
-        """Plan one candidate layout over ``dag``, the shared DAG of ``outputs``."""
-        program = CircuitProgram(name=name)
+    ) -> None:
+        """Plan one candidate layout over ``dag``, the shared DAG of ``outputs``.
 
+        Every instruction of the plan goes to ``program``: a
+        :class:`CircuitProgram` to build the candidate, an :class:`_OpTally`
+        to score it.
+        """
         # 1. The caller builds one shared DAG over all outputs.
         # 2. Collect leaves and pack them into a single input ciphertext,
         #    possibly with a permuted layout (outer layout search).
@@ -219,8 +276,9 @@ class CoyoteCompiler:
             key = tuple(sorted(lanes))
             register = mask_cache.get(key)
             if register is None:
-                width = max(key) + 1
-                values = [1 if lane in key else 0 for lane in range(width)]
+                values = [0] * (key[-1] + 1)
+                for lane in key:
+                    values[lane] = 1
                 register = program.emit(Opcode.LOAD_PLAIN, name="vector", values=tuple(values))
                 mask_cache[key] = register
             return register
@@ -282,7 +340,6 @@ class CoyoteCompiler:
             output_sources.append((placements[node_id], index))
         result_register = gather(output_sources)
         program.mark_output(result_register, "result", len(outputs))
-        return program
 
     # -- lane-assignment search -------------------------------------------------------------
     def _search_lanes(
@@ -331,14 +388,17 @@ def _movement_scores(
     positions: List[int] = []
     registers: List[int] = []
     lanes: List[int] = []
+    # Source registers are numbered densely in first-seen order; any
+    # one-to-one relabelling leaves each row's distinct-pair count unchanged.
+    index: Dict[int, int] = {}
     for position, node_id in enumerate(group):
         for operand_id in dag.nodes[node_id].operands:
             placement = placements[operand_id]
             positions.append(position)
-            registers.append(placement.register)
+            registers.append(index.setdefault(placement.register, len(index)))
             lanes.append(placement.lane)
     lane = np.asarray(lanes, dtype=np.int64)
-    _, register = np.unique(np.asarray(registers, dtype=np.int64), return_inverse=True)
+    register = np.asarray(registers, dtype=np.int64)
     lowest = int(lane.min()) - (orders.shape[1] - 1)
     span = int(lane.max()) - lowest + 1
     keys = register * span + (lane - lowest) - orders[:, positions]

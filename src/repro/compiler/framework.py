@@ -81,7 +81,12 @@ class PipelineState:
 
 @runtime_checkable
 class Stage(Protocol):
-    """One named step of a pipeline; mutates the state in place."""
+    """One named step of a pipeline; mutates the state in place.
+
+    A stage that changes the expression or the circuit assigns a new value
+    to ``state.expr``/``state.circuit``; it never edits the old one, whose
+    cost snapshot the pipeline keeps.
+    """
 
     name: str
     #: "expr" or "circuit" — which representation the stage operates on.
@@ -228,10 +233,12 @@ class PassPipeline:
     def stage_names(self) -> List[str]:
         return [stage.name for stage in self.stages]
 
-    def _snapshot(self, state: PipelineState) -> float:
+    def _snapshot(self, state: PipelineState) -> Tuple[float, Optional[CircuitStats]]:
+        """The state's cost and, once lowered, its circuit statistics."""
         if state.circuit is not None:
-            return float(state.circuit.stats().total_operations)
-        return float(self.cost_model.cost(state.expr))
+            stats = state.circuit.stats()
+            return float(stats.total_operations), stats
+        return float(self.cost_model.cost(state.expr)), None
 
     def run(self, state: PipelineState, *, verify: bool = False) -> PipelineTrace:
         """Execute every stage in order; returns the per-stage trace.
@@ -240,6 +247,17 @@ class PassPipeline:
         :mod:`repro.analysis.pipeline_check` run after every stage; each
         stage's findings land on its :class:`StageTrace` (naming the stage
         that broke an invariant) and the merged report on the trace.
+        """
+        return self._run(state, verify=verify)[0]
+
+    def _run(
+        self, state: PipelineState, *, verify: bool
+    ) -> Tuple[PipelineTrace, Optional[CircuitStats]]:
+        """:meth:`run`, also returning the final circuit's statistics.
+
+        A snapshot is taken only when a stage replaced ``state.expr`` or
+        ``state.circuit``: stages build new values rather than edit them in
+        place, so the same objects have the same cost.
         """
         analysis = None
         validate = None
@@ -250,12 +268,16 @@ class PassPipeline:
             analysis = AnalysisReport()
             validate = validate_state
         trace = PipelineTrace(analysis=analysis)
-        snapshot = self._snapshot(state)
+        snapshot, stats = self._snapshot(state)
+        seen = (state.expr, state.circuit)
         for stage in self.stages:
             state.counters = {}
             start = time.perf_counter()
             stage.run(state)
-            after = self._snapshot(state)
+            after = snapshot
+            if state.expr is not seen[0] or state.circuit is not seen[1]:
+                after, stats = self._snapshot(state)
+                seen = (state.expr, state.circuit)
             elapsed = time.perf_counter() - start
             findings: tuple = ()
             if validate is not None:
@@ -274,7 +296,7 @@ class PassPipeline:
                 )
             )
             snapshot = after
-        return trace
+        return trace, stats
 
     def compile(
         self, expr: Expr, name: str = "circuit", *, verify: bool = False
@@ -287,7 +309,7 @@ class PassPipeline:
         """
         start = time.perf_counter()
         state = PipelineState(name=name, source_expr=expr, expr=expr)
-        trace = self.run(state, verify=verify)
+        trace, stats = self._run(state, verify=verify)
         if state.circuit is None:
             raise ValueError(
                 f"pipeline {self.stage_names} produced no circuit for {name!r}"
@@ -298,7 +320,7 @@ class PassPipeline:
             source_expr=expr,
             optimized_expr=state.expr,
             circuit=state.circuit,
-            stats=state.circuit.stats(),
+            stats=stats,
             compile_time_s=elapsed,
             rewrite_steps=list(state.rewrite_steps),
             initial_cost=state.initial_cost,

@@ -181,7 +181,14 @@ class CompilerSpec:
 
     @classmethod
     def create(cls, name: str, **options: object) -> "CompilerSpec":
-        return cls(name=name, options=tuple(sorted(options.items())))
+        """The spec for ``name`` with ``options``; rejects invalid options.
+
+        The options go through the compiler's normalizer here, so an unknown
+        or out-of-range option fails now rather than mid-compile.
+        """
+        spec = cls(name=name, options=tuple(sorted(options.items())))
+        spec._normalized_options()
+        return spec
 
     @property
     def options_dict(self) -> Dict[str, object]:
