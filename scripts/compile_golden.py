@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Golden compile traces: every compiler's output, pinned.
 
-Compiles the benchmark suite (without the deep trees) with ``greedy``,
-``coyote`` and ``chehab-rl`` (the registry's default agent: 512 PPO
-timesteps over 64 expressions, seed 0), plus ``beam`` on the twelve small
-serving kernels and ``coyote`` on the deep trees, and records for each case:
+Compiles the benchmark suite with ``greedy``, ``coyote`` and ``chehab-rl``
+(the registry's default agent: 512 PPO timesteps over 64 expressions,
+seed 0), plus ``beam`` on the twelve small serving kernels, and records for
+each case:
 
 * the rewrite steps as ``(rule_name, location_index)`` pairs;
 * the optimized expression as an s-expression;
@@ -12,7 +12,11 @@ serving kernels and ``coyote`` on the deep trees, and records for each case:
 * the circuit statistics and the analytical initial/final costs;
 * every pipeline stage's ``cost_before``/``cost_after`` snapshot;
 * for ``coyote``, the ``vectorize-search`` work counters (layout and lane
-  candidates scored).
+  candidates scored);
+* for the rewriters, the ``optimize`` stage's ``memo_misses`` and, for the
+  deterministic searches (``greedy``, ``beam``), its ``cost_evals``.
+  ``nodes_walked`` is left out: it measures how the search walks, not what
+  it computes.
 
 The fixture also stores a digest of the trained agent's policy parameters,
 so a change to the rewriter that altered RL training would show too.
@@ -73,8 +77,14 @@ BEAM_KERNELS = (
     "roberts_cross_3x3",
     "matrix_multiply_3x3",
 )
-#: Greedy takes seconds on the deep trees; Coyote is pinned on them.
-DEEP_TREE_COMPILERS = ("coyote",)
+#: Beam search is slow on the deep trees; the other compilers are pinned on them.
+DEEP_TREE_COMPILERS = ("greedy", "coyote", "chehab-rl")
+#: The ``optimize`` counters pinned per compiler.
+OPTIMIZE_COUNTERS = {
+    "greedy": ("memo_misses", "cost_evals"),
+    "beam": ("memo_misses", "cost_evals"),
+    "chehab-rl": ("memo_misses",),
+}
 
 
 def _instruction_text(instruction) -> str:
@@ -115,6 +125,11 @@ def _record(report, compiler: str) -> Dict[str, object]:
     }
     if compiler == "coyote":
         record["counters"] = dict(report.trace.stage("vectorize-search").counters)
+    if compiler in OPTIMIZE_COUNTERS:
+        counters = dict(report.trace.stage("optimize").counters)
+        record["optimize_counters"] = {
+            name: counters[name] for name in OPTIMIZE_COUNTERS[compiler]
+        }
     return record
 
 
