@@ -138,7 +138,7 @@ class _VectorizeSearchStage:
         state.circuit = program
         # Coyote does no expression-level rewriting: the analytical cost of
         # the folded expression is both the initial and the final cost.
-        state.initial_cost = state.final_cost = compiler.cost_model.cost(folded)
+        state.initial_cost = state.final_cost = state.expr_cost(compiler.cost_model)
 
 
 #: Layout-score weight of each opcode (absent opcodes weigh nothing):

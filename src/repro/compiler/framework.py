@@ -77,6 +77,20 @@ class PipelineState:
     #: Integer work counters of the running stage; :meth:`PassPipeline.run`
     #: resets them before each stage and moves them onto its trace.
     counters: Dict[str, int] = field(default_factory=dict)
+    #: ``(expr, model, cost)`` of the last expression costed (see
+    #: :meth:`expr_cost`).
+    costed: Optional[Tuple[Expr, CostModel, float]] = None
+
+    def expr_cost(self, model: CostModel) -> float:
+        """``model.cost(self.expr)``, computed once per expression and model.
+
+        Expressions are never edited in place, so the same expression
+        object under the same model object has the same cost.
+        """
+        costed = self.costed
+        if costed is None or costed[0] is not self.expr or costed[1] is not model:
+            costed = self.costed = (self.expr, model, model.cost(self.expr))
+        return costed[2]
 
 
 @runtime_checkable
@@ -238,7 +252,7 @@ class PassPipeline:
         if state.circuit is not None:
             stats = state.circuit.stats()
             return float(stats.total_operations), stats
-        return float(self.cost_model.cost(state.expr)), None
+        return float(state.expr_cost(self.cost_model)), None
 
     def run(self, state: PipelineState, *, verify: bool = False) -> PipelineTrace:
         """Execute every stage in order; returns the per-stage trace.

@@ -104,7 +104,7 @@ class _OptimizeStage:
         # The output arity of the folded-but-unoptimized expression drives
         # lowering; rewriting must not change what the program computes.
         state.metadata["output_arity"] = output_arity(state.expr)
-        state.initial_cost = cost_model.cost(state.expr)
+        state.initial_cost = state.expr_cost(cost_model)
         optimizer = _resolve_optimizer(self.options)
         if optimizer is None:
             state.final_cost = state.initial_cost
@@ -113,7 +113,10 @@ class _OptimizeStage:
         state.expr = constant_fold(result.optimized)
         state.rewrite_steps = list(result.steps)
         state.counters.update(getattr(result, "counters", {}))
-        state.final_cost = cost_model.cost(state.expr)
+        if state.expr is result.optimized and getattr(result, "cost_model", None) is cost_model:
+            # The search already priced its output under this model.
+            state.costed = (state.expr, cost_model, result.final_cost)
+        state.final_cost = state.expr_cost(cost_model)
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,9 @@ free — exactly the ordering of real BFV operation latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.ir.analysis import (
-    OpCounts,
-    count_node_ops,
-    count_ops,
-    dag_depths,
-    unique_subexpressions,
-)
+from repro.ir.analysis import OpCounts, count_ops, dag_depths, tally_op_counts
 from repro.ir.nodes import Expr
 
 __all__ = ["OperationCosts", "CostWeights", "CostModel", "CostMemo", "expression_cost"]
@@ -128,12 +122,21 @@ class CostModel:
 
 
 class CostMemo:
-    """Costs many rewrites of one expression under one :class:`CostModel`.
+    """Costs the rewrites of one search's current expression by their delta.
 
-    Each :meth:`cost` makes one pruned pass over the DAG to count
-    operations and reuses the per-node ``(depth, mult_depth)`` memo, so after
-    a rewrite only the new spine's depths are computed.  The result equals
-    ``model.cost(expr)`` float for float.
+    The memo holds the DAG of a *base* expression -- the search's current
+    state -- as a reference count per node plus a per-operator tally.
+    :meth:`cost` prices any expression as an exact delta from that base.
+    It first references the expression's root; a node that becomes live
+    adds its operator and references its children.  It then releases the
+    base's root; a node whose count reaches zero subtracts its operator and
+    releases its children.  A rewrite shares every node off its new spine
+    with the base, so only the new spine and the old one it replaces are
+    visited.  Depths come from a per-node ``(depth, mult_depth)`` memo, so
+    only new nodes are computed.  The base is left as it was;
+    :meth:`rebase` moves it to an accepted expression the same way.  The
+    memo starts with an empty base, from which the delta is the whole DAG.
+    The result equals ``model.cost(expr)`` float for float.
 
     A memo lives for one ``optimize`` call or one environment episode.  Its
     keys compare structurally, and compilers that parse the same kernel build
@@ -141,14 +144,22 @@ class CostMemo:
     comparing whole trees and would grow without bound.
     """
 
-    __slots__ = ("model", "depths", "evaluations", "nodes_walked")
+    __slots__ = ("model", "depths", "base", "refs", "tally", "evaluations", "nodes_walked")
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self.depths: Dict[Expr, Tuple[int, int]] = {}
+        #: The expression the deltas are taken from (None: the empty DAG).
+        self.base: Optional[Expr] = None
+        #: Live node -> references from its live parents' child slots (plus
+        #: one for the root).
+        self.refs: Dict[Expr, int] = {}
+        #: Operator -> live nodes of the base with that operator.
+        self.tally: Dict[str, int] = {}
         #: Calls of :meth:`cost`.
         self.evaluations = 0
-        #: Distinct nodes visited by the counting passes.
+        #: Nodes visited by the reference-count deltas of :meth:`cost` and
+        #: :meth:`rebase`.
         self.nodes_walked = 0
 
     @property
@@ -157,11 +168,61 @@ class CostMemo:
         return len(self.depths)
 
     def cost(self, expr: Expr) -> float:
-        """``self.model.cost(expr)``, reusing the depths of known nodes."""
-        nodes = unique_subexpressions(expr)
+        """``self.model.cost(expr)``, as a delta from the base's DAG."""
+        _, changes = self._delta(expr)
         self.evaluations += 1
-        self.nodes_walked += len(nodes)
-        return self.model._weighted(count_node_ops(nodes), dag_depths(expr, self.depths))
+        tally = dict(self.tally)
+        for op, change in changes.items():
+            tally[op] = tally.get(op, 0) + change
+        return self.model._weighted(tally_op_counts(tally), dag_depths(expr, self.depths))
+
+    def rebase(self, expr: Expr) -> None:
+        """Make ``expr`` the base that later :meth:`cost` calls start from."""
+        refs, changes = self._delta(expr)
+        for node, count in refs.items():
+            if count:
+                self.refs[node] = count
+            else:
+                del self.refs[node]
+        for op, change in changes.items():
+            self.tally[op] = self.tally.get(op, 0) + change
+        self.base = expr
+
+    def _delta(self, expr: Expr) -> Tuple[Dict[Expr, int], Dict[str, int]]:
+        """Swap the base's root for ``expr``'s without touching the base.
+
+        Returns the new reference count of every node it visited and the
+        change of the per-operator tally.
+        """
+        base_refs = self.refs
+        refs: Dict[Expr, int] = {}
+        tally: Dict[str, int] = {}
+        walked = 0
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            walked += 1
+            count = refs.get(node)
+            if count is None:
+                count = base_refs.get(node, 0)
+            refs[node] = count + 1
+            if not count:
+                tally[node.op] = tally.get(node.op, 0) + 1
+                stack.extend(node.children)
+        if self.base is not None:
+            stack.append(self.base)
+        while stack:
+            node = stack.pop()
+            walked += 1
+            count = refs.get(node)
+            if count is None:
+                count = base_refs[node]
+            refs[node] = count - 1
+            if count == 1:
+                tally[node.op] = tally.get(node.op, 0) - 1
+                stack.extend(node.children)
+        self.nodes_walked += walked
+        return refs, tally
 
 
 #: Default cost model matching the paper's configuration.

@@ -23,7 +23,7 @@ is analysed in time linear in the DAG.  Only :func:`expression_size` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.ir.nodes import Const, Expr, Mul, Rotate, Var, Vec, VecMul
 
@@ -32,7 +32,7 @@ __all__ = [
     "circuit_depth",
     "multiplicative_depth",
     "count_ops",
-    "count_node_ops",
+    "tally_op_counts",
     "dag_depths",
     "expression_size",
     "dag_size",
@@ -252,14 +252,14 @@ def dag_depths(expr: Expr, memo: Dict[Expr, Tuple[int, int]]) -> Tuple[int, int]
 
 def count_ops(expr: Expr) -> OpCounts:
     """Count operations over the dataflow DAG of ``expr``."""
-    return count_node_ops(unique_subexpressions(expr))
-
-
-def count_node_ops(nodes: Iterable[Expr]) -> OpCounts:
-    """Count the operations of ``nodes``, each taken once as given."""
     tally: Dict[str, int] = {}
-    for node in nodes:
+    for node in unique_subexpressions(expr):
         tally[node.op] = tally.get(node.op, 0) + 1
+    return tally_op_counts(tally)
+
+
+def tally_op_counts(tally: Mapping[str, int]) -> OpCounts:
+    """The :class:`OpCounts` of a per-operator tally of DAG nodes."""
     return OpCounts(
         **{_OP_FIELDS[op]: count for op, count in tally.items() if op in _OP_FIELDS}
     )

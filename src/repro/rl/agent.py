@@ -115,7 +115,8 @@ class ChehabAgent:
         at ``END`` — the behaviour used when reporting pure-policy quality.
         """
         # The environment's memos serve this call too: its match paths and
-        # costs are those of the agent's current expression.
+        # cost base are those of the agent's current expression, and each
+        # chosen candidate is handed to ``env.step`` as applied and costed.
         env = self._make_env(lambda: expr)
         observation = env.reset(expr)
         initial_cost = env.current_cost
@@ -157,7 +158,9 @@ class ChehabAgent:
             )
             current = candidate
             current_cost = candidate_cost
-            observation, _reward, done, _info = env.step((rule_index, location_index))
+            observation, _reward, done, _info = env.step(
+                (rule_index, location_index), outcome=(candidate, candidate_cost)
+            )
             if done:
                 break
         return RewriteResult(
@@ -167,6 +170,7 @@ class ChehabAgent:
             initial_cost=initial_cost,
             final_cost=current_cost,
             counters=search_counters(env.matches, env.costs),
+            cost_model=env.costs.model,
         )
 
     def _best_guided_action(

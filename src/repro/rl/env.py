@@ -8,8 +8,12 @@ pairs; selecting ``END`` (or reaching the step limit) terminates the episode
 and triggers the terminal reward.
 
 Each episode keeps one :class:`~repro.trs.registry.MatchMemo` and one
-:class:`~repro.core.cost.CostMemo`, so an observation matches every rule in
-one walk and only the nodes a step created are matched and costed anew.
+:class:`~repro.core.cost.CostMemo` based at the current expression, so an
+observation matches every rule in one walk, a step is costed by its delta
+from the current DAG, and only the nodes a step created are matched anew.
+A caller that already applied and costed an action (the guided agent)
+hands the outcome to :meth:`FheRewriteEnv.step`, which then neither
+re-applies nor re-costs it.
 
 The environment follows the Gym ``reset``/``step`` convention but is
 dependency-free.  Multiple independent copies can be stepped in a simple
@@ -95,9 +99,6 @@ class FheRewriteEnv:
     def end_index(self) -> int:
         return self.ruleset.end_index
 
-    def _cost(self, expr: Expr) -> float:
-        return self.costs.cost(expr)
-
     def _observation(self) -> Observation:
         assert self.current is not None
         tokens = np.asarray(self.tokenizer.encode(self.current), dtype=np.int64)
@@ -123,7 +124,8 @@ class FheRewriteEnv:
         self.current = expr if expr is not None else self.expression_source()
         self.matches = MatchMemo()
         self.costs = CostMemo(self.config.reward.cost_model)
-        self.initial_cost = self._cost(self.current)
+        self.costs.rebase(self.current)
+        self.initial_cost = self.costs.cost(self.current)
         self.current_cost = self.initial_cost
         if self.config.reward.use_latency_terminal:
             self.initial_latency_ms = self.config.reward.simulated_latency_ms(self.current)
@@ -131,8 +133,14 @@ class FheRewriteEnv:
         self.episode_reward = 0.0
         return self._observation()
 
-    def step(self, action: Tuple[int, int]) -> Tuple[Observation, float, bool, Dict]:
-        """Apply ``(rule_index, location_index)`` and return (obs, reward, done, info)."""
+    def step(
+        self, action: Tuple[int, int], outcome: Optional[Tuple[Expr, float]] = None
+    ) -> Tuple[Observation, float, bool, Dict]:
+        """Apply ``(rule_index, location_index)`` and return (obs, reward, done, info).
+
+        ``outcome`` is the rewritten expression and its cost when the caller
+        has already applied and costed ``action`` on the current expression.
+        """
         if self.current is None:
             raise RuntimeError("step() called before reset()")
         rule_index, location_index = int(action[0]), int(action[1])
@@ -152,10 +160,15 @@ class FheRewriteEnv:
                 reward = -reward_config.invalid_action_penalty
                 info["invalid"] = True
             else:
-                location_index = min(location_index, len(locations) - 1)
                 cost_before = self.current_cost
-                self.current = rule.apply_at(self.current, locations[location_index])
-                self.current_cost = self._cost(self.current)
+                if outcome is None:
+                    location_index = min(location_index, len(locations) - 1)
+                    self.current = rule.apply_at(self.current, locations[location_index])
+                    self.costs.rebase(self.current)
+                    self.current_cost = self.costs.cost(self.current)
+                else:
+                    self.current, self.current_cost = outcome
+                    self.costs.rebase(self.current)
                 reward = reward_config.step_reward(cost_before, self.current_cost)
                 info["rule"] = rule.name
 

@@ -842,6 +842,11 @@ class JobServer:
         terminal = 0
         for job in jobs:
             try:
+                self._compile_service(job)
+            except Exception as error:
+                terminal += self._handle_failure(job, error, sink, retry=False)
+                continue
+            try:
                 with self.tracer.span(
                     "backend_compile",
                     attrs={"job": job.id, "compiler": job.compiler or self.default_compiler},
@@ -887,13 +892,20 @@ class JobServer:
         circuits: Dict[str, _CircuitEntry] = {}
         with self.tracer.span("backend_compile", attrs={"jobs": len(jobs)}):
             for job in jobs:
+                backend_name = job.backend or self.default_backend
+                try:
+                    # Resolving the services now surfaces unknown-compiler and
+                    # unknown-backend errors per job instead of failing the
+                    # whole group later.
+                    if job.program is None:
+                        self._compile_service(job)
+                    self._execution_service(backend_name)
+                except Exception as error:
+                    terminal += self._handle_failure(job, error, sink, retry=False)
+                    continue
                 try:
                     circuit = self._compiled_circuit(job)
                     inputs = [circuit.input_set(job)]
-                    backend_name = job.backend or self.default_backend
-                    # Resolving the service now surfaces unknown-backend errors
-                    # per job instead of failing the whole group later.
-                    self._execution_service(backend_name)
                     circuits[job.id] = circuit
                     entries.append((job, circuit.circuit, inputs, backend_name))
                 except Exception as error:
@@ -1063,11 +1075,21 @@ class JobServer:
         return 1
 
     def _handle_failure(
-        self, job: Job, error: Exception, sink: List[Dict[str, object]]
+        self,
+        job: Job,
+        error: Exception,
+        sink: List[Dict[str, object]],
+        *,
+        retry: bool = True,
     ) -> int:
-        """Requeue for retry when attempts remain, otherwise fail the job."""
+        """Requeue for retry when attempts remain, otherwise fail the job.
+
+        ``retry=False`` fails the job at once: a compiler name, compiler
+        options or backend name that cannot be resolved fails the same way
+        on every attempt.
+        """
         message = f"{type(error).__name__}: {error}"
-        if job.attempts <= job.max_retries:
+        if retry and job.attempts <= job.max_retries:
             job.status = JobState.QUEUED
             job.error = message
             sink.append(job.to_record())

@@ -17,8 +17,10 @@ rules were applied where.
 
 Each ``optimize`` call keeps one :class:`~repro.trs.registry.MatchMemo` and
 one :class:`~repro.core.cost.CostMemo`: a step matches every rule in one
-walk of the current expression and costs each candidate reusing the depths
-of the nodes it shares with earlier states.  The work done is reported in
+walk of the current expression and costs each candidate by its delta from
+the current expression's DAG, which the memo holds as its base.  Greedy,
+random and :func:`apply_sequence` move the base once per accepted step,
+beam search once per beam entry.  The work done is reported in
 :attr:`RewriteResult.counters`.
 """
 
@@ -65,6 +67,8 @@ class RewriteResult:
     final_cost: float
     #: Work counters of the search (see :func:`search_counters`).
     counters: Dict[str, int] = field(default_factory=dict)
+    #: The model that priced ``initial_cost`` and ``final_cost``.
+    cost_model: Optional[CostModel] = None
 
     @property
     def improvement(self) -> float:
@@ -77,7 +81,7 @@ class RewriteResult:
 def search_counters(matches: MatchMemo, costs: CostMemo) -> Dict[str, int]:
     """The work one rewrite search did, as integer counters.
 
-    ``nodes_walked`` sums the nodes visited by match walks and cost passes,
+    ``nodes_walked`` sums the nodes visited by match walks and cost deltas,
     ``memo_misses`` the nodes that had to be matched or have their depths
     computed, and ``cost_evals`` the expressions costed.
     """
@@ -99,6 +103,7 @@ def apply_sequence(
     cost_model = cost_model if cost_model is not None else CostModel()
     matches, costs = MatchMemo(), CostMemo(cost_model)
     steps: List[RewriteStep] = []
+    costs.rebase(expr)
     initial_cost = costs.cost(expr)
     current = expr
     current_cost = initial_cost
@@ -112,6 +117,7 @@ def apply_sequence(
         location_index = min(location_index, len(locations) - 1)
         cost_before = current_cost
         current = rule.apply_at(current, locations[location_index])
+        costs.rebase(current)
         current_cost = costs.cost(current)
         steps.append(
             RewriteStep(
@@ -129,6 +135,7 @@ def apply_sequence(
         initial_cost=initial_cost,
         final_cost=current_cost,
         counters=search_counters(matches, costs),
+        cost_model=costs.model,
     )
 
 
@@ -151,6 +158,7 @@ class GreedyRewriter:
         """Greedily apply the best cost-reducing rule until none improves."""
         matches, costs = MatchMemo(), CostMemo(self.cost_model)
         steps: List[RewriteStep] = []
+        costs.rebase(expr)
         initial_cost = costs.cost(expr)
         current = expr
         current_cost = initial_cost
@@ -181,6 +189,7 @@ class GreedyRewriter:
             )
             current = candidate
             current_cost = candidate_cost
+            costs.rebase(current)
         return RewriteResult(
             initial=expr,
             optimized=current,
@@ -188,6 +197,7 @@ class GreedyRewriter:
             initial_cost=initial_cost,
             final_cost=current_cost,
             counters=search_counters(matches, costs),
+            cost_model=costs.model,
         )
 
 
@@ -210,6 +220,7 @@ class BeamSearchRewriter:
 
     def optimize(self, expr: Expr) -> RewriteResult:
         matches, costs = MatchMemo(), CostMemo(self.cost_model)
+        costs.rebase(expr)
         initial_cost = costs.cost(expr)
         beam: List[Tuple[float, Expr, List[RewriteStep]]] = [(initial_cost, expr, [])]
         best_cost, best_expr, best_steps = initial_cost, expr, []
@@ -217,6 +228,7 @@ class BeamSearchRewriter:
         for _ in range(self.max_steps):
             candidates: List[Tuple[float, Expr, List[RewriteStep]]] = []
             for cost, current, steps in beam:
+                costs.rebase(current)
                 all_locations = self.ruleset.match_paths(current, matches)
                 for rule_index, rule in enumerate(self.ruleset):
                     for location_index, path in enumerate(
@@ -248,6 +260,7 @@ class BeamSearchRewriter:
             initial_cost=initial_cost,
             final_cost=best_cost,
             counters=search_counters(matches, costs),
+            cost_model=costs.model,
         )
 
 
@@ -269,6 +282,7 @@ class RandomRewriter:
     def optimize(self, expr: Expr) -> RewriteResult:
         matches, costs = MatchMemo(), CostMemo(self.cost_model)
         steps: List[RewriteStep] = []
+        costs.rebase(expr)
         initial_cost = costs.cost(expr)
         current = expr
         current_cost = initial_cost
@@ -283,6 +297,7 @@ class RandomRewriter:
             location_index = self._rng.randrange(len(locations))
             cost_before = current_cost
             current = rule.apply_at(current, locations[location_index])
+            costs.rebase(current)
             current_cost = costs.cost(current)
             steps.append(
                 RewriteStep(
@@ -300,4 +315,5 @@ class RandomRewriter:
             initial_cost=initial_cost,
             final_cost=current_cost,
             counters=search_counters(matches, costs),
+            cost_model=costs.model,
         )

@@ -415,18 +415,36 @@ class TestJobServer:
         outcome = api.execute("(+ a b)", seed=3, input_range=100)
         assert outcome.inputs == wide_inputs
 
-    def test_unknown_compiler_fails_after_retries(self):
+    def test_unknown_compiler_fails_without_retries(self):
         server = make_server()
         job = Job(source=SOURCE, compiler="does-not-exist", max_retries=2)
         server.submit(job)
         server.drain()
         assert job.status is JobState.FAILED
-        assert job.attempts == 3  # initial try + 2 retries
+        assert job.attempts == 1  # a name that cannot resolve is not retried
         with pytest.raises(RuntimeError, match="does-not-exist"):
             server.result(job.id)
         counters = server.telemetry.snapshot()["counters"]
-        assert counters["jobs_retried"] == 2
+        assert counters.get("jobs_retried", 0) == 0
         assert counters["jobs_failed"] == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "compile", "compiler": "does-not-exist"},
+            {"backend": "warp-drive"},
+            {"compiler": "coyote", "compiler_options": {"layout_candidates": 0}},
+        ],
+        ids=["compile-job-unknown-compiler", "unknown-backend", "bad-compiler-options"],
+    )
+    def test_unresolvable_configuration_fails_on_first_attempt(self, config):
+        server = make_server()
+        job = Job(source=SOURCE, max_retries=2, **config)
+        server.submit(job)
+        server.drain()
+        assert job.status is JobState.FAILED
+        assert job.attempts == 1
+        assert server.telemetry.snapshot()["counters"].get("jobs_retried", 0) == 0
 
     def test_unknown_backend_fails(self):
         server = make_server()
@@ -507,7 +525,8 @@ class TestJobServer:
         retried attempts are requeued, not counted."""
         server = make_server()
         good = [Job(source=SOURCE, seed=seed) for seed in range(3)]
-        flaky = Job(source=SOURCE, compiler="does-not-exist", max_retries=2)
+        # A missing input fails every attempt through the retry path.
+        flaky = Job(source=SOURCE, inputs={"a": 1, "b": 2, "c": 3}, max_retries=2)
         for job in [*good, flaky]:
             server.submit(job)
         processed = server.drain()
