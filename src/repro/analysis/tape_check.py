@@ -369,10 +369,32 @@ def iter_op_bounds(tape: CompiledTape, ops: Sequence[TapeOp], *, bucket: int):
 # ---------------------------------------------------------------------------
 # tape-equivalence: symbolic translation validation + fusion legality
 # ---------------------------------------------------------------------------
-def _binary(kind: str, x: object, y: object) -> Tuple:
-    if kind in ("add", "mul") and repr(y) < repr(x):
-        x, y = y, x  # commutative: canonical operand order
-    return (kind, x, y)
+class _Terms:
+    """Hash-consed symbolic terms: each distinct term gets one integer id.
+
+    A term is a tuple ``(kind, *fields)`` whose sub-terms are ids, so equal
+    terms get equal ids and comparing, hashing or ordering a term costs the
+    same at any depth.  The circuit side and the tape side intern into one
+    table, so their outputs are equal exactly when their ids are.
+    """
+
+    __slots__ = ("ids", "keys")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Tuple, int] = {}
+        self.keys: List[Tuple] = []
+
+    def __call__(self, *key: object) -> int:
+        term = self.ids.get(key)
+        if term is None:
+            term = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return term
+
+    def binary(self, kind: str, x: int, y: int) -> int:
+        if kind in ("add", "mul") and y < x:
+            x, y = y, x  # commutative: canonical operand order
+        return self(kind, x, y)
 
 
 def _live_positions(tape: CompiledTape) -> Optional[np.ndarray]:
@@ -388,9 +410,9 @@ def _live_positions(tape: CompiledTape) -> Optional[np.ndarray]:
 
 
 def _circuit_terms(
-    program: CircuitProgram, t: int, n: int, position: np.ndarray
-) -> Dict[str, object]:
-    """Symbolic terms of every declared circuit output.
+    program: CircuitProgram, t: int, n: int, position: np.ndarray, term: _Terms
+) -> Dict[str, int]:
+    """Symbolic terms (ids in ``term``) of every declared circuit output.
 
     The normalization mirrors what the tape optimizer is *allowed* to do:
     rotation steps are reduced mod ``n`` (step 0 is the identity),
@@ -407,7 +429,7 @@ def _circuit_terms(
         residue = int(value) % t
         return residue - t if residue > half else residue
 
-    terms: Dict[int, object] = {}
+    terms: Dict[int, int] = {}
     for instruction in program.instructions:
         opcode = instruction.opcode
         dst = instruction.result
@@ -424,7 +446,7 @@ def _circuit_terms(
                 for column, name in var_columns
                 if position[column] >= 0
             )
-            terms[dst] = ("load", columns, template[live].tobytes())
+            terms[dst] = term("load", columns, template[live].tobytes())
         elif opcode is Opcode.LOAD_PLAIN:
             if instruction.name == "broadcast":
                 plain = np.full(n, centred(instruction.values[0]), dtype=np.int64)
@@ -432,15 +454,15 @@ def _circuit_terms(
                 plain = np.zeros(n, dtype=np.int64)
                 values = [centred(v) for v in instruction.values]
                 plain[: len(values)] = values
-            terms[dst] = ("plain", plain[live].tobytes())
+            terms[dst] = term("plain", plain[live].tobytes())
         elif opcode is Opcode.ROTATE:
             step = instruction.step % n
             source = terms[instruction.operands[0]]
-            terms[dst] = source if step == 0 else ("rot", source, step)
+            terms[dst] = source if step == 0 else term("rot", source, step)
         elif opcode is Opcode.OUTPUT:
             terms[dst] = terms[instruction.operands[0]]
         elif opcode is Opcode.NEGATE:
-            terms[dst] = ("neg", terms[instruction.operands[0]])
+            terms[dst] = term("neg", terms[instruction.operands[0]])
         else:
             kind = {
                 Opcode.ADD: "add",
@@ -454,35 +476,35 @@ def _circuit_terms(
                 raise ValueError(f"unknown opcode {opcode}")
             x = terms[instruction.operands[0]]
             y = terms[instruction.operands[1]]
-            terms[dst] = _binary(kind, x, y)
+            terms[dst] = term.binary(kind, x, y)
     return {name: terms[register] for register, name, _ in program.outputs}
 
 
 _LEAF_KINDS = ("load", "plain")
 
 
-def _live_use_counts(outputs: Dict[str, object]) -> Dict[object, int]:
+def _live_use_counts(outputs: Dict[str, int], term: _Terms) -> Dict[int, int]:
     """How many times each distinct term is consumed in the live term DAG.
 
-    Terms are value-keyed (structural equality), so identical instructions
-    collapse into one node exactly as the optimizer's CSE does, and the
-    count per node is its number of consumers plus output references — the
-    quantity the fusion passes gate on.
+    Terms are hash-consed (one id per distinct term), so identical
+    instructions collapse into one node exactly as the optimizer's CSE
+    does, and the count per node is its number of consumers plus output
+    references — the quantity the fusion passes gate on.
     """
-    counts: Dict[object, int] = {}
-    seen: Set[object] = set()
-    stack: List[object] = []
-    for term in outputs.values():
-        counts[term] = counts.get(term, 0) + 1
-        stack.append(term)
+    keys = term.keys
+    counts: Dict[int, int] = {}
+    seen: Set[int] = set()
+    stack: List[int] = []
+    for root in outputs.values():
+        counts[root] = counts.get(root, 0) + 1
+        stack.append(root)
     while stack:
-        term = stack.pop()
-        if not isinstance(term, tuple) or term[0] in _LEAF_KINDS:
+        node = stack.pop()
+        key = keys[node]
+        if key[0] in _LEAF_KINDS or node in seen:
             continue
-        if term in seen:
-            continue
-        seen.add(term)
-        children = term[1:2] if term[0] in ("neg", "rot") else term[1:3]
+        seen.add(node)
+        children = key[1:2] if key[0] in ("neg", "rot") else key[1:3]
         for child in children:
             counts[child] = counts.get(child, 0) + 1
             stack.append(child)
@@ -507,8 +529,9 @@ def check_equivalence(
     if position is None:  # reported by tape-slots
         report.mark_ran("tape-equivalence")
         return
+    term = _Terms()
     try:
-        circuit_outputs = _circuit_terms(program, t, n, position)
+        circuit_outputs = _circuit_terms(program, t, n, position, term)
     except (KeyError, ValueError) as exc:
         report.add(
             "tape-equivalence",
@@ -524,63 +547,66 @@ def check_equivalence(
     # terms in the same domain: constants and loads keyed by the compact
     # content the VM executes, fused ops unfolded into the shapes the
     # circuit side builds.
-    buffers: Dict[int, object] = {
-        index: ("plain", const.tobytes())
+    buffers: Dict[int, int] = {
+        index: term("plain", const.tobytes())
         for index, const in enumerate(tape.consts)
     }
     for load in tape.loads:
-        buffers[load.buffer] = (
+        buffers[load.buffer] = term(
             "load",
             tuple(load.columns),
             load.template.tobytes(),
         )
+    # A buffer read before any write is reported by tape-arena; here it is
+    # a leaf no circuit term equals.
+    unwritten = term("unwritten")
 
-    fused_inner: List[Tuple[int, object]] = []
+    fused_inner: List[Tuple[int, int]] = []
     for index, op in enumerate(ops):
         kind = op.kind
         if kind == "reduce":
             continue  # congruence-preserving: identity in the term domain
-        a = buffers.get(op.a)
-        b = buffers.get(op.b)
-        c = buffers.get(op.c)
+        a = buffers.get(op.a, unwritten)
+        b = buffers.get(op.b, unwritten)
+        c = buffers.get(op.c, unwritten)
         if kind == "neg":
-            term: object = ("neg", a)
+            result = term("neg", a)
         elif kind == "rot":
-            term = ("rot", a, op.step % n)
+            result = term("rot", a, op.step % n)
         elif kind in ("add", "sub", "mul"):
-            term = _binary(kind, a, b)
+            result = term.binary(kind, a, b)
         elif kind == "rot_add":
-            rotated = ("rot", a, op.step % n)
+            rotated = term("rot", a, op.step % n)
             fused_inner.append((index, rotated))
-            term = _binary("add", rotated, b)
+            result = term.binary("add", rotated, b)
         elif kind == "rot_mul":
-            rotated = ("rot", a, op.step % n)
+            rotated = term("rot", a, op.step % n)
             fused_inner.append((index, rotated))
-            term = _binary("mul", rotated, b)
+            result = term.binary("mul", rotated, b)
         elif kind == "rot_mul_add":
-            rotated = ("rot", a, op.step % n)
-            product = _binary("mul", rotated, b)
+            rotated = term("rot", a, op.step % n)
+            product = term.binary("mul", rotated, b)
             fused_inner.append((index, rotated))
             fused_inner.append((index, product))
-            term = _binary("add", product, c)
+            result = term.binary("add", product, c)
         elif kind == "mul_add":
-            product = _binary("mul", a, b)
+            product = term.binary("mul", a, b)
             fused_inner.append((index, product))
-            term = _binary("add", product, c)
+            result = term.binary("add", product, c)
         elif kind == "mul_sub_l":
-            product = _binary("mul", a, b)
+            product = term.binary("mul", a, b)
             fused_inner.append((index, product))
-            term = ("sub", product, c)
+            result = term("sub", product, c)
         elif kind == "mul_sub_r":
-            product = _binary("mul", a, b)
+            product = term.binary("mul", a, b)
             fused_inner.append((index, product))
-            term = ("sub", c, product)
+            result = term("sub", c, product)
         else:
             continue  # unknown kinds are reported by tape-arena
-        buffers[op.dst] = term
+        buffers[op.dst] = result
 
     tape_outputs = {
-        output.name: buffers.get(output.buffer) for output in tape.outputs
+        output.name: buffers.get(output.buffer, unwritten) for output in tape.outputs
     }
     for name, expected in circuit_outputs.items():
         if name not in tape_outputs:
@@ -599,7 +625,7 @@ def check_equivalence(
     # the rotation for rot_* forms) must be single-use in the live part of
     # the original program — the optimizer's own precondition.  A fused
     # multi-use producer silently drops its other consumers.
-    use_counts = _live_use_counts(circuit_outputs)
+    use_counts = _live_use_counts(circuit_outputs, term)
     for index, inner in fused_inner:
         uses = use_counts.get(inner, 0)
         if uses > 1:
@@ -607,7 +633,7 @@ def check_equivalence(
                 "tape-equivalence",
                 "illegal-fusion",
                 Severity.ERROR,
-                f"fused op consumed a {inner[0]} term the circuit uses "
+                f"fused op consumed a {term.keys[inner][0]} term the circuit uses "
                 f"{uses} times; fusing a multi-use producer drops its "
                 "other consumers",
                 location=f"{location} op {index}",

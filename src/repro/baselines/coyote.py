@@ -12,11 +12,14 @@ reproduction implements the same *class* of algorithm:
    candidate lane permutations (the search effort grows with the number of
    packed nodes, which is what makes compile time climb steeply with program
    size, as in Fig. 6) and keeps the one that minimises data movement.  All
-   candidates of a pack are scored in one numpy pass (see
-   :func:`_movement_scores`).  An outer search repeats this for several
-   input-data layouts: each candidate is planned into an :class:`_OpTally`
-   that only adds up weighted opcode counts, and a circuit is built for
-   the cheapest plan alone;
+   candidates of a pack with two or more nodes are scored in one numpy pass
+   (see :func:`_movement_scores`); a one-node pack has one possible order,
+   so its search counts its candidates and places the node in lane 0.  An
+   outer search repeats this for several input-data layouts: each candidate
+   is planned into an :class:`_OpTally` that only adds up weighted opcode
+   counts (pricing each gather from its ``(source register, shift)`` pairs
+   without building masks), and a circuit is built for the cheapest plan
+   alone;
 4. resolve the layout *after* packing: every operand vector is gathered from
    its producers with rotate + plaintext-mask + add sequences.  Every
    instruction a plan emits feeds the output, so a candidate's score needs
@@ -32,7 +35,7 @@ much larger compilation times on big kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -156,15 +159,17 @@ class _OpTally:
     """An emit sink that only adds up the layout score of what it is sent.
 
     It takes the :meth:`CircuitProgram.emit` and
-    :meth:`CircuitProgram.mark_output` calls and hands out the same dense
-    register numbers a program would, so one body,
-    :meth:`CoyoteCompiler._vectorize`, either scores a candidate (into a
-    tally) or builds it (into a program).
+    :meth:`CircuitProgram.mark_output` calls and hands out fresh register
+    numbers, so one body, :meth:`CoyoteCompiler._vectorize`, either scores a
+    candidate (into a tally) or builds it (into a program).  A gather comes
+    in as its distinct ``(source register, shift)`` pairs (:meth:`gather`)
+    rather than as instructions: the tally prices the rotations, masked
+    multiplications and additions a program would emit for them, and builds
+    no plaintext mask (a mask weighs nothing) and no input-name list.
     """
 
     def __init__(self) -> None:
         self.score = 0.0
-        self.scalar_inputs: List[str] = []
         self._registers = 0
 
     def emit(
@@ -178,6 +183,25 @@ class _OpTally:
         values: Sequence[int] = (),
     ) -> int:
         self.score += _LAYOUT_WEIGHTS.get(opcode, 0.0)
+        register = self._registers
+        self._registers += 1
+        return register
+
+    def gather(self, pairs: Collection[Tuple[int, int]]) -> int:
+        """Score the gather of the distinct ``pairs`` and return its (fresh)
+        register.
+
+        A program gathers each pair with a ROTATE (unless its shift is 0)
+        and a MUL_PLAIN by its mask, and sums the pieces with one ADD per
+        pair after the first.  Only the result register can become a
+        placement; the pieces and masks never do.
+        """
+        rotations = sum(1 for _register, shift in pairs if shift)
+        self.score += (
+            rotations * _LAYOUT_WEIGHTS[Opcode.ROTATE]
+            + len(pairs) * _LAYOUT_WEIGHTS[Opcode.MUL_PLAIN]
+            + (len(pairs) - 1) * _LAYOUT_WEIGHTS[Opcode.ADD]
+        )
         register = self._registers
         self._registers += 1
         return register
@@ -226,7 +250,9 @@ class CoyoteCompiler:
 
         Every instruction of the plan goes to ``program``: a
         :class:`CircuitProgram` to build the candidate, an :class:`_OpTally`
-        to score it.
+        to score it.  Both see the same calls, except that a tally takes
+        each gather as its ``(source register, shift)`` pairs and keeps no
+        masks and no input names.
         """
         # 1. The caller builds one shared DAG over all outputs.
         # 2. Collect leaves and pack them into a single input ciphertext,
@@ -255,9 +281,13 @@ class CoyoteCompiler:
         if not layout:
             layout = [InputSlot(constant=0)]
         input_register = program.emit(Opcode.LOAD_INPUT, layout=tuple(layout))
-        for slot in layout:
-            if slot.name is not None and slot.name not in program.scalar_inputs:
-                program.scalar_inputs.append(slot.name)
+        tally = program if isinstance(program, _OpTally) else None
+        if tally is None:
+            known = set(program.scalar_inputs)
+            for slot in layout:
+                if slot.name is not None and slot.name not in known:
+                    known.add(slot.name)
+                    program.scalar_inputs.append(slot.name)
 
         placements: Dict[int, _Placement] = {
             node_id: _Placement(register=input_register, lane=lane)
@@ -285,18 +315,17 @@ class CoyoteCompiler:
 
         def gather(sources: List[Tuple[_Placement, int]]) -> int:
             """Build a ciphertext whose lane ``target`` holds each source value."""
-            groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+            groups: Dict[Tuple[int, int], List[int]] = {}
             for placement, target_lane in sources:
                 shift = placement.lane - target_lane
-                groups.setdefault((placement.register, shift), []).append(
-                    (placement.lane, target_lane)
-                )
+                groups.setdefault((placement.register, shift), []).append(target_lane)
+            if tally is not None:
+                return tally.gather(groups)
             accumulator: Optional[int] = None
-            for (register, shift), lanes in sorted(groups.items()):
+            for (register, shift), target_lanes in sorted(groups.items()):
                 piece = register
                 if shift != 0:
                     piece = program.emit(Opcode.ROTATE, (piece,), step=shift)
-                target_lanes = [target for _source, target in lanes]
                 piece = program.emit(
                     Opcode.MUL_PLAIN, (piece, plain_mask(target_lanes))
                 )
@@ -354,20 +383,26 @@ class CoyoteCompiler:
 
         Candidate 0 is the identity order, the rest are random permutations;
         the first candidate with the fewest distinct ``(source register,
-        shift)`` pairs wins.
+        shift)`` pairs wins.  A one-node pack is counted like any other but
+        not scored: its node takes lane 0.
         """
         width = len(group)
         candidate_count = min(
             self.options.max_candidates,
             max(self.options.search_candidates, width * width),
         )
+        counters["lane_candidates"] = counters.get("lane_candidates", 0) + candidate_count
+        if width == 1:
+            # Every candidate is the one possible order, and shuffling
+            # length-1 rows draws nothing from ``rng`` (tests/test_trs_index.py
+            # pins this), so skipping the shuffle leaves the stream as it was.
+            return {group[0]: 0}
         orders = np.tile(np.arange(width, dtype=np.int64), (candidate_count, 1))
         # Shuffling rows 1.. in place draws from ``rng`` exactly what
         # ``candidate_count - 1`` successive ``rng.permutation(width)`` calls
         # draw, row by row (tests/test_trs_index.py pins this).
         rng.permuted(orders[1:], axis=1, out=orders[1:])
         scores = _movement_scores(group, orders, dag, placements)
-        counters["lane_candidates"] = counters.get("lane_candidates", 0) + candidate_count
         order = orders[int(np.argmin(scores))].tolist()
         return {node_id: order[i] for i, node_id in enumerate(group)}
 

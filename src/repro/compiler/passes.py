@@ -85,11 +85,22 @@ def cse_statistics(expr: Expr) -> Dict[str, int]:
 
 
 def dead_code_eliminate(program: CircuitProgram) -> CircuitProgram:
-    """Remove instructions whose results never reach a program output."""
+    """Remove instructions whose results never reach a program output.
+
+    When every instruction is live and the registers are already dense
+    (``result`` equals its position), there is nothing to prune or
+    renumber and ``program`` itself is returned, so the pipeline sees an
+    unchanged circuit and takes no second statistics snapshot.
+    """
     live: Set[int] = {register for register, _, _ in program.outputs}
     for instruction in reversed(program.instructions):
         if instruction.result in live:
             live.update(instruction.operands)
+    if all(
+        instruction.result == index and index in live
+        for index, instruction in enumerate(program.instructions)
+    ):
+        return program
 
     remap: Dict[int, int] = {}
     pruned = CircuitProgram(name=program.name)

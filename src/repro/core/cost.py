@@ -89,8 +89,10 @@ class CostModel:
         return self.operation_costs.operations_cost(count_ops(expr))
 
     def cost(self, expr: Expr) -> float:
-        """Full weighted cost of ``expr``."""
-        return self._weighted(count_ops(expr), dag_depths(expr, {}))
+        """Full weighted cost of ``expr``, from one walk over its DAG."""
+        tally: Dict[str, int] = {}
+        depths = dag_depths(expr, {}, tally)
+        return self._weighted(tally_op_counts(tally), depths)
 
     def _weighted(self, counts: OpCounts, depths: Tuple[int, int]) -> float:
         ops_cost = self.operation_costs.operations_cost(counts)
@@ -105,9 +107,10 @@ class CostModel:
 
     def breakdown(self, expr: Expr) -> dict:
         """Per-term breakdown used for reporting and debugging."""
-        counts = count_ops(expr)
+        tally: Dict[str, int] = {}
+        depth, mult = dag_depths(expr, {}, tally)
+        counts = tally_op_counts(tally)
         ops_cost = self.operation_costs.operations_cost(counts)
-        depth, mult = dag_depths(expr, {})
         return {
             "operations_cost": ops_cost,
             "circuit_depth": depth,

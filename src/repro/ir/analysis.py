@@ -23,7 +23,7 @@ is analysed in time linear in the DAG.  Only :func:`expression_size` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.ir.nodes import Const, Expr, Mul, Rotate, Var, Vec, VecMul
 
@@ -218,12 +218,19 @@ def multiplicative_depth(expr: Expr) -> int:
     return dag_depths(expr, {})[1]
 
 
-def dag_depths(expr: Expr, memo: Dict[Expr, Tuple[int, int]]) -> Tuple[int, int]:
+def dag_depths(
+    expr: Expr,
+    memo: Dict[Expr, Tuple[int, int]],
+    tally: Optional[Dict[str, int]] = None,
+) -> Tuple[int, int]:
     """``(circuit_depth, multiplicative_depth)`` of ``expr``, memoized in ``memo``.
 
     ``memo`` maps nodes to their depth pair and is filled in as a side
     effect.  A caller that costs many rewrites of one expression can keep
     it: only the nodes a rewrite created (the new spine) are computed.
+    Given a ``tally``, each node added to ``memo`` also adds one to its
+    operator's count there; from an empty memo that is the per-operator
+    tally :func:`count_ops` takes, in the same walk.
     """
     # Iterative post-order to avoid recursion limits on deep expressions.
     stack: List[Tuple[Expr, bool]] = [(expr, False)]
@@ -231,12 +238,15 @@ def dag_depths(expr: Expr, memo: Dict[Expr, Tuple[int, int]]) -> Tuple[int, int]
         node, expanded = stack.pop()
         if node in memo:
             continue
-        if node.is_leaf():
-            memo[node] = (0, 0)
-            continue
-        if not expanded:
+        leaf = node.is_leaf()
+        if not (expanded or leaf):
             stack.append((node, True))
             stack.extend((child, False) for child in node.children if child not in memo)
+            continue
+        if tally is not None:
+            tally[node.op] = tally.get(node.op, 0) + 1
+        if leaf:
+            memo[node] = (0, 0)
             continue
         depth = mult_depth = 0
         for child in node.children:

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.analysis.tape_check import verify_tape
+from repro.analysis.tape_check import _circuit_terms, _live_positions, _Terms, verify_tape
 from repro.backends.tapeopt import compile_tape
 from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
 from repro.fhe.params import BFVParameters
+from repro.kernels.registry import benchmark_by_name
 from repro.workloads import available_workloads, build_workload
 
 PARAMS = BFVParameters.default(1024)
@@ -149,3 +150,57 @@ def test_wrong_width_compact_array_is_a_shape_finding() -> None:
     mutant.consts = [np.append(tape.consts[0], 0)]
     report = verify_tape(program, mutant)
     assert ("tape-slots", "compact-shape") in _rules(report)
+
+
+#: Coyote circuits whose symbolic terms are trees over a deep DAG: written
+#: out as nested tuples they grow exponentially with depth.
+DEEP_COYOTE_KERNELS = ("matrix_multiply_5x5", "tree_50_50_10")
+
+
+@pytest.fixture(scope="module")
+def deep_coyote():
+    artifacts = {}
+    for name in DEEP_COYOTE_KERNELS:
+        report = api.compile(benchmark_by_name(name).expression(), "coyote", name=name)
+        artifacts[name] = (report.circuit, compile_tape(report.circuit, PARAMS))
+    return artifacts
+
+
+@pytest.mark.parametrize("name", DEEP_COYOTE_KERNELS)
+def test_deep_coyote_circuit_verifies_clean(deep_coyote, name) -> None:
+    circuit, tape = deep_coyote[name]
+    analysis = verify_tape(circuit, tape, location=name)
+    assert analysis.ok, [f.render() for f in analysis.findings[:5]]
+    assert not analysis.findings
+
+
+@pytest.mark.parametrize("name", DEEP_COYOTE_KERNELS)
+def test_circuit_terms_are_hash_consed(deep_coyote, name) -> None:
+    """At most one interned term per instruction, however deep the DAG."""
+    circuit, tape = deep_coyote[name]
+    term = _Terms()
+    outputs = _circuit_terms(circuit, tape.t, tape.n, _live_positions(tape), term)
+    assert set(outputs) == {output_name for _, output_name, _ in circuit.outputs}
+    assert len(term.keys) <= len(circuit.instructions)
+
+
+def test_interned_terms_compare_by_id() -> None:
+    term = _Terms()
+    a, b = term("plain", b"a"), term("plain", b"b")
+    assert term("plain", b"a") == a
+    assert term.binary("add", a, b) == term.binary("add", b, a)
+    assert term.binary("mul", b, a) == term.binary("mul", a, b)
+    assert term.binary("sub", a, b) != term.binary("sub", b, a)
+    assert term("rot", a, 3) != term("rot", a, 4)
+
+
+def test_deep_coyote_rotation_change_is_an_output_mismatch(deep_coyote) -> None:
+    """One wrong rotation step deep in a Coyote tape still diverges."""
+    circuit, tape = deep_coyote["matrix_multiply_5x5"]
+    index = next(i for i, op in enumerate(tape.ops) if op.kind.startswith("rot"))
+    mutant = copy.copy(tape)
+    mutant.ops = list(tape.ops)
+    op = tape.ops[index]
+    mutant.ops[index] = dataclasses.replace(op, step=op.step % tape.n + 1)
+    report = verify_tape(circuit, mutant, input_bounds=(1,))
+    assert ("tape-equivalence", "output-mismatch") in _rules(report)

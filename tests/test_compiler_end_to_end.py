@@ -15,9 +15,12 @@ from repro.compiler import (
 )
 from repro.compiler.dsl import Plaintext, vector_input
 from repro.compiler.lowering import LoweringOptions
+from repro.compiler.circuit import CircuitProgram, InputSlot
 from repro.compiler.passes import constant_fold, cse_statistics, dead_code_eliminate
+from repro.compiler.registry import build_compiler
 from repro.ir import parse
 from repro.ir.nodes import Const
+from repro.kernels.registry import benchmark_by_name
 
 
 class TestDSL:
@@ -104,6 +107,39 @@ class TestPasses:
         pruned = dead_code_eliminate(program)
         assert len(pruned) == before - 1
         assert pruned.outputs[0][1] == "result"
+
+    def test_dead_code_eliminate_renumbers_after_a_dead_instruction(self):
+        program = CircuitProgram(name="gap")
+        a = program.emit(Opcode.LOAD_INPUT, layout=(InputSlot(name="a"),))
+        program.emit(Opcode.LOAD_PLAIN, name="vector", values=(7,))
+        total = program.emit(Opcode.ADD, (a, a))
+        program.mark_output(total, "result", 1)
+        program.scalar_inputs.append("a")
+        pruned = dead_code_eliminate(program)
+        assert pruned is not program
+        assert [ins.result for ins in pruned.instructions] == [0, 1]
+        assert pruned.instructions[1].operands == (0, 0)
+        assert pruned.outputs == [(1, "result", 1)]
+        assert pruned.scalar_inputs == ["a"]
+
+    def test_dead_code_eliminate_returns_a_live_program_itself(self):
+        program = lower(parse("(+ (* a b) c)"), name="live")
+        assert dead_code_eliminate(program) is program
+
+    @pytest.mark.parametrize("compiler", ["greedy", "coyote"])
+    def test_compile_takes_one_statistics_snapshot(self, compiler, monkeypatch):
+        calls = []
+        original = CircuitProgram.stats
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CircuitProgram, "stats", counting)
+        report = build_compiler(compiler).compile_expression(
+            benchmark_by_name("dot_product_8").expression(), name="dot_product_8"
+        )
+        assert calls == [report.circuit]
 
 
 class TestLowering:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.cost import CostModel, CostWeights, OperationCosts, expression_cost
 from repro.ir import parse
+from repro.ir.analysis import count_ops, dag_depths
+from repro.ir.printer import to_sexpr
+from repro.kernels.registry import benchmark_by_name, benchmark_suite
 
 
 class TestOperationCosts:
@@ -63,3 +66,36 @@ class TestWeights:
     def test_callable(self, cost_model):
         expr = parse("(* a b)")
         assert cost_model(expr) == cost_model.cost(expr)
+
+
+#: The 43-kernel suite plus a deep tree with many equal-but-distinct subtrees.
+_ORACLE_EXPRESSIONS = [
+    pytest.param(name, id=name)
+    for name in [b.name for b in benchmark_suite(include_deep_trees=False)] + ["tree_100_50_8"]
+]
+
+
+class TestOneWalk:
+    """``CostModel.cost`` walks the DAG once; ``count_ops`` and
+    ``dag_depths`` (two separate walks) are its oracle."""
+
+    @pytest.mark.parametrize("name", _ORACLE_EXPRESSIONS)
+    def test_cost_equals_the_two_walk_cost(self, name):
+        expr = parse(to_sexpr(benchmark_by_name(name).expression()))
+        for model in (CostModel(), CostModel(weights=CostWeights(1.0, 50.0, 50.0))):
+            expected = model._weighted(count_ops(expr), dag_depths(expr, {}))
+            assert model.cost(expr) == expected
+            breakdown = model.breakdown(expr)
+            assert breakdown["total"] == expected
+            assert breakdown["counts"] == count_ops(expr).as_dict()
+
+    def test_tally_counts_each_new_node_once(self):
+        expr = parse("(+ (* a b) (* a b))")
+        memo, tally = {}, {}
+        assert dag_depths(expr, memo, tally) == (2, 1)
+        assert tally == {"+": 1, "*": 1, "var": 2}
+        # A node the memo already holds adds nothing: only the new root and
+        # the new leaf ``c`` are counted.
+        again = {}
+        dag_depths(parse("(+ (* a b) c)"), memo, again)
+        assert again == {"+": 1, "var": 1}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.coyote import _LAYOUT_WEIGHTS, CoyoteCompiler, CoyoteOptions, _OpTally
-from repro.compiler.circuit import CircuitProgram
+from repro.compiler.circuit import CircuitProgram, Opcode
 from repro.compiler.passes import dead_code_eliminate
 from repro.compiler.registry import CompilerSpec, build_compiler
 from repro.ir.dag import build_dag
@@ -23,7 +23,7 @@ from repro.ir.printer import to_sexpr
 from repro.kernels.registry import benchmark_by_name
 from repro.server import Job, JobServer, JobState
 
-#: The twelve small serving kernels and two deep trees.
+#: The twelve small serving kernels, two wide kernels and two deep trees.
 ORACLE_KERNELS = (
     "dot_product_4",
     "dot_product_8",
@@ -37,6 +37,8 @@ ORACLE_KERNELS = (
     "gx_3x3",
     "roberts_cross_3x3",
     "matrix_multiply_3x3",
+    "matrix_multiply_5x5",
+    "polynomial_regression_16",
     "tree_50_50_10",
     "tree_100_100_8",
 )
@@ -98,6 +100,56 @@ class TestLayoutPlanner:
         )
         evals = dict(report.trace.stage("vectorize-search").counters)["cost_evals"]
         assert built == [_OpTally] * evals + [CircuitProgram]
+
+
+    def test_a_tally_builds_no_masks_and_no_input_names(self, monkeypatch):
+        sent = []
+        gathered = []
+        original_emit = _OpTally.emit
+        original_gather = _OpTally.gather
+
+        def spy_emit(self, opcode, *args, **kwargs):
+            sent.append(opcode)
+            return original_emit(self, opcode, *args, **kwargs)
+
+        def spy_gather(self, pairs):
+            gathered.append(len(pairs))
+            return original_gather(self, pairs)
+
+        monkeypatch.setattr(_OpTally, "emit", spy_emit)
+        monkeypatch.setattr(_OpTally, "gather", spy_gather)
+        report = CoyoteCompiler().compile_expression(
+            benchmark_by_name("matrix_multiply_3x3").expression()
+        )
+        assert sent and gathered
+        assert Opcode.LOAD_PLAIN not in sent
+        assert Opcode.MUL_PLAIN not in sent and Opcode.ROTATE not in sent
+        # The built winner does hold the masks the tallies skipped, and
+        # a mask weighs nothing in a layout's score.
+        assert report.circuit.stats().plaintext_constants > 0
+        assert Opcode.LOAD_PLAIN not in _LAYOUT_WEIGHTS
+        assert not hasattr(_OpTally(), "scalar_inputs")
+
+    def test_gather_score_counts_distinct_pairs(self):
+        tally = _OpTally()
+        tally.emit(Opcode.LOAD_INPUT)
+        register = tally.gather({(0, 0): [1, 2], (0, 3): [0], (5, -1): [4]})
+        weights = _LAYOUT_WEIGHTS
+        assert tally.score == (
+            2 * weights[Opcode.ROTATE] + 3 * weights[Opcode.MUL_PLAIN] + 2 * weights[Opcode.ADD]
+        )
+        assert register == 1
+        single = _OpTally()
+        single.gather({(0, 0): [0]})
+        assert single.score == weights[Opcode.MUL_PLAIN]
+
+    def test_scalar_inputs_are_the_layout_names_once_each(self):
+        report = CoyoteCompiler().compile_expression(parse("(+ (* a b) (* a (+ b c)))"))
+        load = report.circuit.instructions[0]
+        assert load.opcode is Opcode.LOAD_INPUT
+        names = [slot.name for slot in load.layout if slot.name is not None]
+        assert report.circuit.scalar_inputs == names
+        assert sorted(names) == ["a", "b", "c"]
 
 
 class TestCoyoteOptions:

@@ -205,16 +205,49 @@ class TestBatchedLaneScoring:
             dag = SimpleNamespace(nodes=nodes)
             group = list(nodes)
             seed = int(draw.integers(0, 1000))
-            counters = {}
-            batched = compiler._search_lanes(
-                group, dag, placements, np.random.default_rng(seed), counters
-            )
-            expected = _scalar_lane_search(
-                compiler, group, dag, placements, np.random.default_rng(seed)
-            )
-            assert batched == expected
-            assert all(type(lane) is int for lane in batched.values())
-            assert counters["lane_candidates"] == min(192, max(32, width * width))
+            self._assert_matches_scalar_loop(compiler, group, dag, placements, seed)
+
+    @pytest.mark.parametrize("operands", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_one_node_pack_matches_scalar_loop(self, operands, seed):
+        placements = {
+            0: _Placement(register=2, lane=5),
+            1: _Placement(register=0, lane=3),
+        }
+        dag = SimpleNamespace(nodes={100: SimpleNamespace(operands=(0, 1)[:operands])})
+        for compiler in (
+            CoyoteCompiler(CoyoteOptions()),
+            CoyoteCompiler(CoyoteOptions(search_candidates=5, max_candidates=3)),
+        ):
+            lanes = self._assert_matches_scalar_loop(compiler, [100], dag, placements, seed)
+            assert lanes == {100: 0}
+
+    @staticmethod
+    def _assert_matches_scalar_loop(compiler, group, dag, placements, seed):
+        """Same lanes, counter and final RNG state as the Python loop."""
+        width = len(group)
+        counters = {"lane_candidates": 5}
+        rng = np.random.default_rng(seed)
+        batched = compiler._search_lanes(group, dag, placements, rng, counters)
+        oracle_rng = np.random.default_rng(seed)
+        expected = _scalar_lane_search(compiler, group, dag, placements, oracle_rng)
+        assert batched == expected
+        assert all(type(lane) is int for lane in batched.values())
+        options = compiler.options
+        assert counters["lane_candidates"] == 5 + min(
+            options.max_candidates, max(options.search_candidates, width * width)
+        )
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        return batched
+
+    @pytest.mark.parametrize("count", [1, 31, 191])
+    def test_shuffling_length_one_rows_draws_nothing(self, count):
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        rows = np.zeros((count, 1), dtype=np.int64)
+        rng.permuted(rows, axis=1, out=rows)
+        assert rng.bit_generator.state == before
+        assert not rows.any()
 
     @pytest.mark.parametrize("width", [1, 2, 7, 16, 40])
     def test_row_shuffle_draws_what_successive_permutations_draw(self, width):
