@@ -13,7 +13,7 @@ benchmarks:
 
 # Fast CI smoke: tier-1 tests, a 2-worker compilation-service run (the
 # compile process pool; execution runs serially and has no workers), the
-# three-backend execution parity diff, the job-orchestration server
+# two-backend execution parity diff, the job-orchestration server
 # (mixed compile+execute workload, coalescing asserted via telemetry), the
 # workload suite (mixed traffic over a persistent state dir, bit-identical
 # to the direct api path), the overload hardening (bounded queue sheds

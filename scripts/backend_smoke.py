@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""CI smoke: run the same circuit on all three execution backends and diff.
+"""CI smoke: run the same circuit on both execution backends and diff.
 
-Compiles a handful of kernels, executes each on ``reference``, ``vector-vm``
-and ``cost-sim`` and checks the backend-parity invariants CI cares about:
+Compiles a handful of kernels, executes each on ``reference`` and
+``vector-vm`` and checks the backend-parity invariants CI cares about:
 
 * vector-vm outputs are bit-identical to reference outputs (single and
   batched execution);
-* all three backends report identical latency, operation counts and noise
+* both backends report identical latency, operation counts and noise
   accounting;
-* cost-sim produces accounting but no outputs, and a 3-row ``execute_many``
-  gives three such reports, each with ``execute``'s accounting;
+* a 3-row vector-vm ``execute_many`` of one input set gives three reports,
+  each with the reference run's outputs and accounting;
 * the tape optimizer actually engages: fused-superinstruction count > 0 on
   a rotation-heavy kernel, and the process-wide compiled-tape memo hits on
   the second execution of the same circuit.
@@ -66,8 +66,7 @@ def main() -> int:
 
         reference = [execute(circuit, item, params=params, backend="reference") for item in inputs]
         vm = execute_many(circuit, inputs, params=params, backend="vector-vm")
-        sim = execute(circuit, inputs[0], params=params, backend="cost-sim")
-        sim_many = execute_many(circuit, [inputs[0]] * 3, params=params, backend="cost-sim")
+        vm_many = execute_many(circuit, [inputs[0]] * 3, params=params, backend="vector-vm")
 
         if name == FUSION_KERNEL:
             stats = get_compiled_tape(circuit, params).stats
@@ -98,27 +97,23 @@ def main() -> int:
                 )
                 return 1
         head = reference[0]
-        for label, other in (("vector-vm", vm[0]), ("cost-sim", sim)):
-            for metric in ACCOUNTING:
-                if getattr(head, metric) != getattr(other, metric):
-                    print(
-                        f"FAIL: {name} {label} {metric} diverges: "
-                        f"{getattr(head, metric)!r} vs {getattr(other, metric)!r}",
-                        file=sys.stderr,
-                    )
-                    return 1
-        if sim.outputs != {}:
-            print("FAIL: cost-sim produced outputs", file=sys.stderr)
-            return 1
-        if len(sim_many) != 3 or any(
+        for metric in ACCOUNTING:
+            if getattr(head, metric) != getattr(vm[0], metric):
+                print(
+                    f"FAIL: {name} vector-vm {metric} diverges: "
+                    f"{getattr(head, metric)!r} vs {getattr(vm[0], metric)!r}",
+                    file=sys.stderr,
+                )
+                return 1
+        if len(vm_many) != 3 or any(
             report.batch_size != 3
-            or report.outputs != {}
-            or any(getattr(report, metric) != getattr(sim, metric) for metric in ACCOUNTING)
-            for report in sim_many
+            or report.outputs != head.outputs
+            or any(getattr(report, metric) != getattr(head, metric) for metric in ACCOUNTING)
+            for report in vm_many
         ):
             print(
-                f"FAIL: {name} cost-sim execute_many on 3 rows diverges from "
-                f"execute: {sim_many!r} vs {sim!r}",
+                f"FAIL: {name} vector-vm execute_many on 3 rows diverges from "
+                f"reference: {vm_many!r} vs {head!r}",
                 file=sys.stderr,
             )
             return 1

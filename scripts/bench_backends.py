@@ -4,10 +4,9 @@
 For every kernel of the Coyote suite (and optionally others), compiles the
 circuit once and measures wall-clock execution time per batch size for
 
-* ``reference`` — B sequential runs through the SEAL-style evaluator,
+* ``reference`` — B sequential runs through the SEAL-style evaluator, and
 * ``vector-vm`` — one batched pass over the optimized compiled tape
-  (fused superinstructions + register arena), and
-* ``cost-sim``  — the accounting-only simulator,
+  (fused superinstructions + register arena),
 
 verifying along the way that the vector VM's outputs are bit-identical to
 the reference backend's.  The JSON artifact records
@@ -36,7 +35,7 @@ from repro.experiments.harness import geometric_mean
 from repro.fhe.params import BFVParameters
 from repro.kernels.registry import benchmark_suite
 
-BACKENDS = ("reference", "vector-vm", "cost-sim")
+BACKENDS = ("reference", "vector-vm")
 
 
 def main() -> int:

@@ -659,11 +659,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  batch size   : {batch.batch_size}")
         print(f"  exec wall    : {batch.wall_time_s * 1000.0:.2f} ms "
               f"({batch.throughput_per_s:.0f} input sets/s)")
-        if batch.verified:
-            print("  verified     :", "OK" if batch.all_correct else "MISMATCH")
-            print("  oracle       :", "OK" if outcome.oracle_correct else "MISMATCH")
-        else:
-            print("  verified     : skipped (backend produces no outputs)")
+        print("  verified     :", "OK" if batch.all_correct else "MISMATCH")
+        print("  oracle       :", "OK" if outcome.oracle_correct else "MISMATCH")
         return 0 if batch.all_correct and outcome.oracle_correct else 1
 
     if args.command == "tape":
@@ -1118,10 +1115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  reference    :", outcome.reference)
         print(f"  latency      : {outcome.execution.latency_ms:.2f} ms")
         print(f"  noise budget : {outcome.execution.consumed_noise_budget:.1f} bits consumed")
-        if outcome.verified:
-            print("  verified     :", "OK" if outcome.correct else "MISMATCH")
-        else:
-            print("  verified     : skipped (backend produces no outputs)")
+        print("  verified     :", "OK" if outcome.correct else "MISMATCH")
         return 0 if outcome.correct else 1
 
     if args.command == "run-batch":
@@ -1148,10 +1142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             execution = batch.executions[0]
             print(f"  latency      : {execution.latency_ms:.2f} ms per input set (simulated)")
             print(f"  noise budget : {execution.consumed_noise_budget:.1f} bits consumed")
-        if batch.verified:
-            print(f"  verified     : {correct}/{batch.batch_size} OK")
-        else:
-            print("  verified     : skipped (backend produces no outputs)")
+        print(f"  verified     : {correct}/{batch.batch_size} OK")
         return 0 if batch.all_correct else 1
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -24,7 +24,7 @@ cross-process disk caching, and :func:`compile_batch` (the one entry point
 holding several jobs) takes ``workers`` to fan them out over a
 cost-balanced process pool.  Execution runs on a named
 :class:`~repro.backends.base.ExecutionBackend` (``reference``,
-``vector-vm``, ``cost-sim``); ``python -m repro`` exposes the same facade on
+``vector-vm``); ``python -m repro`` exposes the same facade on
 the command line.
 """
 
@@ -38,7 +38,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.backends.base import backend_produces_outputs
 from repro.backends.registry import (
     BackendSpec,
     available_backends,
@@ -59,6 +58,7 @@ from repro.compiler.registry import (
     compiler_info,
 )
 from repro.ir.analysis import variables
+from repro.ir.evaluate import output_arity
 from repro.ir.nodes import Expr
 from repro.ir.parser import parse
 from repro.service.cache import CompilationCache
@@ -212,17 +212,10 @@ class RunOutcome:
     inputs: Dict[str, int]
     reference: List[int]
     outputs: List[int]
-    #: False when the backend produces no outputs (``cost-sim``), in which
-    #: case nothing was decrypted and :attr:`correct` is vacuous.
-    verified: bool = True
 
     @property
     def correct(self) -> bool:
-        """True when the decrypted outputs match the plaintext reference.
-
-        Vacuously true for accounting-only backends (``cost-sim``), which
-        produce no outputs — check :attr:`verified` to distinguish.
-        """
+        """True when the decrypted outputs match the plaintext reference."""
         return self.outputs == self.reference
 
     @property
@@ -242,9 +235,6 @@ class BatchRunOutcome:
     outputs: List[List[int]]
     #: Wall-clock seconds of the execution phase (not compilation).
     wall_time_s: float = 0.0
-    #: False when the backend produces no outputs (``cost-sim``), in which
-    #: case nothing was decrypted and :attr:`all_correct` is vacuous.
-    verified: bool = True
     #: Registry name of the backend that executed the batch (meaningful even
     #: when the batch was empty and no reports exist).
     backend: str = "reference"
@@ -255,11 +245,7 @@ class BatchRunOutcome:
 
     @property
     def all_correct(self) -> bool:
-        """True when every input set's outputs match its plaintext reference.
-
-        Vacuously true for accounting-only backends — check
-        :attr:`verified` to distinguish real verification from none.
-        """
+        """True when every input set's outputs match its plaintext reference."""
         return all(
             outputs == reference
             for outputs, reference in zip(self.outputs, self.references)
@@ -342,38 +328,25 @@ def execute(
     """Compile (unless given a report) and run on a simulated BFV backend.
 
     ``backend`` names the execution backend (``reference`` by default;
-    ``vector-vm`` for the batched tape VM, ``cost-sim`` for accounting
-    only).  Missing ``inputs`` are drawn deterministically from ``seed``,
-    uniformly over ``[0, input_range]`` per variable.  Output-producing
-    backends are always verified against the plaintext reference (see
-    :attr:`RunOutcome.correct`); accounting-only backends skip verification
-    because they decrypt nothing.
+    ``vector-vm`` for the batched tape VM).  Missing ``inputs`` are drawn
+    deterministically from ``seed``, uniformly over ``[0, input_range]`` per
+    variable.  The decrypted outputs are always verified against the
+    plaintext reference (see :attr:`RunOutcome.correct`).
     """
     report = _report_for(source, compiler, name, cache, cache_dir, options)
     expr = report.source_expr
     if inputs is None:
         inputs = _sample_inputs(expr, seed=seed, input_range=input_range)
     inputs = {key: int(value) for key, value in inputs.items()}
-    impl = get_backend(backend)
-    execution = impl.execute(report.circuit, inputs)
-    verified = backend_produces_outputs(impl)
-    if verified:
-        from repro.ir.evaluate import output_arity
-
-        reference = reference_output(
-            expr, inputs, slot_count=max(64, output_arity(expr) + 8)
-        )
-        outputs = declared_outputs(report.circuit, execution.outputs)
-    else:
-        reference = []
-        outputs = []
+    execution = get_backend(backend).execute(report.circuit, inputs)
     return RunOutcome(
         report=report,
         execution=execution,
         inputs=inputs,
-        reference=reference,
-        outputs=outputs,
-        verified=verified,
+        reference=reference_output(
+            expr, inputs, slot_count=max(64, output_arity(expr) + 8)
+        ),
+        outputs=declared_outputs(report.circuit, execution.outputs),
     )
 
 
@@ -419,27 +392,17 @@ def execute_batch(
     start = time.perf_counter()
     executions = impl.execute_many(report.circuit, inputs_list)
     wall_time_s = time.perf_counter() - start
-    verified = backend_produces_outputs(impl)
-    if verified:
-        from repro.ir.evaluate import output_arity
-
-        check = reference_check(expr, slot_count=max(64, output_arity(expr) + 8))
-        references = [check.run(item) for item in inputs_list]
-        outputs = [
-            declared_outputs(report.circuit, execution.outputs)
-            for execution in executions
-        ]
-    else:
-        references = [[] for _ in inputs_list]
-        outputs = [[] for _ in inputs_list]
+    check = reference_check(expr, slot_count=max(64, output_arity(expr) + 8))
     return BatchRunOutcome(
         report=report,
         executions=executions,
         inputs=inputs_list,
-        references=references,
-        outputs=outputs,
+        references=[check.run(item) for item in inputs_list],
+        outputs=[
+            declared_outputs(report.circuit, execution.outputs)
+            for execution in executions
+        ],
         wall_time_s=wall_time_s,
-        verified=verified,
         backend=getattr(impl, "name", type(impl).__name__),
     )
 
@@ -663,13 +626,7 @@ class WorkloadRunOutcome:
 
     @property
     def oracle_correct(self) -> bool:
-        """True when every executed output matches the workload's oracle.
-
-        Vacuously true for accounting-only backends — check
-        ``outcome.verified`` to distinguish.
-        """
-        if not self.outcome.verified:
-            return True
+        """True when every executed output matches the workload's oracle."""
         return self.outcome.outputs == self.expected
 
     @property
@@ -842,7 +799,6 @@ def list_backends() -> List[Dict[str, object]]:
                 "name": info.name,
                 "description": info.description,
                 "use_when": info.use_when,
-                "produces_outputs": info.produces_outputs,
             }
         )
     return rows

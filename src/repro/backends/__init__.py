@@ -8,9 +8,11 @@ compiler run on a named :class:`~repro.backends.base.ExecutionBackend`,
 * ``vector-vm`` — a tape-compiled register VM: circuits are backend-compiled
   (:mod:`repro.backends.tapeopt`) into fused, alias-free superinstruction
   tapes over a liveness-colored register arena, then executed for a whole
-  batch of input sets as stacked numpy arrays in one in-place sweep;
-* ``cost-sim`` — a no-crypto simulator running only the noise/latency
-  models for design-space exploration and RL reward evaluation.
+  batch of input sets as stacked numpy arrays in one in-place sweep.
+
+Every backend decrypts real outputs.  A circuit's latency, operation counts
+and noise without running it come from
+:func:`~repro.backends.base.replay_accounting`.
 
 Backends register through the same decorator/spec idiom as
 ``@register_compiler`` (:mod:`repro.backends.registry`), share per-execution
@@ -24,7 +26,6 @@ from repro.backends.base import (
     BaseBackend,
     ExecutionBackend,
     NoiseLedger,
-    backend_produces_outputs,
     program_fingerprint,
 )
 from repro.backends.registry import (
@@ -51,7 +52,6 @@ __all__ = [
     "ExecutionBackend",
     "BaseBackend",
     "NoiseLedger",
-    "backend_produces_outputs",
     "program_fingerprint",
     "BackendInfo",
     "BackendSpec",

@@ -2,7 +2,7 @@
 
 An :class:`ExecutionBackend` turns a lowered
 :class:`~repro.compiler.circuit.CircuitProgram` plus program inputs into
-:class:`~repro.compiler.executor.ExecutionReport` objects.  Three built-in
+:class:`~repro.compiler.executor.ExecutionReport` objects.  Two built-in
 backends register themselves (see :mod:`repro.backends.registry`):
 
 ``reference``
@@ -11,16 +11,15 @@ backends register themselves (see :mod:`repro.backends.registry`):
 ``vector-vm``
     A linearized register VM executing a whole batch of input sets as
     stacked numpy arrays in one pass over the instruction tape.
-``cost-sim``
-    A no-crypto simulator running only the noise/latency models, for fast
-    design-space exploration and RL reward evaluation.
 
 All backends meter through one :class:`~repro.fhe.meter.ExecutionMeter` and
 replicate the evaluator's noise formulas through one :class:`NoiseLedger`,
 which is what makes their latency, operation-count and noise figures
-bit-identical by construction.  The vector VM and ``cost-sim`` share one
-walk of that ledger, :func:`replay_accounting`, and build their reports from
-its :class:`TapeAccounting` with :meth:`TapeAccounting.reports`.
+bit-identical by construction.  The vector VM walks that ledger once per
+tape through :func:`replay_accounting` and builds its reports from the
+resulting :class:`TapeAccounting` with :meth:`TapeAccounting.reports`;
+callers that want a circuit's accounting without running it call
+:func:`replay_accounting` directly.
 """
 
 from __future__ import annotations
@@ -40,20 +39,9 @@ __all__ = [
     "NoiseLedger",
     "TapeAccounting",
     "replay_accounting",
-    "backend_produces_outputs",
     "program_fingerprint",
     "scalar_input",
 ]
-
-
-def backend_produces_outputs(backend: object) -> bool:
-    """Whether ``backend`` decrypts real outputs (False for ``cost-sim``).
-
-    The single place the skip-verification rule lives: callers that verify
-    decrypted outputs against the plaintext reference consult this to mark
-    accounting-only results as unverified rather than vacuously correct.
-    """
-    return bool(getattr(backend, "produces_outputs", True))
 
 
 def scalar_input(inputs: Mapping[str, Value], name: str) -> Value:
@@ -77,8 +65,6 @@ class ExecutionBackend(Protocol):
     """What every execution backend exposes."""
 
     name: str
-    #: False for accounting-only backends whose reports carry no outputs.
-    produces_outputs: bool
 
     def execute(
         self,
@@ -104,7 +90,6 @@ class BaseBackend:
     """
 
     name = "base"
-    produces_outputs = True
 
     def execute(
         self,

@@ -46,7 +46,6 @@ class ReferenceBackend(BaseBackend):
     """Interpret the circuit on the simulated BFV evaluator."""
 
     name = "reference"
-    produces_outputs = True
 
     def execute(
         self,

@@ -2,7 +2,7 @@
 
 The mirror image of :mod:`repro.compiler.registry` for the *execution* half
 of the system: every backend is registered under a short name
-(``reference``, ``vector-vm``, ``cost-sim``) through the same decorator/spec
+(``reference``, ``vector-vm``) through the same decorator/spec
 idiom as ``@register_compiler``.  A frozen, picklable :class:`BackendSpec`
 names one configuration, can :meth:`~BackendSpec.build` the backend object
 and renders a canonical, version-stamped :meth:`~BackendSpec.describe`
@@ -54,9 +54,6 @@ class BackendInfo:
     description: str = ""
     #: When to reach for this backend (shown by ``list-backends``).
     use_when: str = ""
-    #: Whether the backend decrypts real output values (False for the
-    #: cost-only simulator, whose reports carry accounting but no outputs).
-    produces_outputs: bool = True
 
 
 _REGISTRY: Dict[str, BackendInfo] = {}
@@ -68,7 +65,6 @@ def register_backend(
     *,
     description: str = "",
     use_when: str = "",
-    produces_outputs: bool = True,
 ) -> Callable:
     """Decorator registering an execution-backend factory under ``name``."""
 
@@ -81,7 +77,6 @@ def register_backend(
             factory=factory,
             description=description or (doc_lines[0] if doc_lines else ""),
             use_when=use_when,
-            produces_outputs=produces_outputs,
         )
         return factory
 
@@ -96,7 +91,6 @@ def _ensure_builtins() -> None:
     _builtins_loaded = True
     import repro.backends.reference  # noqa: F401
     import repro.backends.vector_vm  # noqa: F401
-    import repro.backends.cost_sim  # noqa: F401
 
 
 def available_backends() -> List[str]:

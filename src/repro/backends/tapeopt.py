@@ -24,10 +24,10 @@ peephole passes over the SSA instruction list and emits a
    operand slot (numpy ufuncs are exact-aliasing safe); rotations and the
    multi-step fused ops get a destination slot disjoint from their operands.
 5. **Accounting replay** — the *original* instruction sequence is replayed
-   once through :func:`~repro.backends.base.replay_accounting` (the same
-   walk ``cost-sim`` runs); the resulting latency,
-   operation counts and noise budgets are input independent and therefore
-   float-for-float identical to metering each execution.
+   once through :func:`~repro.backends.base.replay_accounting`; the
+   resulting latency, operation counts and noise budgets are input
+   independent and therefore float-for-float identical to metering each
+   execution.
 
 Reduction *placement* is not decided here — it depends on input magnitudes,
 so :meth:`CompiledTape.plan_for` schedules it per bucketed input bound at

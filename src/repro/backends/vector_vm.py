@@ -65,7 +65,6 @@ class VectorVMBackend(BaseBackend):
     """Execute a circuit for a whole batch of input sets in one tape sweep."""
 
     name = "vector-vm"
-    produces_outputs = True
 
     def __init__(self, verify: bool = False) -> None:
         #: Run the static tape verifier on every fresh tape compile; ERROR

@@ -3,12 +3,10 @@
 :func:`execute` and :func:`execute_many` are thin dispatchers over the
 backend registry (:mod:`repro.backends`): the circuit runs on the named
 :class:`~repro.backends.base.ExecutionBackend` — ``reference`` (the
-SEAL-style evaluator, the default), ``vector-vm`` (batched tape VM) or
-``cost-sim`` (accounting only) — and comes back as an
-:class:`ExecutionReport` with
+SEAL-style evaluator, the default) or ``vector-vm`` (batched tape VM) — and
+comes back as an :class:`ExecutionReport` with
 
-* the decrypted output values (meaningful slots only; empty for
-  accounting-only backends),
+* the decrypted output values (meaningful slots only),
 * the simulated execution latency and per-operation counts,
 * the consumed noise budget (initial minus the minimum remaining budget over
   the outputs), and
@@ -112,7 +110,7 @@ def execute(
 ) -> ExecutionReport:
     """Run ``program`` on the named execution backend with the given inputs.
 
-    ``backend`` is a registry name (``reference``/``vector-vm``/``cost-sim``),
+    ``backend`` is a registry name (``reference``/``vector-vm``),
     a :class:`~repro.backends.registry.BackendSpec` or a live backend object;
     None uses :func:`default_backend_name`.  ``context`` (a pre-built
     :class:`~repro.fhe.evaluator.FHEContext`) is honoured by the reference

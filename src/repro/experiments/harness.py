@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.backends.base import backend_produces_outputs
 from repro.backends.registry import resolve_backend
 from repro.compiler.executor import ExecutionReport, declared_outputs
 from repro.compiler.pipeline import CompilationReport, Compiler, CompilerOptions
@@ -48,9 +47,6 @@ class BenchmarkResult:
     benchmark: str
     compiler: str
     backend: str
-    #: False when the backend produces no outputs (``cost-sim``): nothing
-    #: was decrypted, so ``correct`` is vacuous.
-    verified: bool
     compile_time_s: float
     execution_latency_ms: float
     consumed_noise_budget: float
@@ -137,24 +133,18 @@ class BenchmarkRunner:
         inputs: Mapping[str, int],
     ) -> BenchmarkResult:
         execution: ExecutionReport = self.backend.execute(report.circuit, inputs)
-        verified = backend_produces_outputs(self.backend)
-        if verified:
-            output = declared_outputs(report.circuit, execution.outputs)
-            correct = list(output) == list(reference)
-        else:
-            correct = True  # vacuous: accounting-only backends decrypt nothing
+        output = declared_outputs(report.circuit, execution.outputs)
         stats = report.stats
         return BenchmarkResult(
             benchmark=benchmark.name,
             compiler=label,
             backend=self.backend_name,
-            verified=verified,
             compile_time_s=report.compile_time_s,
             execution_latency_ms=execution.latency_ms,
             consumed_noise_budget=execution.consumed_noise_budget,
             remaining_noise_budget=execution.remaining_noise_budget,
             noise_budget_exhausted=execution.noise_budget_exhausted,
-            correct=correct,
+            correct=list(output) == list(reference),
             depth=stats.depth,
             mult_depth=stats.mult_depth,
             ct_ct_multiplications=stats.ct_ct_multiplications,

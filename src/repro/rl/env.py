@@ -176,8 +176,8 @@ class FheRewriteEnv:
             done = True
         if done:
             if reward_config.use_latency_terminal:
-                # Ground the terminal in simulated execution latency via the
-                # (accounting-only) execution backend instead of the
+                # Ground the terminal in simulated execution latency, the
+                # lowered circuit's replayed accounting, instead of the
                 # analytical expression cost.
                 final_latency = reward_config.simulated_latency_ms(self.current)
                 reward += reward_config.terminal_reward(

@@ -14,8 +14,8 @@ are what the reward-weight ablation (Table 1) varies.
 The terminal reward can optionally be grounded in *simulated execution
 latency* instead of the analytical cost: :meth:`RewardConfig.simulated_latency_ms`
 lowers the expression and replays its accounting
-(:func:`repro.backends.base.replay_accounting`, the walk the ``cost-sim``
-backend and the vector VM run; no crypto, microseconds per evaluation),
+(:func:`repro.backends.base.replay_accounting`, the walk the vector VM
+runs once per tape; no crypto, microseconds per evaluation),
 which is exactly the latency the paper's Fig. 5 measures.
 Enable with ``use_latency_terminal=True``.
 """

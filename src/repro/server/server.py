@@ -43,7 +43,7 @@ import traceback
 from collections import OrderedDict, deque
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import backend_produces_outputs, scalar_input
+from repro.backends.base import scalar_input
 from repro.backends.registry import default_backend_name
 from repro.compiler.executor import declared_outputs, reference_check
 # Not called here: the server verifies through each memo entry's compiled
@@ -126,8 +126,6 @@ class _ExecutedBatch(NamedTuple):
 
     groups: List[CoalescedGroup]
     batch: ExecutionBatchReport
-    #: Whether the backend decrypts outputs worth checking.
-    verify: bool
     #: Job id -> its circuit-memo entry (the plaintext check's owner).
     circuits: Dict[str, _CircuitEntry]
 
@@ -178,11 +176,6 @@ class JobServer:
         When False every execute job runs as its own backend batch — the
         pre-coalescing behaviour.  The ablation engine flips this to price
         the fingerprint coalescer; leave it True for serving.
-    memoize_circuits:
-        When False the hot-path circuit memo is bypassed and every execute
-        job pays a full parse plus compilation-service lookup.  Combined
-        with a disabled :class:`~repro.service.cache.CompilationCache`
-        (``capacity=0``) this prices the whole compilation-caching tier.
     fault_injector:
         Armed-trigger registry for the recovery tests
         (:mod:`repro.server.faults`); shared with the job store.
@@ -220,7 +213,6 @@ class JobServer:
         admission: str = "off",
         admission_floor: int = 0,
         coalesce: bool = True,
-        memoize_circuits: bool = True,
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = False,
         tracer: Optional[Tracer] = None,
@@ -262,7 +254,6 @@ class JobServer:
         self.admission = admission
         self.admission_floor = admission_floor
         self.coalesce = coalesce
-        self.memoize_circuits = memoize_circuits
         self._slo_tracker = SLOTracker(slo, self.telemetry)
         #: EWMA of observed per-job tick seconds, compile time excluded: the
         #: per-job cost admission control prices a backlog with.  None until
@@ -809,7 +800,9 @@ class JobServer:
         Memoized on ``(compiler configuration, source text)`` so a flood of
         jobs for one kernel pays parsing, compile-cache hashing and the
         plaintext check's compile once; the shared circuit *object* also
-        carries one cached fingerprint for every tick.
+        carries one cached fingerprint for every tick.  A disabled
+        compilation cache (``capacity=0``) disables the memo too, so every
+        execute job pays a full parse and compile.
         """
         if job.program is not None:
             return _CircuitEntry(job.program, None, list(job.program.scalar_inputs))
@@ -818,7 +811,8 @@ class JobServer:
             tuple(sorted(job.compiler_options.items())),
             job.source,
         )
-        if self.memoize_circuits:
+        memoize = self.cache.capacity > 0
+        if memoize:
             with self._lock:
                 hit = self._circuit_memo.get(memo_key)
                 if hit is not None:
@@ -829,7 +823,7 @@ class JobServer:
         expr = parse(job.source)
         report = self._compile(job, expr)
         entry = _CircuitEntry(report.circuit, expr, list(variables(expr)))
-        if self.memoize_circuits:
+        if memoize:
             with self._lock:
                 self._circuit_memo[memo_key] = entry
                 while len(self._circuit_memo) > self._circuit_memo_cap:
@@ -923,8 +917,7 @@ class JobServer:
                     for job in group.jobs:
                         terminal += self._handle_failure(job, error, sink)
                 continue
-            verify = backend_produces_outputs(service.backend)
-            executed.append(_ExecutedBatch(backend_groups, batch, verify, circuits))
+            executed.append(_ExecutedBatch(backend_groups, batch, circuits))
         return terminal, executed
 
     def _commit_batch(self, executed: _ExecutedBatch, sink: List[Dict[str, object]]) -> int:
@@ -932,7 +925,7 @@ class JobServer:
         terminal = 0
         self.telemetry.counter("executions_total").inc(executed.batch.total_executions)
         for group, reports in zip(executed.groups, executed.batch.reports):
-            references = self._verify_group(group, executed.circuits, executed.verify)
+            references = self._verify_group(group, executed.circuits)
             for job_index, (job, (lo, hi)) in enumerate(zip(group.jobs, group.slices())):
                 try:
                     job.result = self._execution_result(
@@ -990,20 +983,19 @@ class JobServer:
         self,
         group: CoalescedGroup,
         circuits: Mapping[str, _CircuitEntry],
-        verify: bool,
     ) -> List[object]:
         """Each member job's plaintext references, under one ``verify`` span.
 
         Per job: one reference list per input set, None when the job is not
-        verified (an accounting-only backend or a pre-lowered circuit), or
-        the exception the check raised, which fails that job alone when its
+        verified (a pre-lowered circuit has no source to check), or the
+        exception the check raised, which fails that job alone when its
         result is built.
         """
         references: List[object] = []
         with self.tracer.span("verify", attrs={"jobs": len(group.jobs)}):
             for job, inputs in zip(group.jobs, group.inputs_per_job):
                 circuit = circuits[job.id]
-                if not verify or circuit.expr is None:
+                if circuit.expr is None:
                     references.append(None)
                     continue
                 try:

@@ -140,11 +140,11 @@ register_component(
         name="compile-cache",
         description=(
             "Compilation caching tier: ablated runs disable the "
-            "content-addressed CompilationCache (capacity=0) AND the "
-            "server's hot-path circuit memo, so every repeat pays a full "
-            "compile."
+            "content-addressed CompilationCache (capacity=0), which also "
+            "turns off the server's hot-path circuit memo, so every repeat "
+            "pays a full compile."
         ),
-        ablated={"cache_capacity": 0, "memoize_circuits": False},
+        ablated={"cache_capacity": 0},
         metrics=("memo_hit_rate", "cache_hit_rate", "throughput_jobs_per_s"),
     )
 )

@@ -205,7 +205,6 @@ class StudyRunner:
             cache=CompilationCache(capacity=config.cache_capacity),
             admission=config.admission,
             coalesce=config.coalesce,
-            memoize_circuits=config.memoize_circuits,
             tracing=config.tracing,
         )
         try:

@@ -44,7 +44,6 @@ class RunConfig:
     compiler: Optional[str] = None
     backend: Optional[str] = None
     coalesce: bool = True
-    memoize_circuits: bool = True
     cache_capacity: int = 512
     admission: str = "off"
     #: End-to-end span tracing (:mod:`repro.obs`).  Off by default so the

@@ -112,14 +112,14 @@ class TrafficReport:
     path: str
     jobs: int
     wall_s: float
-    #: Arrivals whose (verified) outputs matched the plaintext reference.
+    #: Arrivals whose verified outputs matched the plaintext reference.
     correct: int
-    #: Arrivals executed on an output-producing backend.
+    #: Arrivals whose outputs were checked against the plaintext reference.
     verified_jobs: int
     #: Arrival count per workload name.
     per_workload: Dict[str, int] = field(default_factory=dict)
-    #: Declared outputs per arrival, in arrival order (empty for
-    #: accounting-only backends).
+    #: Declared outputs per arrival, in arrival order (empty for arrivals
+    #: that were shed or failed).
     outputs: List[List[int]] = field(default_factory=list)
     #: Arrival indices whose outputs disagreed with the workload oracle.
     oracle_mismatches: List[int] = field(default_factory=list)
@@ -326,7 +326,7 @@ def _finalize(
         for arrival in schedule:
             outputs = report.outputs[arrival.index]
             if not outputs:
-                continue  # accounting-only backend: nothing decrypted
+                continue  # shed or failed: nothing decrypted
             if list(outputs) != list(arrival.workload.expected(arrival.inputs())):
                 report.oracle_mismatches.append(arrival.index)
     return report
@@ -460,7 +460,6 @@ def run_direct_traffic(
 
     outputs: List[List[int]] = [[] for _ in schedule]
     correct = 0
-    verified_jobs = 0
     start = time.perf_counter()
     for members in groups.values():
         head = members[0]
@@ -473,18 +472,16 @@ def run_direct_traffic(
             cache=cache,
         )
         for position, arrival in enumerate(members):
-            if outcome.verified:
-                outputs[arrival.index] = list(outcome.outputs[position])
-                verified_jobs += 1
-                if outcome.outputs[position] == outcome.references[position]:
-                    correct += 1
+            outputs[arrival.index] = list(outcome.outputs[position])
+            if outcome.outputs[position] == outcome.references[position]:
+                correct += 1
     wall_s = time.perf_counter() - start
     report = TrafficReport(
         path="direct",
         jobs=len(schedule),
         wall_s=wall_s,
         correct=correct,
-        verified_jobs=verified_jobs,
+        verified_jobs=len(schedule),
         outputs=outputs,
         completed=len(schedule),
     )
@@ -766,11 +763,8 @@ def benchmark_workloads(
                     "compiler": workload.compiler,
                     "backend": backend,
                     "batch": batch,
-                    "verified": outcome.verified,
                     "all_correct": outcome.all_correct,
-                    "oracle_correct": (
-                        outcome.outputs == expected if outcome.verified else None
-                    ),
+                    "oracle_correct": outcome.outputs == expected,
                     "direct_wall_s": direct_wall,
                     "direct_throughput_per_s": (
                         batch / direct_wall if direct_wall > 0 else 0.0
@@ -870,9 +864,9 @@ def benchmark_problems(
     for row in rows:
         if not row["server_bit_identical"]:
             problems.append(f"{row['workload']}/{row['backend']}: server differs")
-        if row["verified"] and not row["all_correct"]:
+        if not row["all_correct"]:
             problems.append(f"{row['workload']}/{row['backend']}: incorrect outputs")
-        if row["verified"] and row["oracle_correct"] is False:
+        if not row["oracle_correct"]:
             problems.append(f"{row['workload']}/{row['backend']}: oracle mismatch")
     traffic = payload["mixed_traffic"]
     if not traffic["bit_identical"]:

@@ -3,9 +3,8 @@
 Covers the backend registry (the ``@register_backend``/spec idiom), backend
 parity — every kernel of the Coyote/Porcupine/tree suites produces
 bit-identical declared outputs and identical noise/latency accounting on
-``reference`` vs ``vector-vm``, and identical accounting on ``cost-sim`` —
-the per-execution metering refactor, the batched
-:class:`~repro.service.execution.ExecutionService` with static-cost LPT
+``reference`` vs ``vector-vm`` — the per-execution metering refactor, the
+batched :class:`~repro.service.execution.ExecutionService` with static-cost LPT
 scheduling, and the ``backend=``/``run-batch`` surface of the api + CLI.
 """
 
@@ -55,13 +54,22 @@ def compiled_suite():
 class TestBackendRegistry:
     def test_builtins_registered(self):
         names = available_backends()
-        assert {"reference", "vector-vm", "cost-sim"} <= set(names)
+        assert {"reference", "vector-vm"} <= set(names)
 
     def test_backend_info_fields(self):
-        info = backend_info("cost-sim")
-        assert info.produces_outputs is False
-        assert info.description
-        assert backend_info("vector-vm").produces_outputs is True
+        info = backend_info("vector-vm")
+        assert info.name == "vector-vm"
+        assert info.description and info.use_when
+        assert backend_info("reference").description
+
+    def test_every_backend_decrypts(self):
+        # No registered backend skips decryption: an accounting-only name is
+        # unknown, and no registry row carries an outputs flag.
+        removed = "cost-" + "sim"
+        with pytest.raises(KeyError, match="reference, vector-vm"):
+            get_backend(removed)
+        for row in api.list_backends():
+            assert set(row) == {"name", "description", "use_when"}
 
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(KeyError, match="vector-vm"):
@@ -86,9 +94,9 @@ class TestBackendRegistry:
         by_name, spec = resolve_backend("vector-vm")
         assert by_name.name == "vector-vm"
         assert spec is not None and spec.name == "vector-vm"
-        by_spec, spec2 = resolve_backend(BackendSpec.create("cost-sim"))
-        assert by_spec.name == "cost-sim"
-        assert spec2.name == "cost-sim"
+        by_spec, spec2 = resolve_backend(BackendSpec.create("reference"))
+        assert by_spec.name == "reference"
+        assert spec2.name == "reference"
         instance = build_backend("reference")
         again, spec3 = resolve_backend(instance)
         assert again is instance
@@ -96,8 +104,8 @@ class TestBackendRegistry:
 
     def test_resolve_none_follows_default(self, monkeypatch):
         assert get_backend(None).name == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "cost-sim")
-        assert get_backend(None).name == "cost-sim"
+        monkeypatch.setenv("REPRO_BACKEND", "vector-vm")
+        assert get_backend(None).name == "vector-vm"
 
     def test_instance_options_rejected(self):
         with pytest.raises(ValueError, match="registry name"):
@@ -105,12 +113,12 @@ class TestBackendRegistry:
 
     def test_api_list_backends(self):
         rows = api.list_backends()
-        assert {row["name"] for row in rows} >= {"reference", "vector-vm", "cost-sim"}
-        assert api.describe_backend("cost-sim").startswith(f"repro-{repro.__version__}")
+        assert {row["name"] for row in rows} >= {"reference", "vector-vm"}
+        assert api.describe_backend("vector-vm").startswith(f"repro-{repro.__version__}")
 
 
 # ---------------------------------------------------------------------------
-# parity: reference vs vector-vm vs cost-sim over the full kernel suites
+# parity: reference vs vector-vm over the full kernel suites
 # ---------------------------------------------------------------------------
 class TestBackendParity:
     def test_every_kernel_bit_identical_and_same_accounting(self, compiled_suite):
@@ -120,7 +128,6 @@ class TestBackendParity:
             inputs = benchmark.sample_inputs(seed=1)
             reference = execute(report.circuit, inputs, params=PARAMS, backend="reference")
             vm = execute(report.circuit, inputs, params=PARAMS, backend="vector-vm")
-            sim = execute(report.circuit, inputs, params=PARAMS, backend="cost-sim")
             # vector-vm: bit-identical outputs, identical accounting.
             assert vm.outputs == reference.outputs, benchmark.name
             assert vm.latency_ms == reference.latency_ms, benchmark.name
@@ -129,14 +136,6 @@ class TestBackendParity:
             assert vm.remaining_noise_budget == reference.remaining_noise_budget
             assert vm.noise_budget_exhausted == reference.noise_budget_exhausted
             assert vm.encrypted_inputs == reference.encrypted_inputs
-            # cost-sim: identical accounting, no outputs.
-            assert sim.outputs == {}
-            assert sim.latency_ms == reference.latency_ms, benchmark.name
-            assert sim.operation_counts == reference.operation_counts, benchmark.name
-            assert sim.consumed_noise_budget == reference.consumed_noise_budget
-            assert sim.remaining_noise_budget == reference.remaining_noise_budget
-            assert sim.noise_budget_exhausted == reference.noise_budget_exhausted
-            assert sim.encrypted_inputs == reference.encrypted_inputs
         assert covered_suites == {"porcupine", "coyote", "trees"}
 
     def test_batched_execution_matches_per_seed_reference(self, compiled_suite):
@@ -434,10 +433,12 @@ class TestExecutionService:
         benchmark, report = next(
             (b, r) for b, r in compiled_suite if b.name == "dot_product_4"
         )
-        service = ExecutionService("cost-sim", params=PARAMS)
-        batch = service.run_jobs([(report.circuit, [benchmark.sample_inputs(0)])])
+        service = ExecutionService("vector-vm", params=PARAMS)
+        inputs = benchmark.sample_inputs(0)
+        batch = service.run_jobs([(report.circuit, [inputs])])
         assert batch.records[0].name == "dot_product_4"
-        assert batch.reports[0][0].outputs == {}
+        expected = execute(report.circuit, inputs, params=PARAMS, backend="reference")
+        assert batch.reports[0][0].outputs == expected.outputs
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +453,10 @@ class TestApiBackendSurface:
         assert outcome.backend == "vector-vm"
         assert outcome.outputs == outcome.reference
 
-    def test_execute_with_cost_sim_skips_verification(self):
-        outcome = repro.execute("(* a b)", {"a": 3, "b": 4}, backend="cost-sim")
-        assert outcome.backend == "cost-sim"
-        assert outcome.outputs == [] and outcome.reference == []
-        assert outcome.correct
-        assert not outcome.verified
-        assert outcome.execution.latency_ms > 0.0
-
     def test_empty_batch_still_reports_requested_backend(self):
         batch = repro.execute_batch("(* a b)", inputs=[], backend="vector-vm")
         assert batch.batch_size == 0
         assert batch.backend == "vector-vm"
-
-    def test_cli_run_cost_sim_reports_skipped_verification(self, capsys):
-        code = cli_main(["run", "(* a b)", "--inputs", "a=2,b=3", "--backend", "cost-sim"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "verified     : skipped (backend produces no outputs)" in out
 
     def test_execute_batch_round_trip(self):
         batch = repro.execute_batch(
@@ -514,21 +501,10 @@ class TestApiBackendSurface:
         assert "batch size   : 6" in out
         assert "verified     : 6/6 OK" in out
 
-    def test_execute_batch_cost_sim_marks_verification_skipped(self):
-        batch = repro.execute_batch("(* a b)", batch=3, backend="cost-sim")
-        assert not batch.verified
-        assert batch.all_correct  # vacuous — nothing decrypted
-
-    def test_cli_run_batch_cost_sim_reports_skipped_verification(self, capsys):
-        code = cli_main(["run-batch", "(* a b)", "--batch", "3", "--backend", "cost-sim"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "verified     : skipped (backend produces no outputs)" in out
-
     def test_cli_list_backends(self, capsys):
         assert cli_main(["list-backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("reference", "vector-vm", "cost-sim"):
+        for name in ("reference", "vector-vm"):
             assert name in out
 
 
@@ -543,16 +519,7 @@ class TestBackendRouting:
         results = runner.run([benchmark_by_name("dot_product_4")])
         assert len(results) == 1
         assert results[0].backend == "vector-vm"
-        assert results[0].correct and results[0].verified
-
-    def test_benchmark_runner_on_cost_sim(self):
-        from repro.experiments.harness import BenchmarkRunner
-
-        runner = BenchmarkRunner({"initial": "initial"}, backend="cost-sim")
-        results = runner.run([benchmark_by_name("dot_product_4")])
-        assert results[0].backend == "cost-sim"
-        assert results[0].correct  # vacuous
-        assert not results[0].verified
+        assert results[0].correct
         assert results[0].execution_latency_ms > 0.0
 
     def test_reward_simulated_latency_matches_reference_accounting(self):
@@ -569,7 +536,7 @@ class TestBackendRouting:
     def test_reward_config_has_no_latency_backend_knob(self):
         from repro.rl.reward import RewardConfig
 
-        for name in ("cost-sim", "reference", "vector-vm"):
+        for name in ("reference", "vector-vm"):
             with pytest.raises(TypeError):
                 RewardConfig(latency_backend=name)
 

@@ -37,6 +37,7 @@ from repro.server import (
     circuit_to_record,
     coalesce,
 )
+from repro.service import CompilationCache
 from repro.server.telemetry import (
     Histogram,
     SLOClass,
@@ -623,6 +624,22 @@ class TestJobServer:
         # verify them itself; the caller (the harness) checks the outputs.
         assert payload["verified"] is False
         assert payload["outputs"][0] == list(benchmark.reference(inputs))
+
+    def test_disabled_compile_cache_disables_circuit_memo(self):
+        """A capacity-0 compilation cache turns the circuit memo off too:
+        every execute job misses it and none hits, where the default server
+        compiles the shared source once."""
+        for cache, misses, hits in (
+            (CompilationCache(capacity=0), 4, 0),
+            (None, 1, 3),
+        ):
+            server = make_server(cache=cache)
+            for seed in range(4):
+                server.submit(Job(source=SOURCE, seed=seed))
+            assert server.drain() == 4
+            counters = server.telemetry.snapshot()["counters"]
+            assert counters["circuit_memo_misses"] == misses
+            assert counters.get("circuit_memo_hits", 0) == hits
 
     def test_execution_does_no_scheduling_work(self, compiled_kernels, monkeypatch):
         """Neither run_jobs nor a server tick prices its jobs: with the

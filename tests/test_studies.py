@@ -85,7 +85,7 @@ class TestComponents:
         assert isinstance(component, Component)
         payload = component.as_dict()
         assert payload["name"] == "compile-cache"
-        assert payload["ablated"] == {"cache_capacity": 0, "memoize_circuits": False}
+        assert payload["ablated"] == {"cache_capacity": 0}
 
 
 class TestRunConfig:
