@@ -32,6 +32,11 @@ them:
     rotation or operand edge, so execution never computes a slot an output
     needs.
 
+``misroute-load``
+    Point one entry of the tape's load-index ``sources`` at a different
+    input: the batch marshal's scatter built from stale or shifted input
+    names, so a row's slot is filled with another input's value.
+
 All randomness is a ``random.Random(seed)``; the same seed replays the same
 mutants.  :func:`run_mutation_harness` verifies the pristine schedule is
 clean first, then requires every applied mutant to produce at least one
@@ -50,7 +55,7 @@ import numpy as np
 
 from repro.analysis import AnalysisReport
 from repro.analysis.tape_check import verify_plan_ops
-from repro.backends.tape import CompiledTape, TapeOp, live_indices
+from repro.backends.tape import CompiledTape, TapeOp, index_loads, live_indices
 from repro.compiler.circuit import CircuitProgram
 
 __all__ = [
@@ -69,6 +74,7 @@ DEFECT_CLASSES = (
     "extend-lifetime",
     "skip-fusion-check",
     "drop-live-slot",
+    "misroute-load",
 )
 
 #: Input bound whose plan tape-level mutations are applied to (smallest
@@ -158,7 +164,8 @@ def _buffer_live_after(ops: Sequence[TapeOp], index: int, buffer: int) -> bool:
 def _drop_live_slot(tape: CompiledTape, index: int) -> CompiledTape:
     """``tape`` without live slot ``tape.live[index]``: its position is
     deleted from every compact array and load, later positions shift down,
-    and the gathers and output positions are rebuilt over the rest."""
+    and the load index, gathers and output positions are rebuilt over the
+    rest."""
     mutant = copy.copy(tape)  # never executed: shares the original's plans
     mutant.live = np.delete(tape.live, index)
     mutant.consts = [np.delete(const, index) for const in tape.consts]
@@ -174,9 +181,22 @@ def _drop_live_slot(tape: CompiledTape, index: int) -> CompiledTape:
         )
         for load in tape.loads
     ]
+    mutant.input_names, mutant.load_index = index_loads(
+        mutant.loads, len(tape.consts), len(mutant.live)
+    )
     mutant.gathers, mutant.output_positions = live_indices(
         mutant.live, tape.ops, tape.outputs, tape.n
     )
+    return mutant
+
+
+def _misroute_load(tape: CompiledTape, entry: int, source: int) -> CompiledTape:
+    """``tape`` with entry ``entry`` of its load-index ``sources`` pointed
+    at input ``source``; the loads' ``columns`` still name the right one."""
+    mutant = copy.copy(tape)  # never executed: shares the original's plans
+    sources = tape.load_index.sources.copy()
+    sources[entry] = source
+    mutant.load_index = dataclasses.replace(tape.load_index, sources=sources)
     return mutant
 
 
@@ -297,6 +317,26 @@ def enumerate_mutations(
                     tuple(ops),
                     bucket,
                     tape=_drop_live_slot(tape, index),
+                )
+            )
+
+    elif kind == "misroute-load":
+        names = tape.input_names
+        index = tape.load_index
+        for entry, (slot, source) in enumerate(
+            zip(index.column_slots.tolist(), index.sources.tolist())
+        ):
+            wrong = (source + 1) % len(names)
+            if wrong == source:
+                continue  # a single input: nothing else to read
+            mutations.append(
+                Mutation(
+                    kind,
+                    f"load r{slot} column {entry} reads {names[wrong]!r} "
+                    f"instead of {names[source]!r}",
+                    tuple(ops),
+                    bucket,
+                    tape=_misroute_load(tape, entry, wrong),
                 )
             )
 

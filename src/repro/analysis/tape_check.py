@@ -34,12 +34,13 @@ preserve:
     reduced mod ``n``, loads and constants keyed by their centred slot
     content, fused superinstructions unfolded, congruence-preserving
     reductions erased).  The tape's leaves are the compact arrays the VM
-    executes (values at the live set ``L``, load columns as positions in
-    ``L``); the circuit side builds each leaf from its instruction
-    independently and restricts it to ``L``.  Every tape output's term
-    must equal the circuit's term for that output — one oracle that catches
-    swapped operands, clobbered lifetimes, dropped or reordered ops,
-    illegal fusion and wrong constant or template values.  Fusion legality
+    executes (values at the live set ``L``; loads as the tape's load index
+    writes them, input columns as positions in ``L``); the circuit side
+    builds each leaf from its instruction independently and restricts it
+    to ``L``.  Every tape output's term must equal the circuit's term for
+    that output — one oracle that catches swapped operands, clobbered
+    lifetimes, dropped or reordered ops, illegal fusion and wrong constant
+    or template values.  Fusion legality
     is additionally checked directly: the inner term a fused op consumed
     must be single-use in the live part of the original program, mirroring
     the optimizer's own precondition.
@@ -51,12 +52,15 @@ preserve:
     tape's live set ``L``; that every rotation gather sends each position
     whose source slot ``(L[i] + step) % n`` is live to that slot's
     position; that every output position array addresses slots
-    ``[:length]``; and that every constant and load template is ``|L|``
-    wide with every load position inside it.  This is what makes the
-    restriction in ``tape-equivalence`` sound: an output slot's value
-    depends only on leaf values inside its cone, the cone lies in ``L``,
-    and the rotations route cone slots correctly, so leaves that agree on
-    ``L`` give outputs that agree.
+    ``[:length]``; that every constant and load template is ``|L|``
+    wide with every load position inside it; and that the tape's load
+    index, which is what a batch executes, writes every load buffer with
+    exactly its template and its ``columns`` through the tape's
+    ``input_names``.  This is what makes the restriction in
+    ``tape-equivalence`` sound: an output slot's value depends only on
+    leaf values inside its cone, the cone lies in ``L``, and the rotations
+    route cone slots correctly, so leaves that agree on ``L`` give outputs
+    that agree.
 """
 
 from __future__ import annotations
@@ -409,6 +413,40 @@ def _live_positions(tape: CompiledTape) -> Optional[np.ndarray]:
     return position
 
 
+def _executed_loads(
+    tape: CompiledTape,
+) -> Optional[Dict[int, Tuple[np.ndarray, Tuple[Tuple[int, str], ...]]]]:
+    """What a batch writes into each load buffer, read from the tape's
+    :class:`~repro.backends.tape.LoadIndex`: buffer -> (template, the
+    ``(position, input name)`` pairs it scatters, in index order).  None
+    when the index is misshapen, out of range or writes a buffer twice
+    (reported by tape-slots)."""
+    index = tape.load_index
+    n_consts, width, names = len(tape.consts), len(tape.live), tape.input_names
+    slots = index.slots.tolist()
+    columns = len(index.column_slots)
+    if (
+        len(set(slots)) != len(slots)
+        or np.shape(index.templates) != (len(slots), 1, width)
+        or np.shape(index.positions) != (columns,)
+        or np.shape(index.sources) != (columns,)
+        or not set(index.column_slots.tolist()) <= set(slots)
+        or not all(0 <= slot < tape.slot_count for slot in slots)
+        or not all(0 <= position < width for position in index.positions.tolist())
+        or not all(0 <= source < len(names) for source in index.sources.tolist())
+    ):
+        return None
+    written: Dict[int, List[Tuple[int, str]]] = {slot: [] for slot in slots}
+    for slot, position, source in zip(
+        index.column_slots.tolist(), index.positions.tolist(), index.sources.tolist()
+    ):
+        written[slot].append((position, names[source]))
+    return {
+        n_consts + slot: (index.templates[row, 0], tuple(written[slot]))
+        for row, slot in enumerate(slots)
+    }
+
+
 def _circuit_terms(
     program: CircuitProgram, t: int, n: int, position: np.ndarray, term: _Terms
 ) -> Dict[str, int]:
@@ -551,12 +589,8 @@ def check_equivalence(
         index: term("plain", const.tobytes())
         for index, const in enumerate(tape.consts)
     }
-    for load in tape.loads:
-        buffers[load.buffer] = term(
-            "load",
-            tuple(load.columns),
-            load.template.tobytes(),
-        )
+    for buffer, (template, columns) in (_executed_loads(tape) or {}).items():
+        buffers[buffer] = term("load", columns, template.tobytes())
     # A buffer read before any write is reported by tape-arena; here it is
     # a leaf no circuit term equals.
     unwritten = term("unwritten")
@@ -693,7 +727,7 @@ def _preview(slots: np.ndarray, limit: int = 5) -> str:
     "tape-slots",
     "tape",
     "slot narrowing: output cones inside the live set, gathers, output "
-    "positions and compact data consistent with it",
+    "positions, compact data and the load index consistent with it",
 )
 def check_slots(
     report: AnalysisReport,
@@ -788,6 +822,23 @@ def check_slots(
             f"{', '.join(misshapen)}: every constant and load template must "
             f"be {width} wide (one value per live slot) with every load "
             "position inside it",
+        )
+    executed = _executed_loads(tape) or {}
+    misrouted = [
+        f"load r{load.buffer - n_consts}"
+        for load in tape.loads
+        if load.buffer not in executed
+        or executed[load.buffer][1] != tuple(load.columns)
+        or not np.array_equal(executed[load.buffer][0], load.template)
+        or len({position for position, _ in load.columns}) != len(load.columns)
+    ]
+    if misrouted or len(executed) != len(tape.loads):
+        error(
+            "load-index",
+            f"{', '.join(misrouted) or 'the load index'}: a batch must write "
+            "each load buffer exactly once, with its template and its "
+            "columns (unique positions, each input looked up in the tape's "
+            "input names)",
         )
     report.mark_ran("tape-slots")
 

@@ -7,7 +7,9 @@ colored buffer slots plus a read-only constant pool), with every piece of
 noise/latency accounting precomputed at compile time.  Executing a tape is
 then pure numpy: each batch allocates its arena as one ``(slots, B, |L|)``
 block (a few dozen live slots wide, so a few microseconds) that is dropped
-with the batch, every operation writes through ``out=`` into an arena
+with the batch, the batch's inputs are marshalled in one pass into a
+``(names, B)`` matrix of centred residues that one scatter writes into
+the load buffers, every operation writes through ``out=`` into an arena
 buffer, and the hot loop carries no bound arithmetic and no ledger calls.
 
 Four pieces live here:
@@ -67,10 +69,12 @@ __all__ = [
     "ROTATIONS",
     "TapeOp",
     "TapeLoad",
+    "LoadIndex",
     "TapeOutput",
     "TapePlan",
     "TapeProfile",
     "CompiledTape",
+    "index_loads",
     "live_slots",
     "live_indices",
     "set_tape_profiling",
@@ -101,7 +105,9 @@ def set_tape_profiling(enabled: bool) -> bool:
 
     When enabled, :meth:`CompiledTape.execute_batch` takes a
     ``perf_counter_ns`` sample around every tape op, accumulating counts and
-    cumulative nanoseconds per opcode into the tape's :class:`TapeProfile`.
+    cumulative nanoseconds per opcode into the tape's :class:`TapeProfile`,
+    and one sample each around the input marshal (inputs to loaded arena)
+    and the output decode.
     Outputs stay bit-identical (the profiled path hands each op to the same
     dispatch loop, in the same order) and accounting stays float-identical
     (it is replayed at compile time, independent of the execution path).
@@ -118,9 +124,12 @@ def tape_profiling_enabled() -> bool:
 
 
 class TapeProfile:
-    """Aggregated per-opcode timings for one tape (thread-safe)."""
+    """Aggregated batch timings for one tape (thread-safe): per opcode,
+    plus the input marshal and the output decode around the op loop."""
 
-    __slots__ = ("_lock", "op_counts", "op_ns", "batches", "rows")
+    __slots__ = (
+        "_lock", "op_counts", "op_ns", "batches", "rows", "marshal_ns", "decode_ns"
+    )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -128,19 +137,32 @@ class TapeProfile:
         self.op_ns: Dict[str, int] = {}
         self.batches = 0
         self.rows = 0
+        self.marshal_ns = 0
+        self.decode_ns = 0
 
-    def observe(self, counts: Mapping[str, int], elapsed_ns: Mapping[str, int], rows: int) -> None:
+    def observe(
+        self,
+        counts: Mapping[str, int],
+        elapsed_ns: Mapping[str, int],
+        rows: int,
+        *,
+        marshal_ns: int,
+        decode_ns: int,
+    ) -> None:
         """Fold one profiled batch into the aggregate."""
         with self._lock:
             self.batches += 1
             self.rows += rows
+            self.marshal_ns += marshal_ns
+            self.decode_ns += decode_ns
             for kind, count in counts.items():
                 self.op_counts[kind] = self.op_counts.get(kind, 0) + count
             for kind, ns in elapsed_ns.items():
                 self.op_ns[kind] = self.op_ns.get(kind, 0) + ns
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot: per-opcode count/total_ns/mean_ns + totals."""
+        """JSON-ready snapshot: per-opcode count/total_ns/mean_ns, the op
+        total (``total_ns``) and the marshal and decode totals."""
         with self._lock:
             ops = {
                 kind: {
@@ -154,6 +176,8 @@ class TapeProfile:
                 "batches": self.batches,
                 "rows": self.rows,
                 "total_ns": sum(self.op_ns.values()),
+                "marshal_ns": self.marshal_ns,
+                "decode_ns": self.decode_ns,
                 "ops": ops,
             }
 
@@ -208,6 +232,26 @@ class TapeLoad:
     columns: Tuple[Tuple[int, str], ...]
     names: Tuple[str, ...]
     const_bound: int
+
+
+@dataclass(frozen=True)
+class LoadIndex:
+    """What a batch writes into its arena's load buffers: two numpy stores.
+
+    ``slots`` are the load buffers' arena slots (buffer index less the
+    constant pool) and ``templates`` their templates stacked
+    ``(loads, 1, |L|)``, so one store broadcasts them over the batch.  One
+    scatter then writes input ``sources[j]`` (an index into the tape's
+    ``input_names``) to live position ``positions[j]`` of arena slot
+    ``column_slots[j]``, for every load column ``j``.  Built from the
+    loads by :func:`index_loads`; no two columns write the same place.
+    """
+
+    slots: np.ndarray
+    templates: np.ndarray
+    column_slots: np.ndarray
+    positions: np.ndarray
+    sources: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -303,6 +347,44 @@ def live_indices(
     return gathers, positions
 
 
+def index_loads(
+    loads: Sequence[TapeLoad], n_consts: int, width: int
+) -> Tuple[Tuple[str, ...], LoadIndex]:
+    """A tape's input names and the :class:`LoadIndex` its batches load by.
+
+    The input names are every input any load reads (dead slots included),
+    in load order: execution checks each of them and marshals it into one
+    row of the batch's ``(names, B)`` residue matrix.  The index lists the
+    loads' columns load by load, in column order.  This is the one place
+    it is derived from the loads.
+    """
+    input_names = tuple(dict.fromkeys(name for load in loads for name in load.names))
+    source_of = {name: index for index, name in enumerate(input_names)}
+    slots = [load.buffer - n_consts for load in loads]
+    columns = [
+        (load.buffer - n_consts, position, source_of[name])
+        for load in loads
+        for position, name in load.columns
+    ]
+    if len(set(slots)) != len(slots) or len(
+        {(slot, position) for slot, position, _ in columns}
+    ) != len(columns):
+        raise CompilationError("two loads share a buffer or write one slot twice")
+    column_slots, positions, sources = (
+        np.array(columns, dtype=np.int64).reshape(-1, 3).T.copy()
+    )
+    index = LoadIndex(
+        slots=np.array(slots, dtype=np.int64),
+        templates=np.array(
+            [load.template for load in loads], dtype=np.int64
+        ).reshape(len(loads), 1, width),
+        column_slots=column_slots,
+        positions=positions,
+        sources=sources,
+    )
+    return input_names, index
+
+
 class CompiledTape:
     """An optimized, directly executable form of one circuit."""
 
@@ -332,16 +414,16 @@ class CompiledTape:
         self.const_bounds = const_bounds
         self.slot_count = slot_count
         self.loads = loads
+        #: Every input any load reads, in load order, and how each batch
+        #: writes them and the templates into the load buffers.
+        self.input_names, self.load_index = index_loads(
+            loads, len(consts), len(live)
+        )
         self.ops = ops
         self.outputs = outputs
         self.accounting = accounting
         self.stats = stats
         self.gathers, self.output_positions = live_indices(live, ops, outputs, self.n)
-        #: Every input any load reads (dead slots included), in load order:
-        #: execution checks and marshals each of them.
-        self.input_names = tuple(
-            dict.fromkeys(name for load in loads for name in load.names)
-        )
         self._plans: Dict[int, TapePlan] = {}
         self._lock = threading.Lock()
         #: Lazily created on the first profiled batch; ``None`` until then.
@@ -458,40 +540,61 @@ class CompiledTape:
         batch = len(inputs_list)
         if batch == 0:
             return []
-        t, half = self.t, self.half
+        if not _PROFILING:
+            ops, buffers = self._load(inputs_list)
+            _interpret(ops, buffers, self.t, self.half, self.gathers)
+            return self._build_reports(buffers, batch, backend_name)
+        clock = time.perf_counter_ns
+        start = clock()
+        ops, buffers = self._load(inputs_list)
+        marshal_ns = clock() - start
+        counts, elapsed = _interpret_profiled(
+            ops, buffers, self.t, self.half, self.gathers
+        )
+        start = clock()
+        reports = self._build_reports(buffers, batch, backend_name)
+        self._profile().observe(
+            counts, elapsed, batch, marshal_ns=marshal_ns, decode_ns=clock() - start
+        )
+        return reports
 
-        # Marshal the variable inputs once per distinct name and track the
-        # largest centred magnitude, which selects the reduction plan.
-        name_values: Dict[str, np.ndarray] = {}
-        input_bound = 0
+    def _load(
+        self, inputs_list: Sequence[Mapping[str, Value]]
+    ) -> Tuple[List[TapeOp], List[np.ndarray]]:
+        """Marshal a batch's inputs and load them into a fresh arena.
+
+        Every input name becomes one row of a ``(names, B)`` matrix of
+        centred residues.  The walk is name-major, so a malformed batch
+        reports the first bad input in ``input_names`` order, whichever
+        row holds it.  The matrix's largest magnitude selects the
+        reduction plan, and one store of the load templates plus one
+        scatter from the matrix fill every load buffer.  Returns the plan's
+        ops and the buffers they run over.
+        """
+        t, half = self.t, self.half
+        residues: List[int] = []
+        append = residues.append
         for name in self.input_names:
-            values = np.empty(batch, dtype=np.int64)
-            for row, inputs in enumerate(inputs_list):
+            for inputs in inputs_list:
                 value = inputs.get(name)
                 if type(value) is not int:  # missing, packed or non-int
                     value = int(scalar_input(inputs, name))
-                residue = value % t
-                values[row] = residue - t if residue > half else residue
-            name_values[name] = values
-            input_bound = max(input_bound, int(np.max(np.abs(values))))
+                append(value % t)
+        matrix = np.array(residues, dtype=np.int64).reshape(
+            len(self.input_names), len(inputs_list)
+        )
+        np.subtract(matrix, t, out=matrix, where=matrix > half)
+        plan = self.plan_for(int(np.abs(matrix).max(initial=0)))
 
-        plan = self.plan_for(input_bound)
         # One block per batch: concurrent callers never share an arena, and
         # nothing is kept once the reports are built.
-        arena = np.empty((self.slot_count, batch, len(self.live)), dtype=np.int64)
-        buffers = self.consts + list(arena)
-        for load in self.loads:
-            target = buffers[load.buffer]
-            np.copyto(target, load.template)
-            for position, name in load.columns:
-                target[:, position] = name_values[name]
-        if _PROFILING:
-            _interpret_profiled(
-                plan.ops, buffers, t, half, self.gathers, self._profile(), batch
-            )
-        else:
-            _interpret(plan.ops, buffers, t, half, self.gathers)
-        return self._build_reports(buffers, batch, backend_name)
+        arena = np.empty(
+            (self.slot_count, len(inputs_list), len(self.live)), dtype=np.int64
+        )
+        index = self.load_index
+        arena[index.slots] = index.templates
+        arena[index.column_slots, :, index.positions] = matrix[index.sources]
+        return plan.ops, self.consts + list(arena)
 
     def _build_reports(
         self, buffers: List[np.ndarray], batch: int, backend_name: str
@@ -662,15 +765,14 @@ def _interpret_profiled(
     t: int,
     half: int,
     gathers: Mapping[int, np.ndarray],
-    profile: TapeProfile,
-    rows: int,
-) -> None:
+) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Like :func:`_interpret`, but samples ``perf_counter_ns`` per op.
 
     Delegates each op to :func:`_interpret` one at a time, so the executed
     numpy operations (and hence the outputs) are bit-identical to the
     unprofiled path by construction; only the clock samples and the
-    per-opcode accumulation are extra.
+    per-opcode accumulation are extra.  Returns the per-opcode counts and
+    nanoseconds.
     """
     counts: Dict[str, int] = {}
     elapsed: Dict[str, int] = {}
@@ -682,4 +784,4 @@ def _interpret_profiled(
         kind = op.kind
         counts[kind] = counts.get(kind, 0) + 1
         elapsed[kind] = elapsed.get(kind, 0) + duration
-    profile.observe(counts, elapsed, rows)
+    return counts, elapsed

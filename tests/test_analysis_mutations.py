@@ -2,7 +2,7 @@
 
 This is the verifier's own soundness gate — a checker that never fires on a
 bug is indistinguishable from one that always passes, so CI asserts a 100%
-detection rate over seeded mutants of all four optimizer defect classes.
+detection rate over seeded mutants of every optimizer defect class.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ PARAMS = BFVParameters.default(1024)
 def cases():
     """Kernel mix guaranteeing at least one site per defect class: ordered
     subtractions (swap), scheduled reduces at the large bucket
-    (drop-reduction), a multi-consumer product (illegal fusion) and
-    overlapping register lifetimes (clobber)."""
+    (drop-reduction), a multi-consumer product (illegal fusion),
+    overlapping register lifetimes (clobber) and more than one input
+    (misroute-load)."""
     built = []
     sources = [
         build_workload("l2-distance").source,
@@ -85,3 +86,35 @@ def test_pristine_plan_is_clean_baseline(cases) -> None:
             assert tuple(mutation.ops) != tuple(plan.ops)
             report = verify_mutation(program, tape, mutation)
             assert not report.ok, mutation.description
+
+
+@pytest.mark.parametrize("kind", ["drop-live-slot", "misroute-load"])
+def test_tape_mutants_change_only_their_defect(cases, kind) -> None:
+    """A dropped live slot keeps the load index in step with the loads; a
+    misrouted load breaks exactly one of its sources."""
+    program, tape = cases[0]
+    plan = tape.plan_for(1)
+    mutations = enumerate_mutations(
+        program, tape, kind, ops=plan.ops, bucket=plan.bucket
+    )
+    assert mutations
+    for mutation in mutations:
+        mutant = mutation.tape
+        index = mutant.load_index
+        n_consts = len(mutant.consts)
+        expected = [
+            (load.buffer - n_consts, position, name)
+            for load in mutant.loads
+            for position, name in load.columns
+        ]
+        scattered = [
+            (slot, position, mutant.input_names[source])
+            for slot, position, source in zip(
+                index.column_slots.tolist(),
+                index.positions.tolist(),
+                index.sources.tolist(),
+            )
+        ]
+        wrong = sum(a != b for a, b in zip(scattered, expected))
+        assert len(scattered) == len(expected)
+        assert wrong == (kind == "misroute-load"), mutation.description

@@ -134,11 +134,10 @@ def test_changed_compact_value_is_an_output_mismatch(target) -> None:
         changed = tape.consts[0].copy()
         changed[1] += 1
         mutant.consts = [changed]
-    else:
-        load = tape.loads[0]
-        changed = load.template.copy()
-        changed[1] += 1
-        mutant.loads = [dataclasses.replace(load, template=changed)]
+    else:  # a batch writes load templates from the tape's load index
+        changed = tape.load_index.templates.copy()
+        changed[0, 0, 1] += 1
+        mutant.load_index = dataclasses.replace(tape.load_index, templates=changed)
     report = verify_tape(program, mutant)
     assert ("tape-equivalence", "output-mismatch") in _rules(report)
 
@@ -150,6 +149,46 @@ def test_wrong_width_compact_array_is_a_shape_finding() -> None:
     mutant.consts = [np.append(tape.consts[0], 0)]
     report = verify_tape(program, mutant)
     assert ("tape-slots", "compact-shape") in _rules(report)
+
+
+def _two_input_tape():
+    program = CircuitProgram(name="two-inputs")
+    packed = program.emit(
+        Opcode.LOAD_INPUT,
+        name="xy",
+        layout=[InputSlot(name="x"), InputSlot(name="y"), InputSlot(constant=5)],
+    )
+    program.mark_output(program.emit(Opcode.MUL, (packed, packed)), "square", 3)
+    tape = compile_tape(program, PARAMS)
+    index = tape.load_index
+    assert tape.input_names == ("x", "y")
+    assert index.slots.tolist() == [0] and index.column_slots.tolist() == [0, 0]
+    assert index.positions.tolist() == [0, 1] and index.sources.tolist() == [0, 1]
+    assert verify_tape(program, tape).ok
+    return program, tape
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sources", [1, 1]),  # y read for x
+        ("sources", [0, 2]),  # no third input
+        ("positions", [1, 0]),  # x and y swapped
+        ("column_slots", [0, 1]),  # y scattered into a non-load buffer
+        ("templates", [[[0, 0, 6]]]),  # a wrong constant slot
+    ],
+)
+def test_load_index_disagreeing_with_the_loads_is_found(field, value) -> None:
+    """The verifier reads the index a batch executes, not only the loads
+    it was built from."""
+    program, tape = _two_input_tape()
+    mutant = copy.copy(tape)
+    mutant.load_index = dataclasses.replace(
+        tape.load_index, **{field: np.array(value, dtype=np.int64)}
+    )
+    rules = _rules(verify_tape(program, mutant))
+    assert ("tape-slots", "load-index") in rules
+    assert ("tape-equivalence", "output-mismatch") in rules
 
 
 #: Coyote circuits whose symbolic terms are trees over a deep DAG: written

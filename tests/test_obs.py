@@ -655,6 +655,43 @@ class TestTapeProfile:
         assert profile["batches"] == 2
         assert profile["rows"] == 4
 
+    def test_profile_splits_marshal_ops_and_decode(self, monkeypatch):
+        """One clock pair each around the marshal, every op and the decode,
+        and no clock read at all while profiling is off."""
+        from repro.backends import tape as tape_module
+        from repro.backends.tape import set_tape_profiling
+
+        program = api.compile("(* (+ a b) (+ c d))", compiler="greedy").circuit
+        tape = compile_tape(program, BFVParameters.default(1024))
+        rows = [{"a": 1, "b": 2, "c": 3, "d": 4}, {"a": 5, "b": 6, "c": 0, "d": 1}]
+        reads = []
+
+        def clock() -> int:  # every read advances 1000 ns
+            reads.append(None)
+            return 1000 * len(reads)
+
+        monkeypatch.setattr(tape_module.time, "perf_counter_ns", clock)
+        tape.execute_batch(rows)
+        assert reads == [] and tape.profile_snapshot() is None
+
+        previous = set_tape_profiling(True)
+        try:
+            tape.execute_batch(rows)
+            tape.execute_batch(rows[:1])
+        finally:
+            set_tape_profiling(previous)
+        profile = tape.profile_snapshot()
+        # the two batches' largest inputs are 6 and 4
+        ops = len(tape.plan_for(6).ops) + len(tape.plan_for(4).ops)
+        assert profile["marshal_ns"] == 2 * 1000
+        assert profile["decode_ns"] == 2 * 1000
+        assert profile["total_ns"] == ops * 1000
+        assert len(reads) == 2 * (2 + 2) + 2 * ops
+
+        tape.execute_batch(rows)  # off again: nothing read or accumulated
+        assert len(reads) == 2 * (2 + 2) + 2 * ops
+        assert tape.profile_snapshot() == profile
+
 
 # ---------------------------------------------------------------------------
 # CLI

@@ -29,6 +29,7 @@ from repro.backends.tape import set_tape_profiling
 from repro.backends.vector_vm import VectorVMBackend
 from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
 from repro.compiler.executor import execute, execute_many
+from repro.core.exceptions import CompilationError
 from repro.fhe.params import BFVParameters
 from repro.kernels.registry import benchmark_by_name
 from repro.workloads import available_workloads, build_workload
@@ -416,6 +417,147 @@ class TestSlotNarrowing:
         snapshot = read_snapshot(server.store.metrics_path)
         assert snapshot["gauges"]["tape_memo_size"] == tape_cache_stats()["size"] == 1
         assert "tape_memo_size 1" in render_top(snapshot)
+
+
+def shared_input_program() -> CircuitProgram:
+    """Two packed loads that both read ``y``: one input, two load columns."""
+    program = CircuitProgram(name="shared-input")
+    first = program.emit(
+        Opcode.LOAD_INPUT,
+        name="xy",
+        layout=[InputSlot(name="x"), InputSlot(name="y"), InputSlot(constant=3)],
+    )
+    second = program.emit(
+        Opcode.LOAD_INPUT,
+        name="yz",
+        layout=[InputSlot(name="y"), InputSlot(name="z"), InputSlot(name="x")],
+    )
+    product = program.emit(Opcode.MUL, (first, second))
+    program.mark_output(program.emit(Opcode.SUB, (product, second)), "mixed", 3)
+    return program
+
+
+def constant_program() -> CircuitProgram:
+    """An encrypted load whose layout holds constants only: no input names."""
+    program = CircuitProgram(name="constant-only")
+    packed = program.emit(
+        Opcode.LOAD_INPUT,
+        name="k",
+        layout=[InputSlot(constant=4), InputSlot(constant=-9)],
+    )
+    plain = program.emit(Opcode.LOAD_PLAIN, name="weights", values=[3, 5])
+    program.mark_output(program.emit(Opcode.MUL_PLAIN, (packed, plain)), "scaled", 2)
+    return program
+
+
+class TestBatchMarshal:
+    """The columnar input marshal: every input is one row of a residue
+    matrix, the plan follows its largest magnitude, and each load fills its
+    columns with one gather."""
+
+    T = PARAMS.plain_modulus
+    EDGE_VALUES = (-T, T // 2, T // 2 + 1, 2**63 + 5, True)
+
+    @staticmethod
+    def per_name_bound(tape, inputs_list) -> int:
+        """The bound the per-name marshal took: the largest centred residue
+        magnitude over every input name and row."""
+        t, half = tape.t, tape.half
+        bound = 0
+        for name in tape.input_names:
+            for inputs in inputs_list:
+                residue = int(inputs[name]) % t
+                bound = max(bound, abs(residue - t if residue > half else residue))
+        return bound
+
+    def rows(self, names, batch):
+        """``batch`` rows cycling through the edge values and a few small
+        ones, so every edge value appears once there are 8 entries."""
+        pool = self.EDGE_VALUES + (0, 7, -2)
+        return [
+            {
+                name: pool[(row * len(names) + column) % len(pool)]
+                for column, name in enumerate(names)
+            }
+            for row in range(batch)
+        ]
+
+    @pytest.mark.parametrize("batch", [1, 2, 16, 64])
+    @pytest.mark.parametrize(
+        "program",
+        [
+            pytest.param(lambda: compiled("(- (* (* a b) c) (+ a d))"), id="kernel"),
+            pytest.param(shared_input_program, id="shared-input"),
+            pytest.param(constant_program, id="no-inputs"),
+        ],
+    )
+    def test_matches_reference_and_the_per_name_bound(self, program, batch):
+        program = program()
+        tape = compile_tape(program, PARAMS)
+        inputs_list = self.rows(tape.input_names, batch)
+
+        bounds = []
+        plan_for = tape.plan_for
+
+        def recording_plan_for(input_bound):
+            bounds.append(input_bound)
+            return plan_for(input_bound)
+
+        tape.plan_for = recording_plan_for
+        reports = tape.execute_batch(inputs_list)
+        assert bounds == [self.per_name_bound(tape, inputs_list)]
+        reference = assert_backend_parity(program, inputs_list)
+        assert [report.outputs for report in reports] == [
+            report.outputs for report in reference
+        ]
+
+    def test_one_input_feeding_two_loads_is_scattered_twice(self):
+        tape = compile_tape(shared_input_program(), PARAMS)
+        assert tape.input_names == ("x", "y", "z")
+        index = tape.load_index
+        n_consts = len(tape.consts)
+        expected = [
+            (load.buffer - n_consts, position, tape.input_names.index(name))
+            for load in tape.loads
+            for position, name in load.columns
+        ]
+        scattered = zip(index.column_slots, index.positions, index.sources)
+        assert [tuple(map(int, column)) for column in scattered] == expected
+        first, second = (load.buffer - n_consts for load in tape.loads)
+        assert index.slots.tolist() == [first, second]
+        reads_y = index.column_slots[index.sources == 1].tolist()
+        assert sorted(reads_y) == sorted([first, second])
+
+    def test_constant_only_tape_has_no_inputs(self):
+        tape = compile_tape(constant_program(), PARAMS)
+        assert tape.input_names == ()
+        assert tape.load_index.sources.tolist() == []
+        assert [r.outputs for r in tape.execute_batch([{}, {"unused": 5}])] == [
+            {"scaled": [12, -45]}
+        ] * 2
+
+    @pytest.mark.parametrize(
+        "missing, packed, message",
+        [
+            ("a", "b", "missing value for program input 'a'"),
+            ("b", "a", "input 'a' is packed slot-wise and must be a scalar"),
+        ],
+    )
+    def test_malformed_batch_reports_the_first_name_in_name_order(
+        self, missing, packed, message
+    ):
+        # Row 1 holds a list and row 3 lacks an input: the marshal walks
+        # inputs name-major, so the first input name in load order with a
+        # bad row is reported, whichever row comes first.
+        program = compiled("(+ (* a b) c)")
+        tape = compile_tape(program, PARAMS)
+        assert tape.input_names[:2] == ("a", "b")
+        inputs_list = [{"a": 1, "b": 2, "c": 3} for _ in range(5)]
+        inputs_list[1][packed] = [1, 2]
+        del inputs_list[3][missing]
+        with pytest.raises(CompilationError) as caught:
+            tape.execute_batch(inputs_list)
+        assert str(caught.value) == message
 
 
 class TestWorkloadRegistrySweep:
