@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--admission",
-        choices=("off", "shed", "downgrade"),
+        choices=("off", "shed"),
         default="off",
         help="admission control against the --slo wait budgets",
     )

@@ -259,25 +259,6 @@ class CircuitProgram:
         )
         return stats
 
-    def estimated_latency_ms(self, latency_model) -> float:
-        """Sum of per-instruction latencies under ``latency_model``."""
-        mapping = {
-            Opcode.ADD: "add",
-            Opcode.SUB: "sub",
-            Opcode.ADD_PLAIN: "add",
-            Opcode.SUB_PLAIN: "sub",
-            Opcode.MUL: "multiply",
-            Opcode.MUL_PLAIN: "multiply_plain",
-            Opcode.NEGATE: "negate",
-            Opcode.ROTATE: "rotate",
-        }
-        total = 0.0
-        for instruction in self.instructions:
-            operation = mapping.get(instruction.opcode)
-            if operation is not None:
-                total += latency_model.cost_ms(operation)
-        return total
-
 
 def content_digest(program: CircuitProgram) -> str:
     """Content hash of a circuit (instructions + outputs, name excluded).

@@ -7,10 +7,9 @@ exact structural contrasts the ablations isolate: reward terms, reward
 weights, training-data distribution, tokenizer, encoder architecture and
 action-space factorisation.
 
-System-level ablations (compiler, backend, coalescing, caches, scheduler —
-the serving stack rather than the RL stack) live in :mod:`repro.studies`;
-:func:`run_system_ablation` is the thin wrapper that runs one through the
-study engine and returns its ranked importance report.
+System-level ablations (compiler, backend, coalescing, compile cache,
+tracing, admission control — the serving stack rather than the RL stack)
+live in :mod:`repro.studies` and run through :func:`repro.api.run_study`.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "run_encoder_ablation",
     "run_greedy_comparison",
     "run_action_space_ablation",
-    "run_system_ablation",
 ]
 
 
@@ -409,41 +407,4 @@ def run_action_space_ablation(
             if flat_history.mean_episode_reward
             else 0.0
         ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# System ablation — thin wrapper over the repro.studies engine
-# ---------------------------------------------------------------------------
-def run_system_ablation(
-    study_dir: str,
-    components: Optional[Sequence[str]] = None,
-    workloads: Optional[Sequence[str]] = None,
-    replicates: int = 3,
-    jobs_per_replicate: int = 8,
-    seed: int = 0,
-    resume: bool = False,
-    resamples: int = 2000,
-) -> Dict[str, object]:
-    """Ablate serving-stack components through the study engine.
-
-    Unlike the RL-stack runners above (which train and benchmark agents),
-    this delegates entirely to :func:`repro.api.run_study`: the study engine
-    expands the baseline + one-component-off matrix, executes every
-    replicate on a :class:`~repro.server.server.JobServer`, persists state
-    under ``study_dir`` (pass ``resume=True`` to continue an interrupted
-    study without re-running finished replicates) and returns the report
-    dict with per-component importance scores, bootstrap CIs and ranking.
-    """
-    from repro.api import run_study
-
-    return run_study(
-        study_dir,
-        components=list(components) if components is not None else None,
-        workloads=list(workloads) if workloads is not None else None,
-        replicates=replicates,
-        jobs_per_replicate=jobs_per_replicate,
-        seed=seed,
-        resume=resume,
-        resamples=resamples,
     )

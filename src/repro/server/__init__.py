@@ -29,13 +29,7 @@ batches it forms run serially through
 
 from repro.server.coalescer import CoalescedGroup, coalesce
 from repro.server.faults import Fault, FaultInjector, InjectedFault
-from repro.server.jobs import (
-    Job,
-    JobState,
-    circuit_from_record,
-    circuit_to_record,
-    new_job_id,
-)
+from repro.server.jobs import Job, JobState, new_job_id
 from repro.server.queue import JobQueue
 from repro.server.server import JobServer
 from repro.server.store import JobStore
@@ -69,7 +63,5 @@ __all__ = [
     "SLOPolicy",
     "SLOTracker",
     "percentile_from_snapshot",
-    "circuit_from_record",
-    "circuit_to_record",
     "new_job_id",
 ]

@@ -1,15 +1,14 @@
 """The job model of the orchestration server.
 
 A :class:`Job` is one queued unit of client work — *compile this source* or
-*execute this source (or pre-lowered circuit) on these inputs* — carrying
-everything the server needs to schedule, run, retry and persist it:
+*execute this source on these inputs* — carrying everything the server
+needs to schedule, run, retry and persist it:
 
 * **identity and routing** — a generated id, ``kind`` (``compile`` /
   ``execute``), compiler registry name + options, backend registry name;
-* **payload** — the s-expression source, explicit inputs or a
-  ``seed``/``input_range`` pair to sample them from, or a pre-lowered
-  :class:`~repro.compiler.circuit.CircuitProgram` (serialized instruction by
-  instruction so it survives the JSONL store);
+* **payload** — the s-expression source (every job has one, so every
+  execute result is checked against it) and explicit inputs or a
+  ``seed``/``input_range`` pair to sample them from;
 * **lifecycle** — ``queued → running → completed | failed`` status (plus
   ``shed``, the terminal state overload protection rejects jobs into
   without running them), attempt counting against ``max_retries``, and
@@ -29,17 +28,14 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.compiler.circuit import CircuitProgram, InputSlot, Instruction, Opcode
 from repro.obs.trace import new_span_id, new_trace_context, new_trace_id
 
 __all__ = [
     "JobState",
     "Job",
     "new_job_id",
-    "circuit_to_record",
-    "circuit_from_record",
 ]
 
 
@@ -82,65 +78,6 @@ def new_job_id() -> str:
     return f"job-{int(time.time() * 1000):x}-{_PID_HEX}-{next(_COUNTER):x}"
 
 
-def circuit_to_record(program: CircuitProgram) -> Dict[str, object]:
-    """A JSON-serializable rendering of a lowered circuit.
-
-    Pre-compiled execute jobs must survive the JSONL store like every other
-    job, so the instruction tape is flattened field by field instead of being
-    pickled (records stay greppable and cross-version readable).
-    """
-    instructions = []
-    for instruction in program.instructions:
-        instructions.append(
-            {
-                "result": instruction.result,
-                "opcode": instruction.opcode.value,
-                "operands": list(instruction.operands),
-                "step": instruction.step,
-                "name": instruction.name,
-                "layout": [
-                    [slot.name, slot.constant] for slot in instruction.layout
-                ],
-                "values": list(instruction.values),
-            }
-        )
-    return {
-        "name": program.name,
-        "instructions": instructions,
-        "outputs": [list(entry) for entry in program.outputs],
-        "scalar_inputs": list(program.scalar_inputs),
-    }
-
-
-def circuit_from_record(record: Dict[str, object]) -> CircuitProgram:
-    """Rebuild a :class:`CircuitProgram` from :func:`circuit_to_record`."""
-    instructions: List[Instruction] = []
-    for item in record["instructions"]:
-        instructions.append(
-            Instruction(
-                result=int(item["result"]),
-                opcode=Opcode(item["opcode"]),
-                operands=tuple(int(op) for op in item["operands"]),
-                step=int(item["step"]),
-                name=item["name"],
-                layout=tuple(
-                    InputSlot(name=slot_name, constant=constant)
-                    for slot_name, constant in item["layout"]
-                ),
-                values=tuple(int(value) for value in item["values"]),
-            )
-        )
-    return CircuitProgram(
-        name=str(record["name"]),
-        instructions=instructions,
-        outputs=[
-            (int(register), str(name), int(length))
-            for register, name, length in record["outputs"]
-        ],
-        scalar_inputs=[str(name) for name in record["scalar_inputs"]],
-    )
-
-
 @dataclass
 class Job:
     """One queued unit of work (see module docstring for the field groups)."""
@@ -148,10 +85,8 @@ class Job:
     id: str = field(default_factory=new_job_id)
     #: ``"compile"`` or ``"execute"``.
     kind: str = "execute"
-    #: S-expression source text (None for pre-compiled circuit jobs).
+    #: S-expression source text; every job needs one.
     source: Optional[str] = None
-    #: Pre-lowered circuit (execute jobs submitted by the harness).
-    program: Optional[CircuitProgram] = None
     #: Compiler registry name (None follows the server default).
     compiler: Optional[str] = None
     compiler_options: Dict[str, object] = field(default_factory=dict)
@@ -185,10 +120,8 @@ class Job:
     def __post_init__(self) -> None:
         if self.kind not in ("compile", "execute"):
             raise ValueError(f"job kind must be 'compile' or 'execute', got {self.kind!r}")
-        if self.source is None and self.program is None:
-            raise ValueError("a job needs a source expression or a pre-lowered circuit")
-        if self.kind == "compile" and self.source is None:
-            raise ValueError("compile jobs need a source expression")
+        if self.source is None:
+            raise ValueError("a job needs a source expression")
         if self.trace_id is None and self.trace_root is None:
             self.trace_id, self.trace_root = new_trace_context()
         elif self.trace_id is None:
@@ -197,7 +130,7 @@ class Job:
             self.trace_root = new_span_id()
 
     def label(self) -> str:
-        return self.name or (self.program.name if self.program is not None else self.id)
+        return self.name or self.id
 
     @property
     def done(self) -> bool:
@@ -206,7 +139,7 @@ class Job:
     # -- persistence --------------------------------------------------------
     def to_record(self) -> Dict[str, object]:
         """This job as one JSON-serializable store record."""
-        record: Dict[str, object] = {
+        return {
             "id": self.id,
             "kind": self.kind,
             "source": self.source,
@@ -229,20 +162,15 @@ class Job:
             "result": self.result,
             "error": self.error,
         }
-        if self.program is not None:
-            record["circuit"] = circuit_to_record(self.program)
-        return record
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "Job":
         """Rebuild a job from a store record (inverse of :meth:`to_record`)."""
-        circuit = record.get("circuit")
         inputs = record.get("inputs")
         return cls(
             id=str(record["id"]),
             kind=str(record.get("kind", "execute")),
             source=record.get("source"),
-            program=circuit_from_record(circuit) if circuit is not None else None,
             compiler=record.get("compiler"),
             compiler_options=dict(record.get("compiler_options") or {}),
             backend=record.get("backend"),

@@ -41,7 +41,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backends.base import scalar_input
 from repro.backends.registry import default_backend_name
@@ -89,9 +89,8 @@ class _CircuitEntry:
 
     __slots__ = ("circuit", "expr", "names", "name_set", "_check")
 
-    def __init__(self, circuit: object, expr: Optional[Expr], names: List[str]) -> None:
+    def __init__(self, circuit: object, expr: Expr, names: List[str]) -> None:
         self.circuit = circuit
-        #: Source expression; None for pre-lowered circuits (not verified).
         self.expr = expr
         self.names = names
         self.name_set = frozenset(names)
@@ -167,11 +166,7 @@ class JobServer:
     admission:
         ``"off"`` (default) accepts everything the queue has room for;
         ``"shed"`` rejects an arrival whose estimated drain time exceeds
-        its priority's wait budget; ``"downgrade"`` demotes such arrivals
-        to ``admission_floor`` priority (best effort, no deadline) instead
-        of rejecting them.
-    admission_floor:
-        The priority ``"downgrade"`` mode demotes to.
+        its priority's wait budget.
     coalesce:
         When False every execute job runs as its own backend batch — the
         pre-coalescing behaviour.  The ablation engine flips this to price
@@ -211,14 +206,13 @@ class JobServer:
         aging_interval_s: Optional[float] = None,
         slo: Optional[SLOPolicy] = None,
         admission: str = "off",
-        admission_floor: int = 0,
         coalesce: bool = True,
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if admission not in ("off", "shed", "downgrade"):
-            raise ValueError("admission must be 'off', 'shed' or 'downgrade'")
+        if admission not in ("off", "shed"):
+            raise ValueError("admission must be 'off' or 'shed'")
         self.faults = fault_injector if fault_injector is not None else FaultInjector()
         self._own_tracer = tracer is None and tracing
         if tracer is not None:
@@ -252,7 +246,6 @@ class JobServer:
         )
         self.slo = slo
         self.admission = admission
-        self.admission_floor = admission_floor
         self.coalesce = coalesce
         self._slo_tracker = SLOTracker(slo, self.telemetry)
         #: EWMA of observed per-job tick seconds, compile time excluded: the
@@ -408,8 +401,8 @@ class JobServer:
         """Queue one job; returns its id immediately.
 
         Overload protection applies at this boundary: admission control may
-        shed (or downgrade) the job up front, and a bounded queue may shed
-        it — or a lower-effective-priority job it displaces — on overflow.
+        shed the job up front, and a bounded queue may shed it — or a
+        lower-effective-priority job it displaces — on overflow.
         Shed jobs reach the terminal ``SHED`` state without running;
         ``status``/``result`` surface it like any other outcome.
         """
@@ -458,10 +451,7 @@ class JobServer:
         The estimated drain time of an arrival is every queued job at or
         above its priority, plus itself, at the server's per-job cost
         (:attr:`_service_s_ewma`).  A cold server has no cost yet and
-        admits its warm-up traffic.  ``"downgrade"`` mode demotes
-        over-budget arrivals to the floor priority (accepting them as best
-        effort) and only sheds when the job is already at or below the
-        floor.
+        admits its warm-up traffic.
         """
         if self.admission == "off":
             return None
@@ -475,11 +465,6 @@ class JobServer:
             depth = self.queue.depth_at_or_above(job.priority)
             drain_s = (depth + 1) * per_job_s
             if drain_s <= budget:
-                return None
-            if self.admission == "downgrade" and job.priority > self.admission_floor:
-                job.priority = self.admission_floor
-                self.telemetry.counter("jobs_downgraded").inc()
-                span.set_attr("decision", "downgrade")
                 return None
             self.telemetry.counter("admission_rejects").inc()
             span.set_attr("decision", "reject")
@@ -804,8 +789,6 @@ class JobServer:
         compilation cache (``capacity=0``) disables the memo too, so every
         execute job pays a full parse and compile.
         """
-        if job.program is not None:
-            return _CircuitEntry(job.program, None, list(job.program.scalar_inputs))
         memo_key = (
             job.compiler or self.default_compiler,
             tuple(sorted(job.compiler_options.items())),
@@ -891,8 +874,7 @@ class JobServer:
                     # Resolving the services now surfaces unknown-compiler and
                     # unknown-backend errors per job instead of failing the
                     # whole group later.
-                    if job.program is None:
-                        self._compile_service(job)
+                    self._compile_service(job)
                     self._execution_service(backend_name)
                 except Exception as error:
                     terminal += self._handle_failure(job, error, sink, retry=False)
@@ -986,20 +968,14 @@ class JobServer:
     ) -> List[object]:
         """Each member job's plaintext references, under one ``verify`` span.
 
-        Per job: one reference list per input set, None when the job is not
-        verified (a pre-lowered circuit has no source to check), or the
-        exception the check raised, which fails that job alone when its
-        result is built.
+        Per job: one reference list per input set, or the exception the
+        check raised, which fails that job alone when its result is built.
         """
         references: List[object] = []
         with self.tracer.span("verify", attrs={"jobs": len(group.jobs)}):
             for job, inputs in zip(group.jobs, group.inputs_per_job):
-                circuit = circuits[job.id]
-                if circuit.expr is None:
-                    references.append(None)
-                    continue
                 try:
-                    check = circuit.check(self.params.plain_modulus)
+                    check = circuits[job.id].check(self.params.plain_modulus)
                     references.append([check.run(item) for item in inputs])
                 except Exception as error:
                     references.append(error)
@@ -1022,7 +998,6 @@ class JobServer:
             "outputs": outputs,
             "coalesced_batch": group.rows,
             "group_jobs": len(group.jobs),
-            "verified": references is not None,
         }
         if reports:
             head = reports[0]
@@ -1032,9 +1007,8 @@ class JobServer:
             result["noise_budget_exhausted"] = head.noise_budget_exhausted
         if isinstance(references, Exception):
             raise references
-        if references is not None:
-            result["references"] = references
-            result["correct"] = outputs == references
+        result["references"] = references
+        result["correct"] = outputs == references
         return result
 
     # -- lifecycle plumbing --------------------------------------------------

@@ -25,9 +25,10 @@ on an orphaned inode; :meth:`JobStore.compact` rewrites the log to one
 record per job.
 
 Recovery is hardened against damaged logs: torn (half-written) and corrupt
-records are skipped and tallied in :attr:`JobStore.skipped_records` rather
-than crashing replay, appends seal a torn tail with a newline before
-writing so new records never concatenate into old garbage, and the
+records, and records that parse but describe no valid job, are skipped and
+tallied in :attr:`JobStore.skipped_records` rather than crashing replay;
+appends seal a torn tail with a newline before writing so new records never
+concatenate into old garbage; and the
 :mod:`repro.server.faults` hooks let tests inject exactly those damage
 modes.
 """
@@ -80,9 +81,10 @@ class JobStore:
         #: ``store_compact`` stages; the server passes its tracer in, bare
         #: client-side stores default to the disabled singleton.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Unparseable log records skipped so far by this store instance —
-        #: torn (half-written) appends and corrupt (bit-rotted) lines.  The
-        #: server mirrors this into the ``store_skipped_records`` counter.
+        #: Log records skipped so far by this store instance — torn
+        #: (half-written) appends, corrupt (bit-rotted) lines and records
+        #: :meth:`Job.from_record` rejects.  The server mirrors this into the
+        #: ``store_skipped_records`` counter.
         self.skipped_records = 0
         self._lock = threading.Lock()
         #: Log byte offset up to which :meth:`poll` has already read.
@@ -299,6 +301,21 @@ class JobStore:
             records.append(record)
         return records, start + consumed
 
+    def _jobs_from(self, records: Sequence[Dict[str, object]]) -> List[Job]:
+        """The jobs ``records`` describe, in order.
+
+        A record that parses but is not a valid job (an unknown kind, no
+        source, a mistyped field) is skipped and tallied like a torn line,
+        so one such record cannot stop a server from starting.
+        """
+        jobs = []
+        for record in records:
+            try:
+                jobs.append(Job.from_record(record))
+            except (ValueError, TypeError, AttributeError):
+                self.skipped_records += 1
+        return jobs
+
     def replay(self) -> Dict[str, Job]:
         """Fold the whole log newest-wins into ``{job_id: Job}``.
 
@@ -307,11 +324,8 @@ class JobStore:
         """
         with self.tracer.span("store_replay") as span:
             with self._lock:
-                records, offset = self._read_records(0, count_partial_tail=True)
-                self._offset = offset
-            jobs: Dict[str, Job] = {}
-            for record in records:
-                jobs[str(record["id"])] = Job.from_record(record)
+                records, self._offset = self._read_records(0, count_partial_tail=True)
+                jobs = {job.id: job for job in self._jobs_from(records)}
             span.set_attr("records", len(records))
             span.set_attr("jobs", len(jobs))
         return jobs
@@ -329,7 +343,7 @@ class JobStore:
         """
         with self._lock:
             records, self._offset = self._read_records(self._offset)
-        return [Job.from_record(record) for record in records]
+            return self._jobs_from(records)
 
     def compact(self, jobs: Iterable[Job]) -> None:
         """Rewrite the log to exactly one record per job (atomic replace).

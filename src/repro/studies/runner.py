@@ -269,7 +269,7 @@ class StudyRunner:
 
         completed = failed = 0
         latencies: List[float] = []
-        verified = 0
+        correct = 0
         for job_id in job_ids:
             job = server.get(job_id)
             if job is None:
@@ -280,8 +280,8 @@ class StudyRunner:
                 latency = result.get("latency_ms")
                 if isinstance(latency, (int, float)):
                     latencies.append(float(latency))
-                if result.get("verified"):
-                    verified += 1
+                if result.get("correct"):
+                    correct += 1
             elif job.status.value == "failed":
                 failed += 1
 
@@ -325,7 +325,7 @@ class StudyRunner:
             "mean_latency_ms": (
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
-            "verified_fraction": verified / completed if completed else 0.0,
+            "correct_fraction": correct / completed if completed else 0.0,
         }
         return metrics
 

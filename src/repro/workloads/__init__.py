@@ -18,9 +18,8 @@ gap with the system's third registry (after compilers and backends):
   per-workload compiler/backend choices included), driven through the
   :class:`~repro.server.server.JobServer` and through direct
   ``api.execute_batch``, reporting throughput, wait/latency histograms and
-  coalescing rates — plus closed-loop sessions
-  (:func:`run_closed_loop_traffic`) and deliberately-over-capacity
-  schedules (:func:`generate_overload_schedule`) for the overload bench,
+  coalescing rates — plus deliberately-over-capacity schedules
+  (:func:`generate_overload_schedule`) for the overload bench,
   with goodput/shed/SLO accounting in :class:`TrafficReport`.
 
 ``repro.api`` exposes ``run_workload``/``list_workloads``, the CLI adds
@@ -39,7 +38,6 @@ from repro.workloads.registry import (
 )
 from repro.workloads.traffic import (
     Arrival,
-    ClosedLoopConfig,
     MixEntry,
     TrafficReport,
     benchmark_problems,
@@ -48,7 +46,6 @@ from repro.workloads.traffic import (
     generate_overload_schedule,
     generate_schedule,
     overload_mix,
-    run_closed_loop_traffic,
     run_direct_traffic,
     run_server_traffic,
     summarize_benchmark,
@@ -65,14 +62,12 @@ __all__ = [
     "MixEntry",
     "Arrival",
     "TrafficReport",
-    "ClosedLoopConfig",
     "default_mix",
     "overload_mix",
     "generate_schedule",
     "generate_overload_schedule",
     "run_server_traffic",
     "run_direct_traffic",
-    "run_closed_loop_traffic",
     "benchmark_workloads",
     "summarize_benchmark",
     "benchmark_problems",

@@ -15,10 +15,7 @@ down both execution paths:
   run-latency histograms, coalescing rates;
 * :func:`run_direct_traffic` — the same arrivals through direct
   ``api.execute_batch`` calls, one batch per (workload, compiler, backend)
-  group;
-* :func:`run_closed_loop_traffic` — closed-loop sessions: concurrent users
-  with exponential think times and a bounded number of in-flight jobs each,
-  the regime interactive clients impose.
+  group.
 
 For overload studies, :func:`generate_overload_schedule` scales an arrival
 rate to a deliberate multiple of measured capacity, and
@@ -34,7 +31,6 @@ exactly that.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -47,14 +43,12 @@ __all__ = [
     "MixEntry",
     "Arrival",
     "TrafficReport",
-    "ClosedLoopConfig",
     "default_mix",
     "overload_mix",
     "generate_schedule",
     "generate_overload_schedule",
     "run_server_traffic",
     "run_direct_traffic",
-    "run_closed_loop_traffic",
     "benchmark_workloads",
     "summarize_benchmark",
     "benchmark_problems",
@@ -112,10 +106,8 @@ class TrafficReport:
     path: str
     jobs: int
     wall_s: float
-    #: Arrivals whose verified outputs matched the plaintext reference.
+    #: Completed arrivals whose outputs matched the plaintext reference.
     correct: int
-    #: Arrivals whose outputs were checked against the plaintext reference.
-    verified_jobs: int
     #: Arrival count per workload name.
     per_workload: Dict[str, int] = field(default_factory=dict)
     #: Declared outputs per arrival, in arrival order (empty for arrivals
@@ -178,7 +170,6 @@ class TrafficReport:
             "shed": self.shed,
             "failed": self.failed,
             "correct": self.correct,
-            "verified_jobs": self.verified_jobs,
             "per_workload": dict(sorted(self.per_workload.items())),
             "oracle_mismatches": list(self.oracle_mismatches),
         }
@@ -404,7 +395,6 @@ def run_server_traffic(
             jobs=len(schedule),
             wall_s=wall_s,
             correct=0,
-            verified_jobs=0,
             telemetry=server.telemetry.snapshot(),
         )
         policy = getattr(server, "slo", None)
@@ -428,10 +418,8 @@ def run_server_traffic(
             payload = server.result(job_id)
             outputs = payload.get("outputs") or [[]]
             report.outputs.append(list(outputs[0]))
-            if payload.get("verified", False):
-                report.verified_jobs += 1
-                if payload.get("correct", False):
-                    report.correct += 1
+            if payload["correct"]:
+                report.correct += 1
         report.slo_ok = slo_ok
     finally:
         if owned:
@@ -481,189 +469,10 @@ def run_direct_traffic(
         jobs=len(schedule),
         wall_s=wall_s,
         correct=correct,
-        verified_jobs=len(schedule),
         outputs=outputs,
         completed=len(schedule),
     )
     return _finalize(report, schedule, check_oracle)
-
-
-@dataclass(frozen=True)
-class ClosedLoopConfig:
-    """Shape of one closed-loop session pool."""
-
-    #: Concurrent users, each running its own submit/think loop.
-    users: int = 4
-    #: Jobs each user submits before leaving.
-    requests_per_user: int = 8
-    #: Mean of the exponential think time between submissions, seconds.
-    think_s: float = 0.005
-    #: Outstanding jobs a user may hold before blocking on the oldest.
-    max_in_flight: int = 1
-    #: Per-result wait bound, seconds.
-    result_timeout: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ValueError("a closed loop needs at least one user")
-        if self.requests_per_user < 1:
-            raise ValueError("each user must submit at least one request")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.think_s < 0.0:
-            raise ValueError("think_s must be non-negative")
-        if self.result_timeout <= 0.0:
-            raise ValueError("result_timeout must be positive")
-
-
-def run_closed_loop_traffic(
-    mix: Sequence[MixEntry],
-    config: Optional[ClosedLoopConfig] = None,
-    *,
-    server: Optional[object] = None,
-    state_dir: Optional[str] = None,
-    compiler: str = "greedy",
-    seed: int = 0,
-) -> TrafficReport:
-    """Closed-loop sessions against the job server.
-
-    Unlike the open-loop schedules, arrival times here are *reactive*:
-    each of ``config.users`` users draws workloads from ``mix``, keeps at
-    most ``config.max_in_flight`` jobs outstanding (blocking on the oldest
-    before submitting more), and thinks an exponential
-    ``config.think_s``-mean pause between submissions.  This is the regime
-    interactive clients impose — offered load self-limits as latency grows,
-    so overload shows up as latency and shed counts rather than an
-    unbounded backlog.  Determinism comes from per-user
-    ``numpy.random.SeedSequence`` spawns of ``seed``: workload choices,
-    think times and input seeds are all reproducible.
-
-    Oracle checking is skipped (sessions interleave nondeterministically,
-    so there is no direct-path twin to compare outputs against); the report
-    carries status counts, SLO scoring and server telemetry instead.
-    """
-    from repro.server.jobs import Job, JobState
-    from repro.server.server import JobServer
-
-    config = config or ClosedLoopConfig()
-    entries = list(mix)
-    if not entries:
-        raise ValueError("the traffic mix is empty")
-    weights = np.array([entry.weight for entry in entries], dtype=np.float64)
-    if np.any(weights <= 0.0):
-        raise ValueError("mix weights must be positive")
-    probs = weights / weights.sum()
-    workloads = [
-        build_workload(entry.workload, **dict(entry.options)) for entry in entries
-    ]
-
-    owned = server is None
-    if server is None:
-        server = JobServer(state_dir, compiler=compiler)
-    user_seeds = np.random.SeedSequence(seed).spawn(config.users)
-    submissions: List[List[Tuple[str, str]]] = [[] for _ in range(config.users)]
-    errors: List[BaseException] = []
-
-    def session(uid: int) -> None:
-        choice_seq, input_seq = user_seeds[uid].spawn(2)
-        rng = np.random.default_rng(choice_seq)
-        input_seeds = [
-            int(value)
-            for value in input_seq.generate_state(
-                config.requests_per_user, dtype=np.uint64
-            )
-        ]
-        in_flight: List[str] = []
-
-        def wait_oldest() -> None:
-            job_id = in_flight.pop(0)
-            try:
-                server.result(job_id, wait=True, timeout=config.result_timeout)
-            except RuntimeError:
-                pass  # shed or failed: classified after the run
-
-        try:
-            for request in range(config.requests_per_user):
-                while len(in_flight) >= config.max_in_flight:
-                    wait_oldest()
-                pick = int(rng.choice(len(entries), p=probs))
-                entry, workload = entries[pick], workloads[pick]
-                job_id = server.submit(
-                    Job(
-                        source=workload.source,
-                        compiler=entry.compiler or workload.compiler,
-                        backend=entry.backend or workload.backend,
-                        seed=input_seeds[request],
-                        input_range=workload.input_range,
-                        priority=entry.priority,
-                        name=f"{workload.name}/u{uid}.{request}",
-                    )
-                )
-                in_flight.append(job_id)
-                submissions[uid].append((job_id, workload.name))
-                if config.think_s > 0.0:
-                    time.sleep(float(rng.exponential(config.think_s)))
-            while in_flight:
-                wait_oldest()
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
-
-    start = time.perf_counter()
-    try:
-        server.start()
-        threads = [
-            threading.Thread(
-                target=session, args=(uid,), name=f"closed-loop-user-{uid}"
-            )
-            for uid in range(config.users)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        server.stop()
-        wall_s = time.perf_counter() - start
-        if errors:
-            raise errors[0]
-
-        report = TrafficReport(
-            path="closed-loop",
-            jobs=sum(len(user) for user in submissions),
-            wall_s=wall_s,
-            correct=0,
-            verified_jobs=0,
-            telemetry=server.telemetry.snapshot(),
-        )
-        policy = getattr(server, "slo", None)
-        slo_ok = 0 if policy is not None else None
-        for user in submissions:
-            for job_id, name in user:
-                report.per_workload[name] = report.per_workload.get(name, 0) + 1
-                job = server.get(job_id)
-                if job.status is JobState.SHED:
-                    report.shed += 1
-                    continue
-                if job.status is not JobState.COMPLETED:
-                    report.failed += 1
-                    continue
-                report.completed += 1
-                if policy is not None:
-                    budget = policy.wait_budget(job.priority)
-                    wait_s = (
-                        job.started_at or job.submitted_at
-                    ) - job.submitted_at
-                    if budget is None or wait_s <= budget:
-                        slo_ok += 1
-                payload = server.result(job_id)
-                if payload.get("verified", False):
-                    report.verified_jobs += 1
-                    if payload.get("correct", False):
-                        report.correct += 1
-        report.slo_ok = slo_ok
-    finally:
-        if owned:
-            server.close()
-    return report
 
 
 #: Workload set the committed benchmark covers (>= 5, spanning all suites).

@@ -11,11 +11,14 @@ torn or corrupt JSONL record — and proves the recovery invariants:
 * no job is duplicated: recovery requeues exactly the incomplete jobs and
   each completes once;
 * no deadlock: every drain/close returns;
-* telemetry stays consistent: skipped store records and SLO violations are
-  counted where the fault demands them.
+* telemetry stays consistent: skipped store records (torn, corrupt, or
+  parsed but no valid job) and SLO violations are counted where the fault
+  demands them.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -146,6 +149,54 @@ class TestTornAndCorruptRecords:
         server.drain()
         assert server.status(first.id)["status"] == "completed"
         assert server.status(third.id)["status"] == "completed"
+        _invariant(server)
+        server.close()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "bogus", "source": "(+ a b)"},
+            # A pre-lowered job of an older log: a circuit and no source.
+            {
+                "kind": "execute",
+                "source": None,
+                "circuit": {
+                    "name": "pre-lowered",
+                    "instructions": [],
+                    "outputs": [],
+                    "scalar_inputs": [],
+                },
+                "inputs": {"a": 1},
+            },
+        ],
+        ids=["bogus-kind", "circuit-only"],
+    )
+    def test_parsed_but_invalid_record_is_skipped_with_counter(self, tmp_path, record):
+        """A record that is valid JSON but no valid job must not stop the
+        server from starting (replay) or serving (poll): it is skipped and
+        counted like a torn line, and every valid job still runs."""
+        state = str(tmp_path)
+        store = JobStore(state)
+        valid = Job(source=SOURCE, seed=1)
+        store.append(valid)
+
+        def append_raw(job_id: str) -> None:
+            with open(store.log_path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(dict(record, id=job_id, status="queued")) + "\n")
+
+        append_raw("replayed")
+        server = JobServer(state)
+        assert server.store.skipped_records == 1
+        assert server.telemetry.snapshot()["counters"]["store_skipped_records"] == 1
+        append_raw("polled")
+        late = Job(source=SOURCE, seed=2)
+        store.append(late)
+        server.drain()
+        counters = server.telemetry.snapshot()["counters"]
+        assert counters["store_skipped_records"] == 2
+        assert {row["id"] for row in server.jobs()} == {valid.id, late.id}
+        assert server.status(valid.id)["status"] == "completed"
+        assert server.status(late.id)["status"] == "completed"
         _invariant(server)
         server.close()
 

@@ -1,6 +1,6 @@
 """Tests of the job-orchestration server.
 
-Covers the job model (JSON round-trip including the circuit codec), the
+Covers the job model (JSON round-trip; every job carries a source), the
 persistent JSONL store (replay, cross-process polling, compaction, crash
 recovery), the priority queue, the batch coalescer, the :class:`JobServer`
 lifecycle (mixed workloads, coalescing telemetry, retries, priorities,
@@ -33,8 +33,6 @@ from repro.server import (
     JobState,
     JobStore,
     MetricsRegistry,
-    circuit_from_record,
-    circuit_to_record,
     coalesce,
 )
 from repro.service import CompilationCache
@@ -52,13 +50,14 @@ SOURCE = "(* (+ a b) (+ c d))"
 
 @pytest.fixture(scope="module")
 def compiled_kernels():
-    """A few benchmark kernels compiled once for server-level tests."""
+    """A few benchmark kernels compiled once for server-level tests:
+    ``name -> (benchmark, source text, circuit)``."""
     compiler = build_compiler("initial")
     kernels = {}
     for name in ("dot_product_4", "l2_distance_4", "hamming_distance_4"):
         benchmark = benchmark_by_name(name)
         report = compiler.compile_expression(benchmark.expression(), name=name)
-        kernels[name] = (benchmark, report.circuit)
+        kernels[name] = (benchmark, to_sexpr(benchmark.expression()), report.circuit)
     return kernels
 
 
@@ -123,10 +122,18 @@ class TestTelemetry:
 # ---------------------------------------------------------------------------
 class TestJobModel:
     def test_validation(self):
-        with pytest.raises(ValueError, match="source expression or a pre-lowered"):
+        with pytest.raises(ValueError, match="needs a source expression"):
             Job(source=None)
         with pytest.raises(ValueError, match="'compile' or 'execute'"):
             Job(source=SOURCE, kind="transmogrify")
+
+    def test_pre_lowered_jobs_are_gone(self, compiled_kernels):
+        """Every job carries a source, so every result can be checked: a
+        job cannot be built from a circuit, and records carry no circuit."""
+        _, _, circuit = compiled_kernels["dot_product_4"]
+        with pytest.raises(TypeError, match="program"):
+            Job(program=circuit)
+        assert "circuit" not in Job(source=SOURCE).to_record()
 
     def test_record_round_trip(self):
         job = Job(
@@ -145,22 +152,6 @@ class TestJobModel:
         assert clone.inputs == job.inputs
         assert clone.priority == 3 and clone.max_retries == 2
         assert clone.status is JobState.QUEUED
-
-    def test_circuit_codec_round_trip(self, compiled_kernels):
-        _, circuit = compiled_kernels["dot_product_4"]
-        clone = circuit_from_record(json.loads(json.dumps(circuit_to_record(circuit))))
-        assert clone.name == circuit.name
-        assert clone.outputs == circuit.outputs
-        assert clone.scalar_inputs == circuit.scalar_inputs
-        assert clone.instructions == circuit.instructions
-
-    def test_program_job_survives_store(self, tmp_path, compiled_kernels):
-        benchmark, circuit = compiled_kernels["dot_product_4"]
-        job = Job(program=circuit, inputs=benchmark.sample_inputs(seed=0))
-        store = JobStore(str(tmp_path))
-        store.append(job)
-        replayed = JobStore(str(tmp_path)).replay()[job.id]
-        assert replayed.program.instructions == circuit.instructions
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +336,14 @@ class TestJobQueue:
 # ---------------------------------------------------------------------------
 class TestCoalescer:
     def test_groups_by_fingerprint_and_backend(self, compiled_kernels):
-        benchmark_a, circuit_a = compiled_kernels["dot_product_4"]
-        benchmark_b, circuit_b = compiled_kernels["l2_distance_4"]
-        jobs = [Job(program=circuit_a, inputs=benchmark_a.sample_inputs(s)) for s in range(3)]
-        other = Job(program=circuit_b, inputs=benchmark_b.sample_inputs(0))
-        cross = Job(program=circuit_a, inputs=benchmark_a.sample_inputs(9))
-        entries = [
-            (job, job.program, [job.inputs], "vector-vm") for job in jobs
-        ]
-        entries.append((other, other.program, [other.inputs], "vector-vm"))
-        entries.append((cross, cross.program, [cross.inputs], "reference"))
+        benchmark_a, source_a, circuit_a = compiled_kernels["dot_product_4"]
+        benchmark_b, source_b, circuit_b = compiled_kernels["l2_distance_4"]
+        jobs = [Job(source=source_a, inputs=benchmark_a.sample_inputs(s)) for s in range(3)]
+        other = Job(source=source_b, inputs=benchmark_b.sample_inputs(0))
+        cross = Job(source=source_a, inputs=benchmark_a.sample_inputs(9))
+        entries = [(job, circuit_a, [job.inputs], "vector-vm") for job in jobs]
+        entries.append((other, circuit_b, [other.inputs], "vector-vm"))
+        entries.append((cross, circuit_a, [cross.inputs], "reference"))
         groups = coalesce(entries)
         assert len(groups) == 3
         first = groups[0]
@@ -365,10 +354,22 @@ class TestCoalescer:
         assert groups[2].backend_key == "reference"
 
     def test_identical_circuits_different_objects_share_group(self, compiled_kernels):
-        benchmark, circuit = compiled_kernels["dot_product_4"]
-        clone = circuit_from_record(circuit_to_record(circuit))
-        one = Job(program=circuit, inputs=benchmark.sample_inputs(0))
-        two = Job(program=clone, inputs=benchmark.sample_inputs(1))
+        """Coalescing keys on content: two compiles through a capacity-0
+        cache give distinct circuit objects with equal instructions."""
+        from repro.compiler.registry import CompilerSpec
+        from repro.service.service import CompilationService
+
+        benchmark, source, _ = compiled_kernels["dot_product_4"]
+        service = CompilationService(
+            CompilerSpec.create("initial"), cache=CompilationCache(capacity=0)
+        )
+        circuit, clone = (
+            service.compile_expression(benchmark.expression(), name="dot").circuit
+            for _ in range(2)
+        )
+        assert circuit is not clone and circuit.instructions == clone.instructions
+        one = Job(source=source, inputs=benchmark.sample_inputs(0))
+        two = Job(source=source, inputs=benchmark.sample_inputs(1))
         groups = coalesce(
             [
                 (one, circuit, [one.inputs], "vector-vm"),
@@ -506,11 +507,11 @@ class TestJobServer:
         and keep member order within the group, so coalescing merges equal
         circuits without ever promoting low-priority work past distinct
         high-priority work."""
-        _, shared = compiled_kernels["dot_product_4"]
-        _, distinct = compiled_kernels["l2_distance_4"]
-        high = Job(program=shared, priority=9)
-        middle = Job(program=distinct, priority=5)
-        low = Job(program=shared, priority=0)
+        _, shared_source, shared = compiled_kernels["dot_product_4"]
+        _, distinct_source, distinct = compiled_kernels["l2_distance_4"]
+        high = Job(source=shared_source, priority=9)
+        middle = Job(source=distinct_source, priority=5)
+        low = Job(source=shared_source, priority=0)
         entries = [  # already in queue (priority) order
             (high, shared, [{"a": 1}], "vector-vm"),
             (middle, distinct, [{"a": 2}], "vector-vm"),
@@ -612,19 +613,6 @@ class TestJobServer:
         finally:
             server.close()
 
-    def test_program_jobs_execute(self, compiled_kernels):
-        benchmark, circuit = compiled_kernels["dot_product_4"]
-        server = make_server()
-        inputs = benchmark.sample_inputs(seed=2)
-        job = Job(program=circuit, inputs=inputs)
-        server.submit(job)
-        server.drain()
-        payload = server.result(job.id)
-        # Program-only jobs carry no source expression, so the server cannot
-        # verify them itself; the caller (the harness) checks the outputs.
-        assert payload["verified"] is False
-        assert payload["outputs"][0] == list(benchmark.reference(inputs))
-
     def test_disabled_compile_cache_disables_circuit_memo(self):
         """A capacity-0 compilation cache turns the circuit memo off too:
         every execute job misses it and none hits, where the default server
@@ -642,42 +630,53 @@ class TestJobServer:
             assert counters.get("circuit_memo_hits", 0) == hits
 
     def test_execution_does_no_scheduling_work(self, compiled_kernels, monkeypatch):
-        """Neither run_jobs nor a server tick prices its jobs: with the
-        latency estimate raising, both paths still execute every job, to
-        the same outputs."""
-        from repro.compiler.circuit import CircuitProgram
+        """A server tick hands its coalesced groups to ``run_jobs`` in
+        first-use order, unpriced and unreordered, and its outputs equal
+        ``ExecutionService.run_jobs`` on the same circuits and inputs."""
         from repro.compiler.executor import declared_outputs
         from repro.service.execution import ExecutionJob, ExecutionService
 
-        def no_estimate(self, latency_model):
-            raise AssertionError("execution must not estimate job latency")
-
-        monkeypatch.setattr(CircuitProgram, "estimated_latency_ms", no_estimate)
+        kernels = sorted(compiled_kernels.items())
         jobs = [
             ExecutionJob(
                 program=circuit,
                 inputs=[benchmark.sample_inputs(seed=seed) for seed in range(2)],
                 name=name,
             )
-            for name, (benchmark, circuit) in sorted(compiled_kernels.items())
+            for name, (benchmark, _, circuit) in kernels
         ]
         batch = ExecutionService("vector-vm", params=PARAMS).run_jobs(jobs)
         direct = [
             [declared_outputs(job.program, report.outputs) for report in reports]
             for job, reports in zip(jobs, batch.reports)
         ]
+        run_order = []
+        run_jobs = ExecutionService.run_jobs
+
+        def recording_run_jobs(self, exec_jobs):
+            run_order.extend(job.name for job in exec_jobs)
+            return run_jobs(self, exec_jobs)
+
+        monkeypatch.setattr(ExecutionService, "run_jobs", recording_run_jobs)
         server = make_server()
         try:
             job_ids = [
-                [server.submit(Job(program=job.program, inputs=item)) for item in job.inputs]
-                for job in jobs
+                [
+                    server.submit(
+                        Job(source=source, compiler="initial", inputs=item, name=name)
+                    )
+                    for item in job.inputs
+                ]
+                for job, (name, (_, source, _)) in zip(jobs, kernels)
             ]
             assert server.tick() == sum(len(job.inputs) for job in jobs)
             served = [
                 [server.result(job_id)["outputs"][0] for job_id in row] for row in job_ids
             ]
+            assert all(server.result(job_id)["correct"] for row in job_ids for job_id in row)
         finally:
             server.close()
+        assert run_order == [name for name, _ in kernels]
         assert served == direct
 
     def test_workers_validation(self):
@@ -991,8 +990,13 @@ class TestAdmissionControl:
         return server
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="admission"):
-            JobServer(admission="bogus")
+        # "downgrade" (demote over-budget arrivals) and its floor are gone:
+        # admission control either sheds or is off.
+        for mode in ("bogus", "downgrade"):
+            with pytest.raises(ValueError, match="admission"):
+                JobServer(admission=mode)
+        with pytest.raises(TypeError, match="admission_floor"):
+            JobServer(admission="shed", admission_floor=0)
 
     def test_shed_mode_rejects_over_budget_arrivals(self):
         policy = SLOPolicy.from_budgets({0: 1e-9})
@@ -1005,24 +1009,6 @@ class TestAdmissionControl:
             counters = server.telemetry.snapshot()["counters"]
             assert counters["admission_rejects"] == 1
             assert counters["jobs_shed"] == 1
-        finally:
-            server.close()
-
-    def test_downgrade_mode_demotes_then_sheds_at_floor(self):
-        policy = SLOPolicy.from_budgets({0: 1e-9, 2: 1e-9})
-        server = self._warm_server(slo=policy, admission="downgrade")
-        try:
-            demoted_id = server.submit(Job(source=SOURCE, seed=1, priority=2))
-            demoted = server.get(demoted_id)
-            assert demoted.status is JobState.QUEUED
-            assert demoted.priority == 0  # accepted as best effort
-            floor_id = server.submit(Job(source=SOURCE, seed=2, priority=0))
-            assert server.status(floor_id)["status"] == "shed"
-            counters = server.telemetry.snapshot()["counters"]
-            assert counters["jobs_downgraded"] == 1
-            assert counters["admission_rejects"] == 1
-            server.drain()
-            assert server.status(demoted_id)["status"] == "completed"
         finally:
             server.close()
 

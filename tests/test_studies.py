@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro import api
 from repro.studies import (
     BASELINE,
     Component,
@@ -244,7 +245,7 @@ class TestStudyRunner:
         assert metrics["jobs_completed"] == TINY.jobs_per_replicate
         assert metrics["jobs_failed"] == 0
         assert metrics["throughput_jobs_per_s"] > 0
-        assert metrics["verified_fraction"] == 1.0
+        assert metrics["correct_fraction"] == 1.0
         assert record["config"] == TINY.baseline_config().as_dict()
 
     def test_load_study_spec(self, tmp_path):
@@ -349,11 +350,10 @@ class TestAnalysis:
 
 class TestSystemAblationWrapper:
     def test_runs_a_tiny_study_through_run_study(self, tmp_path):
-        """The experiments wrapper must keep calling ``api.run_study`` cleanly."""
-        from repro.experiments.ablations import run_system_ablation
-
+        """``api.run_study`` runs a tiny study end to end and takes no
+        worker count."""
         study_dir = str(tmp_path / "study")
-        report = run_system_ablation(
+        report = api.run_study(
             study_dir,
             components=["coalescing"],
             workloads=["dot-product"],
@@ -366,4 +366,4 @@ class TestSystemAblationWrapper:
         assert report["runs_recorded"] == 2
         assert [c["condition"] for c in report["conditions"]] == [BASELINE, "coalescing"]
         with pytest.raises(TypeError):
-            run_system_ablation(study_dir, workers=2)
+            api.run_study(study_dir, workers=2)

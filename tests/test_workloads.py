@@ -31,7 +31,6 @@ from repro.workloads import (
     generate_schedule,
     get_workload,
     register_workload,
-    run_closed_loop_traffic,
     run_direct_traffic,
     run_server_traffic,
     workload_info,
@@ -281,7 +280,6 @@ class TestTrafficRuns:
         removed = (
             lambda: run_server_traffic(schedule, workers=2),
             lambda: run_server_traffic(schedule, compile_workers=2),
-            lambda: run_closed_loop_traffic(default_mix(), compile_workers=2),
             lambda: run_direct_traffic(schedule, workers=2),
         )
         for call in removed:
