@@ -613,6 +613,26 @@ class TestJobServer:
         finally:
             server.close()
 
+    def test_every_execute_result_is_checked(self, tmp_path, compiled_kernels):
+        """Every completed execute job records the plaintext ``references``
+        of its source and whether the outputs are ``correct``, with no
+        separate ``verified`` flag, and the persisted record keeps both."""
+        server = make_server(tmp_path)
+        expected = {}
+        for name, (benchmark, source, _) in sorted(compiled_kernels.items()):
+            inputs = benchmark.sample_inputs(seed=2)
+            job_id = server.submit(Job(source=source, inputs=inputs, name=name))
+            expected[job_id] = [list(benchmark.reference(inputs))]
+        assert server.drain() == len(expected)
+        server.close()
+        replayed = JobStore(str(tmp_path)).replay()
+        for job_id, references in expected.items():
+            for payload in (server.result(job_id), replayed[job_id].result):
+                assert "verified" not in payload
+                assert payload["references"] == references
+                assert payload["outputs"] == references
+                assert payload["correct"] is True
+
     def test_disabled_compile_cache_disables_circuit_memo(self):
         """A capacity-0 compilation cache turns the circuit memo off too:
         every execute job misses it and none hits, where the default server
