@@ -21,9 +21,13 @@ Both promises are conventions — this lint makes them checkable:
     studies and workload sampling must be reproducible from a seed.
     Explicitly seeded generators (``random.Random(seed)``) are fine.
 
-``lint-hygiene`` (rules ``bare-except`` / ``mutable-default``)
+``lint-hygiene`` (rules ``bare-except`` / ``mutable-default`` / ``dynamic-code``)
     No bare ``except:`` (swallows ``KeyboardInterrupt``/``SystemExit``),
-    no mutable default arguments.
+    no mutable default arguments, and no calls to the builtins ``exec``,
+    ``eval`` or ``compile`` (a module that binds one of those names itself,
+    as ``repro.api`` defines ``compile``, calls its own).  Code built at run
+    time is audited at each call: the waiver comment sits on the line, next
+    to a comment saying what may enter the source.
 
 Any finding can be waived at the line with ``# lint: allow(<rule>)``.
 """
@@ -284,16 +288,52 @@ def check_determinism(
 # ---------------------------------------------------------------------------
 # lint-hygiene
 # ---------------------------------------------------------------------------
+#: Builtins that run source text built at run time.
+_DYNAMIC_CODE = frozenset({"exec", "eval", "compile"})
+
+
+def _bound_names(tree: ast.Module) -> Set[str]:
+    """Every name the module binds: defs, classes, imports, assignments and
+    parameters.  A call to one of these is not a call to the builtin."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
 @register_checker(
     "lint-hygiene",
     "lint",
-    "no bare except clauses or mutable default arguments",
+    "no bare except clauses, mutable default arguments or unwaived exec/eval/compile",
 )
 def check_hygiene(
     tree: ast.Module, lines: Sequence[str], path: str, report: AnalysisReport
 ) -> None:
+    dynamic = _DYNAMIC_CODE - _bound_names(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in dynamic
+        ):
+            line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
+            if not _waived(line, "dynamic-code"):
+                report.add(
+                    "lint-hygiene",
+                    "dynamic-code",
+                    Severity.ERROR,
+                    f"{node.func.id}() runs source built at run time; waive it "
+                    "with a comment saying what may enter the source",
+                    location=f"{path}:{node.lineno}",
+                )
+        elif isinstance(node, ast.ExceptHandler) and node.type is None:
             line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
             if not _waived(line, "bare-except"):
                 report.add(

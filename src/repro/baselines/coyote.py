@@ -7,7 +7,9 @@ reproduction implements the same *class* of algorithm:
 
 1. build the scalar dataflow DAG of the program;
 2. schedule it level by level and pack isomorphic operations at each level
-   into vector instructions (superword-level parallelism);
+   into vector instructions (superword-level parallelism).  Steps 1 and 2
+   depend on the DAG only, so they run once per compile
+   (:func:`_plan_dag`) and every layout candidate shares them;
 3. **search lane assignments**: for every level the compiler scores many
    candidate lane permutations (the search effort grows with the number of
    packed nodes, which is what makes compile time climb steeply with program
@@ -35,7 +37,7 @@ much larger compilation times on big kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,8 +113,8 @@ class _VectorizeSearchStage:
         rng = np.random.default_rng(compiler.options.seed)
         # Every candidate plans over the same DAG; only the layout differs.
         dag = build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs))
-        leaf_count = sum(1 for node in dag.nodes if isinstance(node.expr, (Var, Const)))
-        candidates = min(compiler.options.layout_candidates, max(1, leaf_count))
+        plan = _plan_dag(dag)
+        candidates = min(compiler.options.layout_candidates, max(1, len(plan.leaves)))
         state.counters["cost_evals"] = candidates
         state.counters["lane_candidates"] = 0
         best_score = float("inf")
@@ -122,7 +124,13 @@ class _VectorizeSearchStage:
             rng_state = rng.bit_generator.state
             tally = _OpTally()
             compiler._vectorize(
-                dag, outputs, tally, rng, permute_leaves=candidate > 0, counters=state.counters
+                dag,
+                outputs,
+                tally,
+                rng,
+                permute_leaves=candidate > 0,
+                counters=state.counters,
+                plan=plan,
             )
             if tally.score < best_score:
                 best_score = tally.score
@@ -136,12 +144,44 @@ class _VectorizeSearchStage:
         rng.bit_generator.state = best_rng_state
         program = CircuitProgram(name=state.name)
         compiler._vectorize(
-            dag, outputs, program, rng, permute_leaves=best_candidate > 0, counters={}
+            dag, outputs, program, rng, permute_leaves=best_candidate > 0, counters={}, plan=plan
         )
         state.circuit = program
         # Coyote does no expression-level rewriting: the analytical cost of
         # the folded expression is both the initial and the final cost.
         state.initial_cost = state.final_cost = state.expr_cost(compiler.cost_model)
+
+
+class _DagPlan(NamedTuple):
+    """What every candidate layout of one DAG shares."""
+
+    #: Leaf (``Var``/``Const``) node ids in DAG order: the unpermuted layout.
+    leaves: List[int]
+    #: ``(op, node ids)`` per pack: compute nodes by level, then by operator.
+    packs: List[Tuple[str, List[int]]]
+
+
+def _plan_dag(dag: Dag) -> _DagPlan:
+    """Scan ``dag`` once for its leaves and packs; reject vector ops."""
+    leaves: List[int] = []
+    levels: Dict[int, List[int]] = {}
+    for node in dag.nodes:
+        expr = node.expr
+        if isinstance(expr, (Var, Const)):
+            leaves.append(node.node_id)
+        elif expr.op in _SCALAR_OPS:
+            levels.setdefault(node.depth, []).append(node.node_id)
+        elif expr.op != "Vec":
+            raise CompilationError(
+                f"Coyote baseline supports scalar circuits only, got {expr.op!r}"
+            )
+    packs: List[Tuple[str, List[int]]] = []
+    for depth in sorted(levels):
+        by_op: Dict[str, List[int]] = {}
+        for node_id in levels[depth]:
+            by_op.setdefault(dag.nodes[node_id].expr.op, []).append(node_id)
+        packs.extend(sorted(by_op.items()))
+    return _DagPlan(leaves, packs)
 
 
 #: Layout-score weight of each opcode (absent opcodes weigh nothing):
@@ -245,6 +285,7 @@ class CoyoteCompiler:
         rng: np.random.Generator,
         permute_leaves: bool,
         counters: Dict[str, int],
+        plan: Optional[_DagPlan] = None,
     ) -> None:
         """Plan one candidate layout over ``dag``, the shared DAG of ``outputs``.
 
@@ -252,20 +293,15 @@ class CoyoteCompiler:
         :class:`CircuitProgram` to build the candidate, an :class:`_OpTally`
         to score it.  Both see the same calls, except that a tally takes
         each gather as its ``(source register, shift)`` pairs and keeps no
-        masks and no input names.
+        masks and no input names.  ``plan`` is ``_plan_dag(dag)``, which
+        the layout search computes once for all its candidates.
         """
+        if plan is None:
+            plan = _plan_dag(dag)
         # 1. The caller builds one shared DAG over all outputs.
-        # 2. Collect leaves and pack them into a single input ciphertext,
-        #    possibly with a permuted layout (outer layout search).
-        leaf_nodes: List[int] = []
-        for node in dag.nodes:
-            expr = node.expr
-            if isinstance(expr, (Var, Const)):
-                leaf_nodes.append(node.node_id)
-            elif expr.op not in _SCALAR_OPS and expr.op != "Vec":
-                raise CompilationError(
-                    f"Coyote baseline supports scalar circuits only, got {expr.op!r}"
-                )
+        # 2. Pack the leaves into a single input ciphertext, possibly with a
+        #    permuted layout (outer layout search).
+        leaf_nodes = plan.leaves
         if permute_leaves and len(leaf_nodes) > 1:
             order = rng.permutation(len(leaf_nodes))
             leaf_nodes = [leaf_nodes[i] for i in order]
@@ -293,12 +329,6 @@ class CoyoteCompiler:
             node_id: _Placement(register=input_register, lane=lane)
             for node_id, lane in leaf_lane.items()
         }
-
-        # 3. Group compute nodes by level.
-        levels: Dict[int, List[int]] = {}
-        for node in dag.nodes:
-            if node.expr.op in _SCALAR_OPS:
-                levels.setdefault(node.depth, []).append(node.node_id)
 
         mask_cache: Dict[Tuple[int, ...], int] = {}
 
@@ -337,32 +367,26 @@ class CoyoteCompiler:
             assert accumulator is not None
             return accumulator
 
-        # 4. Vectorize level by level with a lane-assignment search.
-        for depth in sorted(levels):
-            node_ids = levels[depth]
-            by_op: Dict[str, List[int]] = {}
-            for node_id in node_ids:
-                by_op.setdefault(dag.nodes[node_id].expr.op, []).append(node_id)
-            for op, group in sorted(by_op.items()):
-                lanes = self._search_lanes(group, dag, placements, rng, counters)
-                operand_count = 1 if op == "neg" else 2
-                operand_registers: List[int] = []
-                for position in range(operand_count):
-                    sources: List[Tuple[_Placement, int]] = []
-                    for node_id in group:
-                        operand_id = dag.nodes[node_id].operands[position]
-                        sources.append((placements[operand_id], lanes[node_id]))
-                    operand_registers.append(gather(sources))
-                if op == "neg":
-                    result = program.emit(Opcode.NEGATE, (operand_registers[0],))
-                else:
-                    result = program.emit(
-                        _SCALAR_OPS[op], tuple(operand_registers)
-                    )
+        # 3. Vectorize pack by pack (level, then operator) with a
+        #    lane-assignment search.
+        for op, group in plan.packs:
+            lanes = self._search_lanes(group, dag, placements, rng, counters)
+            operand_count = 1 if op == "neg" else 2
+            operand_registers: List[int] = []
+            for position in range(operand_count):
+                sources: List[Tuple[_Placement, int]] = []
                 for node_id in group:
-                    placements[node_id] = _Placement(register=result, lane=lanes[node_id])
+                    operand_id = dag.nodes[node_id].operands[position]
+                    sources.append((placements[operand_id], lanes[node_id]))
+                operand_registers.append(gather(sources))
+            if op == "neg":
+                result = program.emit(Opcode.NEGATE, (operand_registers[0],))
+            else:
+                result = program.emit(_SCALAR_OPS[op], tuple(operand_registers))
+            for node_id in group:
+                placements[node_id] = _Placement(register=result, lane=lanes[node_id])
 
-        # 5. Gather the outputs into their final layout (output i at slot i).
+        # 4. Gather the outputs into their final layout (output i at slot i).
         output_sources: List[Tuple[_Placement, int]] = []
         for index, output in enumerate(outputs):
             node_id = dag.index[output]

@@ -26,14 +26,12 @@ from repro.datagen import RandomExpressionGenerator, SyntheticKernelGenerator, b
 from repro.experiments.harness import (
     BenchmarkResult,
     BenchmarkRunner,
-    geometric_mean,
     make_agent_compiler,
     make_default_agent,
 )
 from repro.ir.bpe import BPETokenizer
 from repro.ir.tokenize import ICITokenizer
 from repro.kernels.registry import Benchmark, small_benchmark_suite
-from repro.rl.agent import ChehabAgent
 from repro.rl.autoencoder import (
     AutoencoderConfig,
     GRUAutoencoder,
@@ -45,7 +43,6 @@ from repro.rl.env import EnvConfig, FheRewriteEnv, dataset_source
 from repro.rl.flat_policy import FlatActorCritic
 from repro.rl.policy import HierarchicalActorCritic, PolicyConfig
 from repro.rl.ppo import PPOConfig, PPOTrainer
-from repro.rl.reward import RewardConfig
 from repro.service import CompilationCache
 from repro.trs.registry import default_ruleset
 

@@ -11,17 +11,31 @@ expression instead:
   on are compiled; ``Rotate`` and ``Vec`` placement resolve to slot indices
   at compile time and unneeded slots are never computed;
 * each pair becomes one scalar op (``+``, ``-``, ``*``) over exact Python
-  ints reduced mod the plaintext modulus — a ring homomorphism, so the
-  result equals reducing :func:`evaluate`'s exact result — with constants
-  folded and identical ops hash-consed into one register;
-* running the check binds the variables, replays the flat op list and maps
-  the outputs to centred representatives, exactly what
+  ints mod the plaintext modulus — a ring homomorphism, so the result
+  equals reducing :func:`evaluate`'s exact result — with constants folded
+  and identical ops hash-consed into one register;
+* the op list is then generated into one straight-line Python function,
+  :attr:`PlaintextCheck.run`, with one statement per op over local
+  variables (``r12 = (r3 * r7) % 786433``).  Only products and the outputs
+  are reduced; sums and differences stay exact, which ``%`` being a ring
+  homomorphism makes equal.  The outputs are mapped to centred
+  representatives, exactly what
   :func:`~repro.compiler.executor.reference_output` returns.
 
-Errors match :func:`evaluate`'s: an unbound variable, a vector binding
-wider than the slot count or a ``Vec`` wider than the slot count raise the
-same :class:`~repro.ir.evaluate.EvaluationError`, in the order a full
-evaluation would hit them, even when they sit in slots no output reads.
+Binding the inputs has a fast path and one general binder.  The fast path
+reads every variable with one ``operator.itemgetter`` call and takes them
+when every value is a plain ``int``.  Otherwise (a missing name, a vector,
+a ``bool`` or a NumPy integer) the binder validates and loads them the
+general way.  Its errors match :func:`evaluate`'s: an unbound variable, a
+vector binding wider than the slot count or a ``Vec`` wider than the slot
+count raise the same :class:`~repro.ir.evaluate.EvaluationError`, in the
+order a full evaluation would hit them, even when they sit in slots no
+output reads.  A check with such a static failure runs the binder alone.
+
+The generated source holds nothing taken from the expression or the
+inputs except integers: ``r<register>`` locals, integer literals, ``+``,
+``-``, ``*``, ``%`` and the fixed helper names of its namespace.  Variable
+names reach it only through the ``itemgetter`` and the binder.
 """
 
 from __future__ import annotations
@@ -69,71 +83,37 @@ _KIND: Dict[type, object] = {
     VecMul: operator.mul,
 }
 
+#: Scalar function -> its operator in the generated source.
+_SYMBOL = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
+
+Run = Callable[[Mapping[str, Value]], List[int]]
+
 
 class PlaintextCheck:
     """A compiled reference for one expression, slot count and modulus.
 
-    Call :meth:`run` once per input set; compiling is the expensive part
-    and is meant to be paid once per expression.
+    ``run(inputs)`` returns the centred output slots under ``inputs``.  It
+    is generated once per check (see the module docstring); compiling is
+    the expensive part and is meant to be paid once per expression.
     """
 
-    __slots__ = ("slot_count", "modulus", "_names", "_failure", "_template",
-                 "_loads", "_ops", "_outputs")
+    __slots__ = ("slot_count", "modulus", "run", "_ops", "_source")
 
     def __init__(
         self,
         slot_count: int,
         modulus: int,
-        names: List[str],
-        failure: Optional[str],
-        template: List[int],
-        loads: List[Tuple[int, str, int]],
+        run: Run,
         ops: List[Tuple[Callable[[int, int], int], int, int, int]],
-        outputs: List[int],
+        source: str,
     ) -> None:
         self.slot_count = slot_count
         self.modulus = modulus
-        #: Every variable in first-visit order, checked before anything runs.
-        self._names = names
-        #: The error a full evaluation hits after checking ``_names``.
-        self._failure = failure
-        #: The register file with the constants in place.
-        self._template = template
-        #: ``(register, variable, slot)`` per variable slot read.
-        self._loads = loads
+        self.run = run
         #: ``(function, register, lhs, rhs)``; operands precede their uses.
         self._ops = ops
-        self._outputs = outputs
-
-    def run(self, inputs: Mapping[str, Value]) -> List[int]:
-        """The centred output slots under ``inputs``."""
-        slot_count = self.slot_count
-        for name in self._names:
-            if name not in inputs:
-                raise EvaluationError(f"unbound variable {name!r}")
-            value = inputs[name]
-            if isinstance(value, _VECTOR_VALUES) and len(value) > slot_count:
-                raise EvaluationError(
-                    f"vector value of length {len(value)} exceeds {slot_count} slots"
-                )
-        if self._failure is not None:
-            raise EvaluationError(self._failure)
-        modulus = self.modulus
-        registers = self._template[:]
-        for register, name, slot in self._loads:
-            value = inputs[name]
-            if isinstance(value, _VECTOR_VALUES):
-                value = value[slot] if slot < len(value) else 0
-            elif slot:
-                value = 0
-            registers[register] = int(value) % modulus
-        for function, register, lhs, rhs in self._ops:
-            registers[register] = function(registers[lhs], registers[rhs]) % modulus
-        half = modulus // 2
-        return [
-            value - modulus if value > half else value
-            for value in (registers[register] for register in self._outputs)
-        ]
+        #: The generated source of ``run``; empty for a static failure.
+        self._source = source
 
 
 def compile_check(
@@ -159,16 +139,120 @@ def compile_check(
     outputs = (
         [compiler.slot(expr, slot) for slot in range(length)] if failure is None else []
     )
-    return PlaintextCheck(
-        slot_count,
-        modulus,
-        names,
-        failure,
-        compiler.template,
-        compiler.loads,
-        compiler.ops,
-        outputs,
-    )
+    bind = _binder(names, failure, compiler.loads, slot_count, modulus)
+    if failure is not None:
+        return PlaintextCheck(slot_count, modulus, bind, [], "")
+    source = _generate(names, compiler, outputs)
+    namespace = {
+        "get": operator.itemgetter(*names) if names else None,
+        "ints": {int}.issuperset,
+        "bind": bind,
+        "map": map,
+        "type": type,
+        "KeyError": KeyError,
+        "__builtins__": {},
+    }
+    # The source holds only integers, register names and the helper names
+    # above (see _generate); nothing of the expression's or a job's strings.
+    exec(source, namespace)  # lint: allow(dynamic-code)
+    # Popped so the namespace (the function's globals) does not point back
+    # at the function: a dropped check is freed at once, not by the cycle GC.
+    run = namespace.pop("run")
+    return PlaintextCheck(slot_count, modulus, run, compiler.ops, source)
+
+
+def _binder(
+    names: List[str],
+    failure: Optional[str],
+    loads: List[Tuple[int, str, int]],
+    slot_count: int,
+    modulus: int,
+) -> Run:
+    """The general binder: validate ``inputs`` as a full evaluation would
+    (``names`` in first-visit order, then the static ``failure``), then
+    return each load's value reduced mod ``modulus``, in ``loads`` order.
+    """
+
+    def bind(inputs: Mapping[str, Value]) -> List[int]:
+        for name in names:
+            if name not in inputs:
+                raise EvaluationError(f"unbound variable {name!r}")
+            value = inputs[name]
+            if isinstance(value, _VECTOR_VALUES) and len(value) > slot_count:
+                raise EvaluationError(
+                    f"vector value of length {len(value)} exceeds {slot_count} slots"
+                )
+        if failure is not None:
+            raise EvaluationError(failure)
+        values = []
+        for _, name, slot in loads:
+            value = inputs[name]
+            if isinstance(value, _VECTOR_VALUES):
+                value = value[slot] if slot < len(value) else 0
+            elif slot:
+                value = 0
+            values.append(int(value) % modulus)
+        return values
+
+    return bind
+
+
+def _generate(names: List[str], compiler: "_SlotCompiler", outputs: List[int]) -> str:
+    """The source of ``run``: bind, one statement per op, centre the outputs.
+
+    Every string interpolated below is an ``int`` or a fixed name.
+    """
+    modulus = compiler.modulus
+    constant_of = compiler.constant_of
+
+    def term(register: int) -> str:
+        value = constant_of.get(register)
+        return f"r{register}" if value is None else str(value)
+
+    lines = ["def run(inputs):"]
+    if names:
+        position = {name: index for index, name in enumerate(names)}
+        targets = ["_"] * len(names)
+        # The fast path leaves the ints as given; only the binder reduces.
+        zeros = []
+        for register, name, slot in compiler.loads:
+            if slot:
+                zeros.append(f"        r{register} = 0")
+            else:
+                targets[position[name]] = f"r{register}"
+        loaded = "".join(f"r{register}, " for register, _, _ in compiler.loads)
+        lines += [
+            "    try:",
+            "        values = get(inputs)" if len(names) > 1 else "        values = (get(inputs),)",
+            "    except KeyError:",
+            "        values = None",
+            "    if values is not None and ints(map(type, values)):",
+            f"        {', '.join(targets)}, = values",
+            *zeros,
+            "    else:",
+            f"        {loaded}= bind(inputs)" if loaded else "        bind(inputs)",
+        ]
+    # Registers known to hold a value in 0..modulus-1.
+    reduced = set()
+    for function, target, left, right in compiler.ops:
+        expression = f"{term(left)} {_SYMBOL[function]} {term(right)}"
+        if function is operator.mul:
+            expression = f"({expression}) % {modulus}"
+            reduced.add(target)
+        lines.append(f"    r{target} = {expression}")
+    half = modulus // 2
+    results = []
+    for register in outputs:
+        value = constant_of.get(register)
+        if value is not None:
+            results.append(str(value - modulus if value > half else value))
+            continue
+        if register not in reduced:
+            reduced.add(register)
+            lines.append(f"    r{register} %= {modulus}")
+        results.append(f"r{register} - {modulus} if r{register} > {half} else r{register}")
+    lines.append(f"    return [{', '.join(results)}]")
+    return "\n".join(lines) + "\n"
 
 
 def _validation_order(expr: Expr, slot_count: int) -> Tuple[List[str], Optional[str]]:

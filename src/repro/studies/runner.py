@@ -272,8 +272,6 @@ class StudyRunner:
         correct = 0
         for job_id in job_ids:
             job = server.get(job_id)
-            if job is None:
-                continue
             if job.status.value == "completed":
                 completed += 1
                 result = job.result or {}

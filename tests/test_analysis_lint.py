@@ -113,3 +113,40 @@ class TestHygiene:
     def test_syntax_error_is_a_finding(self) -> None:
         report = _lint("def broken(:\n")
         assert any(f.rule == "syntax-error" for f in report.findings)
+
+
+class TestDynamicCode:
+    def test_exec_eval_compile_detected(self) -> None:
+        report = _lint(
+            """
+            code = compile("x = 1", "<probe>", "exec")
+            exec(code, {})
+            value = eval("1 + 1")
+            """
+        )
+        findings = [f for f in report.findings if f.rule == "dynamic-code"]
+        assert [f.location for f in findings] == ["probe.py:2", "probe.py:3", "probe.py:4"]
+        assert "exec()" in findings[1].message
+
+    def test_waived_call_accepted(self) -> None:
+        report = _lint('exec("x = 1", {})  # lint: allow(dynamic-code)\n')
+        assert report.ok
+
+    def test_methods_and_shadowing_names_accepted(self) -> None:
+        # re.compile is an attribute call; a module that defines or imports
+        # its own compile calls that, not the builtin.
+        report = _lint(
+            """
+            import re
+            from repro.api import compile as build
+
+            pattern = re.compile("a+")
+
+            def compile(source):
+                return source
+
+            compile("(+ a b)")
+            build("(+ a b)")
+            """
+        )
+        assert report.ok

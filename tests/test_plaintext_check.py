@@ -12,12 +12,17 @@ same :class:`EvaluationError`.
 
 from __future__ import annotations
 
+import io
 import random
+import re
+import tokenize
 
+import numpy as np
 import pytest
 
 from repro.compiler.executor import reference_check, reference_output
 from repro.fhe.params import BFVParameters
+from repro.kernels import benchmark_suite
 from repro.ir.analysis import variables
 from repro.ir.evaluate import EvaluationError, evaluate, output_arity
 from repro.ir.nodes import (
@@ -207,3 +212,97 @@ def test_check_is_reusable_across_input_sets():
     for _ in range(20):
         env = {name: rng.randint(-(2**40), 2**40) for name in "abcd"}
         assert check.run(env) == spec(expr, env, 16)
+
+
+# -- the generated function -------------------------------------------------
+
+
+def _full_spec(expr, env, slot_count=64):
+    """``spec`` with the slot count the server uses for ``expr``."""
+    return spec(expr, env, max(slot_count, output_arity(expr) + 8))
+
+
+#: Every word the generated source may hold besides ``r<register>``.
+SOURCE_WORDS = {
+    "def", "run", "inputs", "try", "values", "get", "except", "KeyError",
+    "None", "if", "is", "not", "and", "ints", "map", "type", "else", "bind",
+    "return", "_",
+}
+
+
+def assert_source_is_closed(source):
+    """Only fixed words, registers, integers and operators: no strings."""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert token.type != tokenize.STRING, token
+        if token.type == tokenize.NAME:
+            assert token.string in SOURCE_WORDS or re.fullmatch(r"r\d+", token.string), token
+
+
+@pytest.mark.parametrize("name", ['a"]', "__import__('os').getcwd()", "x\\", "r1", "values"])
+def test_hostile_variable_names_bind_like_evaluate(name):
+    # Names reach the generated function only through its itemgetter.
+    expr = Vec(Mul(Var(name), Var("r0")), Add(Var(name), Const(3)), Var(name))
+    check = reference_check(expr)
+    assert_source_is_closed(check._source)
+    for env in ({name: 5, "r0": -7}, {name: [2, 3], "r0": 4}, {name: True, "r0": 2**70}):
+        assert check.run(env) == _full_spec(expr, env)
+    assert "unbound variable" in _same_error(expr, {"r0": 1}, 64)
+    # The parser takes any token without spaces or parentheses as a name.
+    if "(" not in name:
+        parsed = parse(f"(+ (* {name} b) {name})")
+        env = {name: 6, "b": -2}
+        check = reference_check(parsed)
+        assert_source_is_closed(check._source)
+        assert check.run(env) == _full_spec(parsed, env)
+
+
+def test_one_check_serves_fast_and_slow_bindings():
+    expr = parse("(Vec (+ (* a b) c) (- a (<< (Vec c d) 1)) (* d d))")
+    check = reference_check(expr, slot_count=16)
+    batch = [
+        {"a": 3, "b": -4, "c": 5, "d": 2**70},  # plain ints: fast path
+        {"a": [1, 2, 3], "b": 2, "c": (4, 5), "d": 6},  # vectors
+        {"a": True, "b": False, "c": 7, "d": 8},  # bool is not int here
+        {"a": np.int64(9), "b": 2, "c": np.int64(-3), "d": 1},  # NumPy ints
+        {"a": 1, "b": 2, "c": 3, "d": 4, "unused": [1, 2]},  # extra names ignored
+    ]
+    for env in batch:
+        assert check.run(env) == spec(expr, env, 16), env
+    for env in ({"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 2, "d": 3}):
+        with pytest.raises(EvaluationError) as compiled:
+            check.run(env)
+        with pytest.raises(EvaluationError) as expected:
+            spec(expr, env, 16)
+        assert str(compiled.value) == str(expected.value)
+    # The check carries no state from one input set to the next.
+    assert check.run(batch[0]) == spec(expr, batch[0], 16)
+
+
+def test_deep_golden_trees_equal_evaluate():
+    shallow = {benchmark.name for benchmark in benchmark_suite(include_deep_trees=False)}
+    deep = [b for b in benchmark_suite(include_deep_trees=True) if b.name not in shallow]
+    assert len(deep) == 3
+    rng = random.Random(SEED)
+    for benchmark in deep:
+        expr = benchmark.expression()
+        check = reference_check(expr, slot_count=max(64, output_arity(expr) + 8))
+        assert_source_is_closed(check._source)
+        for seed in range(3):
+            env = benchmark.sample_inputs(seed=seed)
+            assert check.run(env) == _full_spec(expr, env), benchmark.name
+        env = {name: rng.randint(-(2**40), 2**40) for name in variables(expr)}
+        assert check.run(env) == _full_spec(expr, env), benchmark.name
+
+
+def test_constant_outputs_and_variable_free_checks():
+    # Every output folds to a constant, though the variable is still bound.
+    expr = Vec(Mul(Var("a"), Const(0)), Const(T - 1), Sub(Const(2), Const(9)))
+    check = reference_check(expr)
+    assert check._ops == []
+    assert check.run({"a": 4}) == _full_spec(expr, {"a": 4}) == [0, -1, -7]
+    assert "unbound variable 'a'" in _same_error(expr, {}, 64)
+    # No variables at all: any mapping works and nothing is read from it.
+    constant = parse("(Vec (* 3 4) (- 0 5) (<< (Vec 1 2) 1))")
+    check = reference_check(constant)
+    assert check.run({}) == check.run({"a": [1]}) == _full_spec(constant, {}) == [12, -5, 2]
+    assert reference_output(Const(2**65), {}) == _full_spec(Const(2**65), {})

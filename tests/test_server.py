@@ -23,10 +23,10 @@ from repro import api
 from repro.__main__ import main as cli_main
 from repro.compiler import build_compiler
 from repro.fhe.params import BFVParameters
+from repro.ir.parser import parse
 from repro.ir.printer import to_sexpr
 from repro.kernels.registry import benchmark_by_name
 from repro.server import (
-    CoalescedGroup,
     Job,
     JobQueue,
     JobServer,
@@ -632,6 +632,28 @@ class TestJobServer:
                 assert payload["references"] == references
                 assert payload["outputs"] == references
                 assert payload["correct"] is True
+
+    def test_wrong_tape_output_completes_incorrect(self, monkeypatch):
+        """A circuit that computes the wrong function still completes: its
+        outputs are recorded next to the source's references, with
+        ``correct: False``."""
+        compile_circuit = JobServer._compile
+        monkeypatch.setattr(
+            JobServer,
+            "_compile",
+            lambda self, job, expr: compile_circuit(self, job, parse("(+ a b)")),
+        )
+        server = make_server()
+        try:
+            job_id = server.submit(Job(source="(* a b)", inputs={"a": 3, "b": 4}))
+            assert server.drain() == 1
+            payload = server.result(job_id)
+        finally:
+            server.close()
+        assert server.status(job_id)["status"] == "completed"
+        assert payload["outputs"] == [[7]]
+        assert payload["references"] == [[12]]
+        assert payload["correct"] is False
 
     def test_disabled_compile_cache_disables_circuit_memo(self):
         """A capacity-0 compilation cache turns the circuit memo off too:
