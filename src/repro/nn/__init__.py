@@ -4,7 +4,8 @@ The paper trains its policy with PyTorch/Stable-Baselines3; those libraries
 are not available offline, so the reproduction implements the required
 machinery from scratch on top of numpy:
 
-* :mod:`repro.nn.tensor` -- a reverse-mode autograd ``Tensor``;
+* :mod:`repro.nn.tensor` -- a reverse-mode autograd ``Tensor`` and the
+  thread-local ``no_grad`` context for forward-only calls;
 * :mod:`repro.nn.layers` -- ``Module``, ``Linear``, ``Embedding``,
   ``LayerNorm``, ``MLP``;
 * :mod:`repro.nn.attention` / :mod:`repro.nn.transformer` -- multi-head
@@ -15,7 +16,7 @@ machinery from scratch on top of numpy:
 * :mod:`repro.nn.serialize` -- save/load of module parameters (``.npz``).
 """
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.layers import MLP, Embedding, LayerNorm, Linear, Module, Sequential
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
@@ -25,6 +26,7 @@ from repro.nn.serialize import load_module, save_module
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "Module",
     "Linear",
     "Embedding",

@@ -5,17 +5,53 @@ and GRU encoders and the PPO loss are implemented, but each is implemented
 with full broadcasting support so the layers read like their PyTorch
 counterparts.  Gradients are accumulated in ``Tensor.grad`` by calling
 ``backward()`` on a scalar loss.
+
+Only what a backward pass will read is kept:
+
+* inside :func:`no_grad` (a thread-local context) an op records no parents
+  and no backward closure, so forward-only calls -- acting, value
+  estimates, inference -- build no graph at all;
+* ``backward()`` frees each interior node as soon as its closure has run:
+  the closure, the parent links and the node's ``.grad`` are dropped, so
+  after the pass only leaves (parameters, inputs) keep ``.grad``, as in
+  PyTorch without ``retain_grad``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+# Per thread: the server compiles (running the policy) on its loop thread
+# while another thread may be training.
+_grad_mode = threading.local()
+
+
+def is_grad_enabled() -> bool:
+    """False inside a :func:`no_grad` block on the calling thread."""
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no autograd graph on this thread while the block runs.
+
+    Ops inside compute the same values but return tensors with
+    ``requires_grad=False``, no parents and no backward closure.
+    """
+    previous = is_grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -77,16 +113,29 @@ class Tensor:
     def _wrap(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _make(self, data: np.ndarray, prev: Tuple["Tensor", ...]) -> "Tensor":
-        requires_grad = any(p.requires_grad for p in prev)
-        return Tensor(data, requires_grad=requires_grad, _prev=prev if requires_grad else ())
+    @staticmethod
+    def _make(data: np.ndarray, prev: Sequence["Tensor"]) -> "Tensor":
+        requires_grad = is_grad_enabled() and any(p.requires_grad for p in prev)
+        return Tensor(data, requires_grad=requires_grad, _prev=tuple(prev) if requires_grad else ())
+
+    def _link(self, backward: Callable[[], None]) -> None:
+        """Attach an op's backward closure, if this output is in a graph."""
+        if self.requires_grad:
+            self._backward = backward
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += grad
+        elif np.shape(grad) == self.data.shape:
+            # Same bits as zeros + grad (-0.0 becomes +0.0) without the
+            # zero fill; ``empty_like`` keeps the parameter's memory layout,
+            # which later matmuls' rounding depends on.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad += grad
 
     # -- arithmetic ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
@@ -97,7 +146,7 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad, self.data.shape))
             other._accumulate(_unbroadcast(out.grad, other.data.shape))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     __radd__ = __add__
@@ -108,7 +157,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(-out.grad)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
@@ -125,7 +174,7 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
             other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     __rmul__ = __mul__
@@ -143,7 +192,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def matmul(self, other: "Tensor") -> "Tensor":
@@ -159,7 +208,7 @@ class Tensor:
                 other_grad = np.swapaxes(self.data, -1, -2) @ grad
                 other._accumulate(_unbroadcast(other_grad, other.data.shape))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     __matmul__ = matmul
@@ -171,7 +220,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad * out.data)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def log(self) -> "Tensor":
@@ -180,7 +229,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad / self.data)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def tanh(self) -> "Tensor":
@@ -189,7 +238,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad * (1.0 - out.data ** 2))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -198,7 +247,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad * out.data * (1.0 - out.data))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def relu(self) -> "Tensor":
@@ -207,7 +256,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad * (self.data > 0.0))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def sqrt(self) -> "Tensor":
@@ -223,7 +272,7 @@ class Tensor:
                 grad = np.expand_dims(grad, axis=axis)
             self._accumulate(np.broadcast_to(grad, self.data.shape).copy())
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
@@ -242,7 +291,7 @@ class Tensor:
             mask = mask / mask.sum(axis=axis, keepdims=True)
             self._accumulate(expanded * mask)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     # -- shape manipulation --------------------------------------------------------------------
@@ -252,7 +301,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad.reshape(self.data.shape))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def transpose(self, *axes: int) -> "Tensor":
@@ -263,7 +312,7 @@ class Tensor:
         def _backward() -> None:
             self._accumulate(out.grad.transpose(inverse))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def __getitem__(self, index) -> "Tensor":
@@ -274,15 +323,13 @@ class Tensor:
             np.add.at(grad, index, out.grad)
             self._accumulate(grad)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._wrap(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires_grad = any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires_grad, _prev=tuple(tensors) if requires_grad else ())
+        out = Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors)
 
         def _backward() -> None:
             sizes = [t.data.shape[axis] for t in tensors]
@@ -292,22 +339,20 @@ class Tensor:
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(out.grad[tuple(slicer)])
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._wrap(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-        requires_grad = any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires_grad, _prev=tuple(tensors) if requires_grad else ())
+        out = Tensor._make(np.stack([t.data for t in tensors], axis=axis), tensors)
 
         def _backward() -> None:
             grads = np.split(out.grad, len(tensors), axis=axis)
             for tensor, grad in zip(tensors, grads):
                 tensor._accumulate(np.squeeze(grad, axis=axis))
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     # -- softmax family --------------------------------------------------------------------------
@@ -321,7 +366,7 @@ class Tensor:
             grad = out.grad - softmax * out.grad.sum(axis=axis, keepdims=True)
             self._accumulate(grad)
 
-        out._backward = _backward
+        out._link(_backward)
         return out
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -336,7 +381,7 @@ class Tensor:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=np.float64)
 
-        ordered: List[Tensor] = []
+        ordered: List[Optional[Tensor]] = []
         visited: Set[int] = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -352,16 +397,23 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        for node in reversed(ordered):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-        # Release the graph.  Each intermediate's backward closure refers to
-        # the intermediate itself, a cycle that otherwise lives (with its
-        # data and gradient arrays) until the cyclic garbage collector runs.
-        for node in ordered:
-            if node._backward is not None:
-                node._backward = None
-                node._prev = ()
+        # Children come after their parents in ``ordered``, so walking it
+        # backwards runs each closure once all of its gradient has arrived.
+        # An interior node is then spent: drop its closure (which refers to
+        # the node itself, a cycle only the cyclic collector would free),
+        # its parents, its gradient and this list's reference, so the graph
+        # is released as the pass goes.  Leaves keep their ``.grad``.
+        for index in range(len(ordered) - 1, -1, -1):
+            node = ordered[index]
+            ordered[index] = None
+            backward = node._backward
+            if backward is None:
+                continue
+            if node.grad is not None:
+                backward()
+            node._backward = None
+            node._prev = ()
+            node.grad = None
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -21,7 +21,7 @@ from repro.ir.nodes import Expr
 from repro.ir.tokenize import ICITokenizer
 from repro.nn.layers import MLP, Embedding, Module
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import TransformerEncoder, positional_encoding
 from repro.nn.gru import GRU
 
@@ -98,6 +98,7 @@ class ProgramAutoencoder(Module):
         total = (selected * mask).sum() * (-1.0 / max(1.0, float(padding_mask.sum())))
         return total
 
+    @no_grad()
     def reconstruct(self, token_ids: np.ndarray, padding_mask: np.ndarray) -> np.ndarray:
         """Greedy reconstruction (argmax per position)."""
         logits = self.logits(token_ids, padding_mask)

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.nn.layers import MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import TransformerEncoder
 from repro.rl.env import Observation
 from repro.rl.policy import PolicyConfig, _masked_log_softmax, sample_from_logits
@@ -77,6 +77,7 @@ class FlatActorCritic(Module):
         return mask
 
     # -- acting ---------------------------------------------------------------------
+    @no_grad()
     def act(
         self, observation: Observation, deterministic: bool = False
     ) -> Tuple[Tuple[int, int], float, float]:
@@ -90,6 +91,7 @@ class FlatActorCritic(Module):
         value = float(self.critic(state).numpy()[0, 0])
         return self.unflatten_action(flat_index), float(log_probs.numpy()[0, flat_index]), value
 
+    @no_grad()
     def value(self, observation: Observation) -> float:
         state = self.encoder.encode(
             np.atleast_2d(observation.tokens), np.atleast_2d(observation.padding_mask)

@@ -11,7 +11,9 @@ location.  Three networks share the Transformer state embedding:
 * the **critic** (MLP 256-128-64) estimates the state value.
 
 ``act`` samples (or argmaxes) an action; ``evaluate_actions`` recomputes log
-probabilities, entropy and values for PPO updates.
+probabilities, entropy and values for PPO updates.  Only the latter is ever
+back-propagated, so the acting paths run under
+:func:`~repro.nn.tensor.no_grad` and build no autograd graph.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers import Embedding, MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import TransformerEncoder
 from repro.rl.env import Observation
 
@@ -128,6 +130,7 @@ class HierarchicalActorCritic(Module):
         return mask
 
     # -- acting ---------------------------------------------------------------------------
+    @no_grad()
     def distributions(self, observation: Observation):
         """Masked rule distribution plus a per-rule location distribution.
 
@@ -144,6 +147,7 @@ class HierarchicalActorCritic(Module):
         ).numpy()[0]
         location_counts = observation.location_counts[None, :]
 
+        @no_grad()
         def location_log_probs(rule_index: int) -> np.ndarray:
             location_mask = self._location_mask(location_counts, np.array([rule_index]))
             rule_embedded = self.rule_embedding(np.array([rule_index]))
@@ -154,6 +158,7 @@ class HierarchicalActorCritic(Module):
         value = float(self.critic(state).numpy()[0, 0])
         return rule_log_probs, location_log_probs, value
 
+    @no_grad()
     def act(
         self, observation: Observation, deterministic: bool = False
     ) -> Tuple[Tuple[int, int], float, float]:
@@ -170,6 +175,7 @@ class HierarchicalActorCritic(Module):
         )
         return (rule_index, location_index), log_prob, value
 
+    @no_grad()
     def value(self, observation: Observation) -> float:
         """State-value estimate for bootstrapping."""
         state = self._encode(observation.tokens, observation.padding_mask)

@@ -13,7 +13,8 @@ sharing a circuit fingerprint into single backend batches
 queued user of that circuit — and runs the groups one after another through
 :meth:`~repro.service.execution.ExecutionService.run_jobs`.  Each result is
 verified against the source's compiled plaintext check
-(:mod:`repro.ir.plaintext`), built once per circuit-memo entry.
+(:mod:`repro.ir.plaintext`), built once per source text and shared by the
+circuit-memo entries of every compiler of that source.
 
 Every state transition is appended to the
 :class:`~repro.server.store.JobStore` (restart-safe: ``queued`` jobs are
@@ -40,8 +41,9 @@ import os
 import threading
 import time
 import traceback
+import weakref
 from collections import OrderedDict, deque
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backends.base import scalar_input
 from repro.backends.registry import default_backend_name
@@ -79,24 +81,22 @@ from repro.service.service import CompilationService
 __all__ = ["JobServer"]
 
 
-class _CircuitEntry:
-    """One circuit-memo entry: what every job of one source shares.
+class _SourceCheck:
+    """One source text's compiled plaintext reference
+    (:mod:`repro.ir.plaintext`), built on the first verification.
 
-    ``check`` is the source's compiled plaintext reference
-    (:mod:`repro.ir.plaintext`), built on the first verification and kept
-    next to the expression, so the memo's capacity bounds it too.
+    The check depends on the source alone, so the circuit-memo entries of
+    every compiler of one source share it; it lives as long as one of them
+    does, which makes the circuit memo's capacity its bound too.
     """
 
-    __slots__ = ("circuit", "expr", "names", "name_set", "_check")
+    __slots__ = ("expr", "_check", "__weakref__")
 
-    def __init__(self, circuit: object, expr: Expr, names: List[str]) -> None:
-        self.circuit = circuit
+    def __init__(self, expr: Expr) -> None:
         self.expr = expr
-        self.names = names
-        self.name_set = frozenset(names)
         self._check: Optional[PlaintextCheck] = None
 
-    def check(self, plain_modulus: int) -> PlaintextCheck:
+    def get(self, plain_modulus: int) -> PlaintextCheck:
         if self._check is None:
             self._check = reference_check(
                 self.expr,
@@ -104,6 +104,22 @@ class _CircuitEntry:
                 plain_modulus=plain_modulus,
             )
         return self._check
+
+
+class _CircuitEntry:
+    """One circuit-memo entry: what every job of one (compiler, source)
+    shares, plus the source's plaintext check."""
+
+    __slots__ = ("circuit", "names", "name_set", "_source_check")
+
+    def __init__(self, circuit: object, names: List[str], source_check: _SourceCheck) -> None:
+        self.circuit = circuit
+        self.names = names
+        self.name_set = frozenset(names)
+        self._source_check = source_check
+
+    def check(self, plain_modulus: int) -> PlaintextCheck:
+        return self._source_check.get(plain_modulus)
 
     def input_set(self, job: Job) -> Dict[str, int]:
         """``job``'s inputs for this circuit: sampled from its seed, or its
@@ -120,12 +136,37 @@ class _CircuitEntry:
         return dict(inputs)
 
 
+class _Instrument:
+    """A server attribute naming one ``telemetry`` instrument.
+
+    The first access looks it up in the registry (creating it) and caches
+    it on the instance, so per-job paths skip the registry's by-name,
+    locked lookup while an instrument still appears in snapshots only once
+    something has touched it.
+    """
+
+    def __init__(self, kind: str, name: str, *bounds: Sequence[float]) -> None:
+        self.kind = kind
+        self.name = name
+        self.bounds = bounds
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, server: Optional["JobServer"], owner: type) -> Any:
+        if server is None:
+            return self
+        instrument = getattr(server.telemetry, self.kind)(self.name, *self.bounds)
+        server.__dict__[self.attr] = instrument
+        return instrument
+
+
 class _ExecutedBatch(NamedTuple):
     """One backend's executed groups, waiting for ``commit_result``."""
 
     groups: List[CoalescedGroup]
     batch: ExecutionBatchReport
-    #: Job id -> its circuit-memo entry (the plaintext check's owner).
+    #: Job id -> its circuit-memo entry (and through it, the plaintext check).
     circuits: Dict[str, _CircuitEntry]
 
 
@@ -190,6 +231,30 @@ class JobServer:
         fake clocks through it; benchmarks read its ring buffer directly).
         Overrides ``tracing``; the server does not close an injected tracer.
     """
+
+    # -- telemetry instruments (see _Instrument) ----------------------------
+    _jobs_recovered = _Instrument("counter", "jobs_recovered")
+    _store_skipped_records = _Instrument("counter", "store_skipped_records")
+    _jobs_submitted = _Instrument("counter", "jobs_submitted")
+    _compile_jobs = _Instrument("counter", "compile_jobs")
+    _execute_jobs = _Instrument("counter", "execute_jobs")
+    _admission_rejects = _Instrument("counter", "admission_rejects")
+    _jobs_shed = _Instrument("counter", "jobs_shed")
+    _jobs_retried = _Instrument("counter", "jobs_retried")
+    _jobs_completed = _Instrument("counter", "jobs_completed")
+    _jobs_failed = _Instrument("counter", "jobs_failed")
+    _circuit_memo_hits = _Instrument("counter", "circuit_memo_hits")
+    _circuit_memo_misses = _Instrument("counter", "circuit_memo_misses")
+    _executions_total = _Instrument("counter", "executions_total")
+    _batches_total = _Instrument("counter", "batches_total")
+    _batches_coalesced = _Instrument("counter", "batches_coalesced")
+    _coalesced_jobs = _Instrument("counter", "coalesced_jobs")
+    _queue_depth = _Instrument("gauge", "queue_depth")
+    _jobs_running = _Instrument("gauge", "jobs_running")
+    _job_wait_s = _Instrument("histogram", "job_wait_s", LATENCY_BUCKETS)
+    _job_run_s = _Instrument("histogram", "job_run_s", LATENCY_BUCKETS)
+    _tick_s = _Instrument("histogram", "tick_s")
+    _group_size = _Instrument("histogram", "group_size", (1, 2, 4, 8, 16, 32, 64, 128))
 
     def __init__(
         self,
@@ -268,6 +333,9 @@ class JobServer:
         #: not pay N parses, cache-key hashes or check compiles.
         self._circuit_memo: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...], str], _CircuitEntry]" = OrderedDict()  # guarded-by: _lock
         self._circuit_memo_cap = 4096
+        #: Source text -> its plaintext check, while a circuit-memo entry
+        #: (of any compiler) or an in-flight job still holds it.
+        self._source_checks: "weakref.WeakValueDictionary[str, _SourceCheck]" = weakref.WeakValueDictionary()  # guarded-by: _lock
         self._compile_services: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], CompilationService] = {}
         self._execution_services: Dict[str, ExecutionService] = {}  # guarded-by: _lock
         self._thread: Optional[threading.Thread] = None
@@ -289,7 +357,7 @@ class JobServer:
                 # new process's spans extend the submission's trace.
                 job.status = JobState.QUEUED
                 self.store.append(job)
-                self.telemetry.counter("jobs_recovered").inc()
+                self._jobs_recovered.inc()
                 self._job_event(job, "recovered", attrs={"attempts": job.attempts})
                 self._count_submission(job)
                 self._queue_push(job)
@@ -325,11 +393,11 @@ class JobServer:
         skipped = self.store.skipped_records
         delta = skipped - self._store_skips_seen
         if delta > 0:
-            self.telemetry.counter("store_skipped_records").inc(delta)
+            self._store_skipped_records.inc(delta)
             self._store_skips_seen = skipped
 
     def _update_queue_depth(self) -> None:
-        self.telemetry.gauge("queue_depth").set(len(self.queue))
+        self._queue_depth.set(len(self.queue))
 
     # -- tracing ------------------------------------------------------------
     def _observe_span(self, span: Span) -> None:
@@ -441,8 +509,8 @@ class JobServer:
         return job.id
 
     def _count_submission(self, job: Job) -> None:
-        self.telemetry.counter("jobs_submitted").inc()
-        self.telemetry.counter(f"{job.kind}_jobs").inc()
+        self._jobs_submitted.inc()
+        (self._execute_jobs if job.kind == "execute" else self._compile_jobs).inc()
 
     # -- overload protection -------------------------------------------------
     def _admit(self, job: Job) -> Optional[str]:
@@ -466,7 +534,7 @@ class JobServer:
             drain_s = (depth + 1) * per_job_s
             if drain_s <= budget:
                 return None
-            self.telemetry.counter("admission_rejects").inc()
+            self._admission_rejects.inc()
             span.set_attr("decision", "reject")
             return (
                 f"admission control: estimated drain {drain_s:.3f}s exceeds "
@@ -489,7 +557,7 @@ class JobServer:
         job.status = JobState.SHED
         job.error = reason
         job.finished_at = time.time()
-        self.telemetry.counter("jobs_shed").inc()
+        self._jobs_shed.inc()
         self._job_event(job, "shed", status="error", attrs={"reason": reason})
         self._close_job_trace(job)
         record = job.to_record()
@@ -651,7 +719,7 @@ class JobServer:
                 "poll_store", t0_wall, t1_wall,
                 trace_id=self.trace_id, parent_id=tick_span.span_id, cat="stage",
             )
-        self.telemetry.gauge("jobs_running").set(len(pending))
+        self._jobs_running.set(len(pending))
         now = time.time()
         #: One tick's state transitions, flushed in a single locked fsync at
         #: the end (per-job appends would bookend the coalesced batch with 2N
@@ -664,7 +732,7 @@ class JobServer:
             job.started_at = now
             sink.append(job.to_record())
             wait_s = now - job.submitted_at
-            self.telemetry.histogram("job_wait_s", bounds=LATENCY_BUCKETS).observe(wait_s)
+            self._job_wait_s.observe(wait_s)
             self._slo_tracker.observe_wait(job.priority, wait_s)
             if enabled:
                 # Per-attempt wait on the job's own trace: from this
@@ -713,11 +781,11 @@ class JobServer:
     def _account_tick(self, jobs: int, tick_start: float) -> None:
         """Fold a finished tick into telemetry and the admission cost."""
         self._fold_stage_samples()
-        self.telemetry.gauge("jobs_running").set(0)
+        self._jobs_running.set(0)
         self._update_queue_depth()
         self._sync_tape_stats()
         wall = time.perf_counter() - tick_start
-        self.telemetry.histogram("tick_s").observe(wall)
+        self._tick_s.observe(wall)
         # Fold this tick's per-job wall time into the admission cost
         # (coalescing makes it an upper bound on marginal cost).  Compile
         # seconds stay out: a cold compile is paid once per circuit, and
@@ -779,15 +847,16 @@ class JobServer:
             self._tick_compile_s += time.perf_counter() - start
 
     def _compiled_circuit(self, job: Job) -> _CircuitEntry:
-        """The job's circuit, source expression and input names, compiling
-        if needed.
+        """The job's circuit, input names and plaintext check, compiling if
+        needed.
 
         Memoized on ``(compiler configuration, source text)`` so a flood of
-        jobs for one kernel pays parsing, compile-cache hashing and the
-        plaintext check's compile once; the shared circuit *object* also
-        carries one cached fingerprint for every tick.  A disabled
-        compilation cache (``capacity=0``) disables the memo too, so every
-        execute job pays a full parse and compile.
+        jobs for one kernel pays parsing and compile-cache hashing once; the
+        shared circuit *object* also carries one cached fingerprint for
+        every tick.  The plaintext check is shared per source text, across
+        compilers.  A disabled compilation cache (``capacity=0``) disables
+        the memo and the sharing too, so every execute job pays a full
+        parse, compile and check build.
         """
         memo_key = (
             job.compiler or self.default_compiler,
@@ -800,17 +869,22 @@ class JobServer:
                 hit = self._circuit_memo.get(memo_key)
                 if hit is not None:
                     self._circuit_memo.move_to_end(memo_key)
-                    self.telemetry.counter("circuit_memo_hits").inc()
+                    self._circuit_memo_hits.inc()
                     return hit
-        self.telemetry.counter("circuit_memo_misses").inc()
+        self._circuit_memo_misses.inc()
         expr = parse(job.source)
         report = self._compile(job, expr)
-        entry = _CircuitEntry(report.circuit, expr, list(variables(expr)))
-        if memoize:
-            with self._lock:
-                self._circuit_memo[memo_key] = entry
-                while len(self._circuit_memo) > self._circuit_memo_cap:
-                    self._circuit_memo.popitem(last=False)
+        names = list(variables(expr))
+        if not memoize:
+            return _CircuitEntry(report.circuit, names, _SourceCheck(expr))
+        with self._lock:
+            source_check = self._source_checks.get(job.source)
+            if source_check is None:
+                source_check = self._source_checks[job.source] = _SourceCheck(expr)
+            entry = _CircuitEntry(report.circuit, names, source_check)
+            self._circuit_memo[memo_key] = entry
+            while len(self._circuit_memo) > self._circuit_memo_cap:
+                self._circuit_memo.popitem(last=False)
         return entry
 
     def _run_compile_jobs(
@@ -905,7 +979,7 @@ class JobServer:
     def _commit_batch(self, executed: _ExecutedBatch, sink: List[Dict[str, object]]) -> int:
         """Verify one backend batch's groups and finish each member job."""
         terminal = 0
-        self.telemetry.counter("executions_total").inc(executed.batch.total_executions)
+        self._executions_total.inc(executed.batch.total_executions)
         for group, reports in zip(executed.groups, executed.batch.reports):
             references = self._verify_group(group, executed.circuits)
             for job_index, (job, (lo, hi)) in enumerate(zip(group.jobs, group.slices())):
@@ -938,14 +1012,12 @@ class JobServer:
                 by_backend.setdefault(group.backend_key, []).append(group)
             plans = []
             for backend_name, backend_groups in by_backend.items():
-                self.telemetry.counter("batches_total").inc(len(backend_groups))
+                self._batches_total.inc(len(backend_groups))
                 for group in backend_groups:
-                    self.telemetry.histogram(
-                        "group_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-                    ).observe(len(group.jobs))
+                    self._group_size.observe(len(group.jobs))
                     if group.coalesced:
-                        self.telemetry.counter("batches_coalesced").inc()
-                        self.telemetry.counter("coalesced_jobs").inc(len(group.jobs))
+                        self._batches_coalesced.inc()
+                        self._coalesced_jobs.inc(len(group.jobs))
                 exec_jobs = [
                     ExecutionJob(
                         program=group.program,
@@ -1021,11 +1093,9 @@ class JobServer:
         job.finished_at = time.time()
         if job.started_at is not None:
             run_s = job.finished_at - job.started_at
-            self.telemetry.histogram("job_run_s", bounds=LATENCY_BUCKETS).observe(run_s)
+            self._job_run_s.observe(run_s)
             self._slo_tracker.observe_run(job.priority, run_s)
-        self.telemetry.counter(
-            "jobs_completed" if status is JobState.COMPLETED else "jobs_failed"
-        ).inc()
+        (self._jobs_completed if status is JobState.COMPLETED else self._jobs_failed).inc()
         sink.append(job.to_record())
         if self.tracer.enabled:
             if job.started_at is not None:
@@ -1069,7 +1139,7 @@ class JobServer:
                     attrs={"attempt": job.attempts, "error": message},
                 )
             self.queue.push(job)
-            self.telemetry.counter("jobs_retried").inc()
+            self._jobs_retried.inc()
             self._update_queue_depth()
             return 0
         job.error = message + "\n" + traceback.format_exc(limit=4)

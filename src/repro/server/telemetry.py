@@ -390,23 +390,37 @@ class SLOTracker:
     budget for that priority and the observation overshoots it, bumps
     ``slo_violations`` plus the per-priority breakdown counter.  All
     instruments live in the caller's registry: snapshots, ``metrics.json``
-    and the CLI see SLO state with no extra plumbing.
+    and the CLI see SLO state with no extra plumbing.  Each is looked up in
+    the registry once, on its first observation, and kept per (kind,
+    priority), so the per-job path neither formats names nor takes the
+    registry lock.
     """
 
     def __init__(self, policy: Optional[SLOPolicy], registry: MetricsRegistry) -> None:
         self.policy = policy or SLOPolicy()
         self.registry = registry
+        self._histograms: Dict[Tuple[str, int], Histogram] = {}
+        self._violations: Dict[Tuple[str, int], Counter] = {}
 
     def _observe(
         self, kind: str, priority: int, value: float, budget: Optional[float]
     ) -> bool:
-        self.registry.histogram(
-            f"job_{kind}_s_p{priority}", bounds=LATENCY_BUCKETS
-        ).observe(value)
+        key = (kind, priority)
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = self.registry.histogram(
+                f"job_{kind}_s_p{priority}", bounds=LATENCY_BUCKETS
+            )
+        histogram.observe(value)
         if budget is None or value <= budget:
             return False
+        violations = self._violations.get(key)
+        if violations is None:
+            violations = self._violations[key] = self.registry.counter(
+                f"slo_violations_{kind}_p{priority}"
+            )
         self.registry.counter("slo_violations").inc()
-        self.registry.counter(f"slo_violations_{kind}_p{priority}").inc()
+        violations.inc()
         return True
 
     def observe_wait(self, priority: int, wait_s: float) -> bool:

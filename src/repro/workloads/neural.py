@@ -68,12 +68,13 @@ def linear_layer_workload(
 
     def oracle(inputs: Mapping[str, int]) -> List[int]:
         """The same layer forward through the numpy autograd stack."""
-        from repro.nn.tensor import Tensor
+        from repro.nn.tensor import Tensor, no_grad
 
         row = np.array(
             [[float(inputs[f"x_{k}"]) for k in range(in_features)]], dtype=np.float64
         )
-        output = layer(Tensor(row)).data[0]
+        with no_grad():
+            output = layer(Tensor(row)).data[0]
         return [int(round(value)) for value in output]
 
     return Workload(

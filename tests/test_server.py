@@ -14,6 +14,7 @@ CLI, admission control and the ``seed``/``input_range`` parameters of
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -115,6 +116,35 @@ class TestTelemetry:
         for thread in threads:
             thread.join()
         assert registry.counter("n").value == 4000
+
+    def test_slo_tracker_threads_share_instruments(self):
+        """Threads racing to create the tracker's cached instruments lose no
+        observation: every one lands in the registry's single instrument."""
+        registry = MetricsRegistry()
+        tracker = SLOTracker(SLOPolicy.from_budgets({1: 0.0}), registry)
+        start = threading.Barrier(6)
+
+        def spin():
+            start.wait(timeout=10.0)
+            for index in range(500):
+                tracker.observe_wait(index % 3, 0.5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=spin) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        histograms = registry.snapshot()["histograms"]
+        assert sum(histograms[f"job_wait_s_p{p}"]["count"] for p in range(3)) == 3000
+        violations = 6 * len(range(1, 500, 3))  # priority 1 has the budget
+        assert registry.counter("slo_violations_wait_p1").value == violations
+        assert registry.counter("slo_violations").value == violations
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +700,86 @@ class TestJobServer:
             counters = server.telemetry.snapshot()["counters"]
             assert counters["circuit_memo_misses"] == misses
             assert counters.get("circuit_memo_hits", 0) == hits
+
+    def test_one_plaintext_check_per_source_across_compilers(self, monkeypatch):
+        """Three compilers' jobs on one source share one plaintext check,
+        and each job's references and verdict are what a check of its own
+        would give."""
+        import repro.server.server as server_module
+
+        built = []
+        reference_check = server_module.reference_check
+
+        def counting_check(expr, **kwargs):
+            built.append(expr)
+            return reference_check(expr, **kwargs)
+
+        monkeypatch.setattr(server_module, "reference_check", counting_check)
+        server = make_server()
+        inputs = {"a": 1, "b": 2, "c": 3, "d": 4}
+        job_ids = [
+            server.submit(Job(source=SOURCE, inputs=inputs, compiler=compiler))
+            for compiler in ("initial", "greedy", "coyote")
+            for _ in range(2)
+        ]
+        assert server.drain() == len(job_ids)
+        assert len(built) == 1
+        for job_id in job_ids:
+            payload = server.result(job_id)
+            assert payload["references"] == [[21]]
+            assert payload["outputs"] == [[21]]
+            assert payload["correct"] is True
+
+    def test_snapshot_after_a_mixed_priority_drain(self):
+        """Per-job instruments are resolved once but still created on first
+        use: a drain over three priorities, where only priority 2 has (zero)
+        budgets, snapshots exactly the instruments it touched."""
+        server = make_server(slo=SLOPolicy.from_budgets({2: 0.0}, {2: 0.0}))
+        priorities = [0, 2, 1, 2, 0]
+        for seed, priority in enumerate(priorities):
+            server.submit(Job(source=SOURCE, seed=seed, priority=priority))
+        assert server.drain() == len(priorities)
+        snapshot = server.telemetry.snapshot()
+        counters = {
+            name: value
+            for name, value in snapshot["counters"].items()
+            if name not in ("tape_cache_hits", "tape_compiles")  # process-wide memo
+        }
+        assert counters == {
+            "analysis_findings": 0.0,
+            "batches_coalesced": 1.0,
+            "batches_total": 1.0,
+            "circuit_memo_hits": 4.0,
+            "circuit_memo_misses": 1.0,
+            "coalesced_jobs": 5.0,
+            "executions_total": 5.0,
+            "execute_jobs": 5.0,
+            "jobs_completed": 5.0,
+            "jobs_submitted": 5.0,
+            "slo_violations": 4.0,
+            "slo_violations_run_p2": 2.0,
+            "slo_violations_wait_p2": 2.0,
+            "tapes_verified": counters["tapes_verified"],
+        }
+        assert set(snapshot["gauges"]) == {"jobs_running", "queue_depth", "tape_memo_size"}
+        assert snapshot["gauges"]["jobs_running"] == 0.0
+        assert snapshot["gauges"]["queue_depth"] == 0.0
+        histograms = {name: payload["count"] for name, payload in snapshot["histograms"].items()}
+        assert histograms == {
+            "group_size": 1,
+            "job_run_s": 5,
+            "job_run_s_p0": 2,
+            "job_run_s_p1": 1,
+            "job_run_s_p2": 2,
+            "job_wait_s": 5,
+            "job_wait_s_p0": 2,
+            "job_wait_s_p1": 1,
+            "job_wait_s_p2": 2,
+            "tick_s": 1,
+        }
+        report = server.slo_report()
+        assert report["2"]["violations_wait"] == 2.0
+        assert report["2"]["violations_run"] == 2.0
 
     def test_execution_does_no_scheduling_work(self, compiled_kernels, monkeypatch):
         """A server tick hands its coalesced groups to ``run_jobs`` in
