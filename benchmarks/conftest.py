@@ -2,7 +2,8 @@
 
 The expensive artifacts (the briefly-trained RL agent and the main
 CHEHAB-RL-vs-Coyote comparison run) are computed once per session and shared
-by the per-figure benchmark modules.  Every figure/table module prints the
+by the per-figure benchmark modules.  The RL ablations (Figs. 8, 9, 12 and
+Table 1) run as suite studies through :func:`run_suite_study`.  Every figure/table module prints the
 series it regenerates, so running ``pytest benchmarks/ --benchmark-only -s``
 reproduces the paper's evaluation artifacts in one go (at reproduction
 scale; see EXPERIMENTS.md for the settings and measured numbers).
@@ -15,6 +16,7 @@ import pytest
 from repro.api import CompilationCache
 from repro.experiments import make_default_agent, run_main_comparison
 from repro.kernels import benchmark_by_name
+from repro.studies import StudyRunner, study_report
 
 #: Benchmarks used by the main comparison figures (a representative slice of
 #: every suite; the full list of Table 6 is available via benchmark_suite()).
@@ -64,3 +66,24 @@ def main_comparison(main_benchmarks, compilation_cache):
         train_timesteps=TRAIN_TIMESTEPS,
         cache=compilation_cache,
     )
+
+
+@pytest.fixture
+def run_suite_study(tmp_path):
+    """Run a study spec to completion under ``tmp_path`` and return each
+    condition's metric means (at one replicate, the run's own values)."""
+
+    def run(spec):
+        runner = StudyRunner(spec, str(tmp_path / spec.name))
+        runner.run()
+        report = study_report(
+            spec.as_dict(), runner.load_records(), seed=spec.seed, resamples=200
+        )
+        return {
+            summary["condition"]: {
+                metric: stats["mean"] for metric, stats in summary["metrics"].items()
+            }
+            for summary in report["conditions"]
+        }
+
+    return run

@@ -2,31 +2,35 @@
 
 The paper reports that adding the terminal reward yields 1.291× better
 execution time (geometric mean) than the step-only reward.  The benchmark
-trains both variants briefly and regenerates the per-kernel series; the
+runs the ``terminal-reward`` suite study at one replicate (both agents
+trained briefly with seed 0) and regenerates the per-kernel series; the
 asserted shape is that the combined reward is not worse.
 """
 
 from __future__ import annotations
 
-from repro.experiments import run_reward_term_ablation
-from repro.kernels import benchmark_by_name
+from repro.studies import StudySpec, SuiteConfig
 
 _BENCH_NAMES = ("dot_product_8", "l2_distance_8", "linear_regression_8", "gx_3x3")
 
 
-def test_fig9_step_vs_terminal_reward(benchmark, compilation_cache):
-    benchmarks = [benchmark_by_name(name) for name in _BENCH_NAMES]
-    outcome = benchmark.pedantic(
-        lambda: run_reward_term_ablation(
-            benchmarks=benchmarks, train_timesteps=256, cache=compilation_cache
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig9_step_vs_terminal_reward(benchmark, run_suite_study):
+    spec = StudySpec(
+        name="fig9",
+        kind="suite",
+        components=("terminal-reward",),
+        workloads=_BENCH_NAMES,
+        replicates=1,
+        base_config=SuiteConfig(train_timesteps=256),
     )
+    means = benchmark.pedantic(lambda: run_suite_study(spec), rounds=1, iterations=1)
+    combined, step_only = means["baseline"], means["terminal-reward"]
     print("\nFig. 9 — execution time (ms): step-only vs step+terminal reward")
-    combined = outcome.execution_time_series["step+terminal"]
-    step_only = outcome.execution_time_series["step-only"]
-    for name in sorted(combined):
-        print(f"  {name:24s} step+terminal {combined[name]:9.1f}   step-only {step_only[name]:9.1f}")
-    print(f"  geometric-mean factor (step-only / step+terminal): {outcome.improvement_from_terminal:.3f}x")
-    assert outcome.improvement_from_terminal >= 0.99
+    for name in sorted(_BENCH_NAMES):
+        key = f"execution_latency_ms/{name}"
+        print(f"  {name:24s} step+terminal {combined[key]:9.1f}   step-only {step_only[key]:9.1f}")
+    factor = (
+        step_only["execution_latency_ms_geomean"] / combined["execution_latency_ms_geomean"]
+    )
+    print(f"  geometric-mean factor (step-only / step+terminal): {factor:.3f}x")
+    assert factor >= 0.99

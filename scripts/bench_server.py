@@ -80,6 +80,15 @@ def main() -> int:
     }
     total_jobs = len(benchmarks) * args.users
 
+    def timed_jobs() -> list:
+        """The measured jobs, built before a window opens: constructing them
+        is client work that no server span covers."""
+        return [
+            Job(source=sources[benchmark.name], seed=user)
+            for benchmark in benchmarks
+            for user in range(args.users)
+        ]
+
     def server_pass() -> float:
         server = JobServer(backend="vector-vm", compiler=args.compiler)
         # Warm the compilation cache (the one-at-a-time paths get precompiled
@@ -87,13 +96,9 @@ def main() -> int:
         for benchmark in benchmarks:
             server.submit(Job(source=sources[benchmark.name], seed=10_000))
         server.drain()
+        jobs = timed_jobs()
         start = time.perf_counter()
-        job_ids = []
-        for benchmark in benchmarks:
-            for user in range(args.users):
-                job_ids.append(
-                    server.submit(Job(source=sources[benchmark.name], seed=user))
-                )
+        job_ids = [server.submit(job) for job in jobs]
         server.drain()
         wall = time.perf_counter() - start
         for job_id in job_ids:
@@ -131,10 +136,10 @@ def main() -> int:
             # Drop the warmup spans so the rollup window is exactly the
             # submit-everything-and-drain section the timed pass measures.
             server.tracer.clear()
+            jobs = timed_jobs()
             start = time.perf_counter()
-            for benchmark in benchmarks:
-                for user in range(args.users):
-                    server.submit(Job(source=sources[benchmark.name], seed=user))
+            for job in jobs:
+                server.submit(job)
             server.drain()
             wall = time.perf_counter() - start
             rollup = stage_rollup(server.tracer.spans(), window_s=wall)

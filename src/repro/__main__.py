@@ -28,11 +28,13 @@ Subcommands:
   ``trace report`` prints the per-stage latency/self-time rollup;
 * ``top``     — live ops console over the metrics snapshot: queue depth,
   SLO compliance, coalescing rate and per-stage p50/p99;
-* ``study``   — ablation studies on the job server: ``study run`` executes
-  a baseline + one-component-off matrix with replicates, ``study resume``
-  finishes an interrupted study without re-running finished replicates,
-  ``study report`` re-analyses a study directory and ``study components``
-  lists the ablatable components.
+* ``study``   — seeded, resumable ablation studies: ``study run`` executes
+  a baseline + one-component-off matrix with replicates, either on the job
+  server (``--kind server``) or over the paper's kernels under one compiler
+  configuration (``--kind suite``: Figs. 8, 9, 12 and Table 1),
+  ``study resume`` finishes an interrupted study without re-running
+  finished replicates, ``study report`` re-analyses a study directory and
+  ``study components`` lists each kind's ablatable components.
 
 Sources are s-expressions in the paper's textual IR, e.g.::
 
@@ -53,6 +55,7 @@ Sources are s-expressions in the paper's textual IR, e.g.::
     python -m repro top --state-dir .state --watch
     python -m repro study components
     python -m repro study run --study-dir .study --replicates 3
+    python -m repro study run --study-dir .fig12 --kind suite --components rl-policy
     python -m repro study resume --study-dir .study
     python -m repro study report --study-dir .study
 
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     study_parser = subparsers.add_parser(
-        "study", help="run, resume and analyse ablation studies on the job server"
+        "study", help="run, resume and analyse seeded ablation studies"
     )
     study_subparsers = study_parser.add_subparsers(dest="study_command", required=True)
 
@@ -547,20 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_run.add_argument("--name", default="system-ablation", help="study name")
     study_run.add_argument(
+        "--kind",
+        choices=("server", "suite"),
+        default="server",
+        help="server: job-server runs; suite: compile+execute the kernels",
+    )
+    study_run.add_argument(
         "--components",
         default=None,
-        help="comma-separated component names (default: the default matrix)",
+        help="comma-separated component names (default: the kind's default matrix)",
     )
     study_run.add_argument(
         "--workloads",
-        default="dot-product,max-tree",
-        help="comma-separated workload registry names cycled across jobs",
+        default=None,
+        help=(
+            "comma-separated workload registry names cycled across jobs "
+            "(server) or kernel names (suite); default: the kind's default"
+        ),
     )
     study_run.add_argument(
         "--replicates", type=int, default=3, help="runs per condition (≥3 for CIs)"
     )
     study_run.add_argument(
-        "--jobs-per-replicate", type=int, default=8, help="jobs submitted per run"
+        "--jobs-per-replicate", type=int, default=8, help="jobs submitted per server run"
     )
     study_run.add_argument("--seed", type=int, default=0, help="study root seed")
     study_run.add_argument(
@@ -591,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_study_analysis(study_report_parser)
 
     study_subparsers.add_parser(
-        "components", help="list the registered ablatable components"
+        "components", help="list each study kind's ablatable components"
     )
     return parser
 
@@ -993,61 +1005,52 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "study":
         if args.study_command == "components":
-            rows = api.list_components()
+            rows = sorted(api.list_components(), key=lambda row: row["kind"])
             width = max(len(row["name"]) for row in rows)
             for row in rows:
                 marker = " " if row["default"] else "*"
-                print(f"{row['name']:<{width}} {marker} {row['description']}")
-            print("(* = not in the default matrix; opt in via --components)")
+                print(f"{row['kind']:<6} {row['name']:<{width}} {marker} {row['description']}")
+            print("(* = not in the kind's default matrix; opt in via --components)")
             return 0
 
         def _progress(run, record):
             metrics = record.get("metrics", {})
-            primary = metrics.get("throughput_jobs_per_s", 0.0)
-            print(
-                f"  ran {run.run_id:<28} seed={run.seed:<12}"
-                f" throughput={primary:8.2f} jobs/s"
-            )
+            if "throughput_jobs_per_s" in metrics:
+                value = f"throughput={metrics['throughput_jobs_per_s']:8.2f} jobs/s"
+            else:
+                value = f"latency={metrics['execution_latency_ms_geomean']:8.2f} ms (geomean)"
+            print(f"  ran {run.run_id:<28} seed={run.seed:<12} {value}")
 
-        if args.study_command == "run":
-            report = api.run_study(
-                args.study_dir,
-                name=args.name,
-                components=(
-                    [part.strip() for part in args.components.split(",") if part.strip()]
-                    if args.components
-                    else None
-                ),
-                workloads=[
-                    part.strip() for part in args.workloads.split(",") if part.strip()
-                ],
-                replicates=args.replicates,
-                jobs_per_replicate=args.jobs_per_replicate,
-                seed=args.seed,
-                max_runs=args.max_runs,
-                resamples=args.resamples,
-                progress=_progress,
-            )
-        elif args.study_command == "resume":
-            report = api.run_study(
-                args.study_dir,
-                resume=True,
-                max_runs=args.max_runs,
-                resamples=args.resamples,
-                progress=_progress,
-            )
-        else:  # report
-            from repro.studies import StudyRunner, load_study_spec, study_report
+        def _names(text):
+            names = [part.strip() for part in (text or "").split(",") if part.strip()]
+            return names or None
 
-            spec = load_study_spec(args.study_dir)
-            if spec is None:
-                print(f"no study recorded under {args.study_dir}", file=sys.stderr)
-                return 1
-            records = StudyRunner(spec, args.study_dir).load_records()
-            report = study_report(
-                spec.as_dict(), records, seed=spec.seed, resamples=args.resamples
-            )
-            report["study_dir"] = args.study_dir
+        try:
+            if args.study_command == "run":
+                report = api.run_study(
+                    args.study_dir,
+                    name=args.name,
+                    kind=args.kind,
+                    components=_names(args.components),
+                    workloads=_names(args.workloads),
+                    replicates=args.replicates,
+                    jobs_per_replicate=args.jobs_per_replicate,
+                    seed=args.seed,
+                    max_runs=args.max_runs,
+                    resamples=args.resamples,
+                    progress=_progress,
+                )
+            else:  # resume, or report: a resume that executes nothing
+                report = api.run_study(
+                    args.study_dir,
+                    resume=True,
+                    max_runs=args.max_runs if args.study_command == "resume" else 0,
+                    resamples=args.resamples,
+                    progress=_progress,
+                )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
         _print_study_report(report)
         progress = report.get("progress")

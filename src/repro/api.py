@@ -705,6 +705,7 @@ def run_study(
     study_dir: str,
     *,
     name: str = "system-ablation",
+    kind: str = "server",
     components: Optional[Sequence[str]] = None,
     workloads: Optional[Sequence[str]] = None,
     replicates: int = 3,
@@ -718,10 +719,12 @@ def run_study(
     """Run (or resume) an ablation study and return its analysed report.
 
     A study executes one *baseline* condition plus one single-delta
-    condition per component (:func:`list_components`), ``replicates``
-    independently seeded runs each, every run a fresh
+    condition per component of its ``kind`` (:func:`list_components`),
+    ``replicates`` runs each: a ``server`` run is a fresh
     :class:`~repro.server.server.JobServer` driving ``jobs_per_replicate``
-    workload jobs through the production stack.  Progress persists as JSONL
+    jobs over registered ``workloads``; a ``suite`` run compiles and
+    executes the ``workloads`` kernels, replicate *r* training its agent
+    with seed *r*.  Progress persists as JSONL
     under ``study_dir``, so an interrupted study picks up where it left off:
     call again with ``resume=True`` (the spec is reloaded from the study
     log) and finished replicates are skipped, not re-executed.
@@ -733,7 +736,8 @@ def run_study(
     (:func:`repro.studies.analysis.study_report`).  ``max_runs`` caps how
     many pending runs this call executes (the kill/resume tests use it);
     the report then covers only the recorded prefix and the payload's
-    ``progress.complete`` is False.
+    ``progress.complete`` is False.  A study directory this version cannot
+    resume raises ValueError.
     """
     from repro.studies import StudyRunner, StudySpec, load_study_spec, study_report
 
@@ -746,8 +750,9 @@ def run_study(
     else:
         spec = StudySpec(
             name=name,
+            kind=kind,
             components=tuple(components) if components else (),
-            workloads=tuple(workloads) if workloads else ("dot-product", "max-tree"),
+            workloads=tuple(workloads) if workloads else None,
             replicates=replicates,
             jobs_per_replicate=jobs_per_replicate,
             seed=seed,
@@ -763,7 +768,7 @@ def run_study(
 
 
 def list_components() -> List[Dict[str, object]]:
-    """Every registered ablatable component: name, description, overrides."""
+    """Every registered ablatable component: name, kind, description, overrides."""
     from repro.studies import available_components, get_component
 
     return [get_component(name).as_dict() for name in available_components()]

@@ -8,6 +8,10 @@ simulator, verifies the outputs against the plaintext reference and collects
 the metrics the paper reports (execution latency, compilation time, consumed
 noise budget, operation counts, depth and multiplicative depth).
 
+The RL ablations that compare compiled kernels (Figs. 8, 9, 12 and Table 1)
+run as seeded, resumable suite studies of :mod:`repro.studies`, which
+drives this harness; this package does not import it.
+
 The scaled-down defaults (small kernel subset, short RL training) run in
 seconds-to-minutes; every knob can be raised towards the paper's full-scale
 setup.  EXPERIMENTS.md records the settings used and the measured results.
@@ -25,11 +29,7 @@ from repro.experiments.table6 import run_table6
 from repro.experiments.motivating_example import run_motivating_example
 from repro.experiments.ablations import (
     run_action_space_ablation,
-    run_dataset_ablation,
     run_encoder_ablation,
-    run_greedy_comparison,
-    run_reward_term_ablation,
-    run_reward_weight_ablation,
     run_tokenizer_ablation,
 )
 from repro.experiments.reporting import format_table, results_to_rows, write_csv
@@ -43,12 +43,8 @@ __all__ = [
     "run_main_comparison",
     "run_table6",
     "run_motivating_example",
-    "run_reward_weight_ablation",
-    "run_dataset_ablation",
-    "run_reward_term_ablation",
     "run_tokenizer_ablation",
     "run_encoder_ablation",
-    "run_greedy_comparison",
     "run_action_space_ablation",
     "format_table",
     "results_to_rows",

@@ -1,37 +1,34 @@
-"""Ablation studies of the paper's Sec. 7.6 (Table 1, Figs. 8-13, Table 7).
+"""Ablation studies of the paper's Sec. 7.6 whose unit is not a suite run.
 
-Each runner returns a small, self-describing result object whose fields map
-directly onto the corresponding table rows or figure series.  Training runs
-are scaled down (hundreds of PPO steps instead of two million) but keep the
-exact structural contrasts the ablations isolate: reward terms, reward
-weights, training-data distribution, tokenizer, encoder architecture and
-action-space factorisation.
+Figs. 10, 11 (with Table 7) and 13 live here because what they measure is
+not a compiled kernel list: a tokenizer's throughput and sequence lengths,
+an autoencoder's training history and a PPO reward curve.  Each runner
+returns a small, self-describing result object whose fields map directly
+onto the figure's series.  Training runs are scaled down (hundreds of PPO
+steps instead of two million) but keep the structural contrasts the
+ablations isolate: tokenizer, encoder architecture and action-space
+factorisation.
 
-System-level ablations (compiler, backend, coalescing, compile cache,
-tracing, admission control — the serving stack rather than the RL stack)
-live in :mod:`repro.studies` and run through :func:`repro.api.run_study`.
+The contrasts that compare compiled kernels — the learned policy against
+greedy rewriting (Fig. 12), the terminal reward (Fig. 9), the training data
+(Fig. 8) and the cost weights (Table 1) — are suite components of
+:mod:`repro.studies` and run as seeded, resumable studies through
+:func:`repro.api.run_study` (``kind="suite"``), as do the serving stack's
+system ablations (``kind="server"``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
-from repro.compiler.registry import CompilerSpec
-from repro.core.cost import CostModel, CostWeights
 from repro.datagen import RandomExpressionGenerator, SyntheticKernelGenerator, build_dataset
-from repro.experiments.harness import (
-    BenchmarkResult,
-    BenchmarkRunner,
-    make_agent_compiler,
-    make_default_agent,
-)
+from repro.experiments.harness import make_default_agent
 from repro.ir.bpe import BPETokenizer
 from repro.ir.tokenize import ICITokenizer
-from repro.kernels.registry import Benchmark, small_benchmark_suite
 from repro.rl.autoencoder import (
     AutoencoderConfig,
     GRUAutoencoder,
@@ -43,173 +40,17 @@ from repro.rl.env import EnvConfig, FheRewriteEnv, dataset_source
 from repro.rl.flat_policy import FlatActorCritic
 from repro.rl.policy import HierarchicalActorCritic, PolicyConfig
 from repro.rl.ppo import PPOConfig, PPOTrainer
-from repro.service import CompilationCache
 from repro.trs.registry import default_ruleset
 
 __all__ = [
-    "run_reward_weight_ablation",
-    "run_dataset_ablation",
-    "run_reward_term_ablation",
     "run_tokenizer_ablation",
     "run_encoder_ablation",
-    "run_greedy_comparison",
     "run_action_space_ablation",
 ]
 
 
-def _default_benchmarks(benchmarks: Optional[Sequence[Benchmark]], limit: int) -> List[Benchmark]:
-    suite = list(benchmarks) if benchmarks is not None else small_benchmark_suite()
-    return suite[:limit]
-
-
-def _training_dataset(size: int, seed: int = 0, random_data: bool = False):
-    generator = (
-        RandomExpressionGenerator(max_depth=4, max_vector_size=4, seed=seed)
-        if random_data
-        else SyntheticKernelGenerator(seed=seed, max_size=6)
-    )
-    return list(build_dataset(generator, size))
-
-
-# ---------------------------------------------------------------------------
-# Table 1 — reward weight sensitivity
-# ---------------------------------------------------------------------------
-@dataclass
-class RewardWeightAblationResult:
-    """One row per weight configuration, relative to the (1, 1, 1) default."""
-
-    weight_configs: List[Tuple[float, float, float]]
-    execution_time_factor: Dict[Tuple[float, float, float], float] = field(default_factory=dict)
-    noise_factor: Dict[Tuple[float, float, float], float] = field(default_factory=dict)
-    results: List[BenchmarkResult] = field(default_factory=list)
-
-
-def run_reward_weight_ablation(
-    benchmarks: Optional[Sequence[Benchmark]] = None,
-    weight_configs: Sequence[Tuple[float, float, float]] = ((1, 1, 1), (1, 50, 50), (1, 100, 100)),
-    input_seed: int = 0,
-    workers: int = 1,
-    cache: Optional[CompilationCache] = None,
-) -> RewardWeightAblationResult:
-    """Vary ``(w_ops, w_depth, w_mult)`` and compare runtime and noise (Table 1).
-
-    To isolate the effect of the cost-function weights from RL training
-    variance, the ablation drives the deterministic greedy rewriter with each
-    weighted cost model (the same cost model the agent's reward would use).
-    """
-    benchmarks = _default_benchmarks(benchmarks, limit=6)
-    compilers = {}
-    for weights in weight_configs:
-        model = CostModel(weights=CostWeights(ops=weights[0], depth=weights[1], mult_depth=weights[2]))
-        compilers[str(tuple(weights))] = CompilerSpec.create("greedy", cost_model=model)
-    runner = BenchmarkRunner(compilers, input_seed=input_seed, workers=workers, cache=cache)
-    results = runner.run(benchmarks)
-
-    outcome = RewardWeightAblationResult(weight_configs=list(weight_configs), results=results)
-    baseline_label = str(tuple(weight_configs[0]))
-    for weights in weight_configs:
-        label = str(tuple(weights))
-        outcome.execution_time_factor[tuple(weights)] = runner.summarize_ratio(
-            results, "execution_latency_ms", label, baseline_label
-        )
-        outcome.noise_factor[tuple(weights)] = runner.summarize_ratio(
-            results, "consumed_noise_budget", label, baseline_label
-        )
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# Fig. 8 — LLM-generated vs random training data
-# ---------------------------------------------------------------------------
-@dataclass
-class DatasetAblationResult:
-    results: List[BenchmarkResult]
-    execution_time_series: Dict[str, Dict[str, float]]
-    #: Geometric-mean factor random / motif (>1 means motif data wins).
-    speedup_of_realistic_data: float
-
-
-def run_dataset_ablation(
-    benchmarks: Optional[Sequence[Benchmark]] = None,
-    train_timesteps: int = 384,
-    input_seed: int = 0,
-    workers: int = 1,
-    cache: Optional[CompilationCache] = None,
-) -> DatasetAblationResult:
-    """Train one agent on motif ("LLM-like") data and one on random data (Fig. 8)."""
-    from repro.experiments.reporting import series_by_compiler
-
-    benchmarks = _default_benchmarks(benchmarks, limit=6)
-    realistic_agent = make_default_agent(
-        train_timesteps=train_timesteps, use_random_data=False, seed=0
-    )
-    random_agent = make_default_agent(
-        train_timesteps=train_timesteps, use_random_data=True, seed=0
-    )
-    runner = BenchmarkRunner(
-        {
-            "LLM-style data": make_agent_compiler(realistic_agent),
-            "Random data": make_agent_compiler(random_agent),
-        },
-        input_seed=input_seed,
-        workers=workers,
-        cache=cache,
-    )
-    results = runner.run(benchmarks)
-    return DatasetAblationResult(
-        results=results,
-        execution_time_series=series_by_compiler(results, "execution_latency_ms"),
-        speedup_of_realistic_data=runner.summarize_ratio(
-            results, "execution_latency_ms", "Random data", "LLM-style data"
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fig. 9 — step-only vs step + terminal reward
-# ---------------------------------------------------------------------------
-@dataclass
-class RewardTermAblationResult:
-    results: List[BenchmarkResult]
-    execution_time_series: Dict[str, Dict[str, float]]
-    #: Geometric-mean factor step-only / step+terminal (>1 means terminal wins).
-    improvement_from_terminal: float
-
-
-def run_reward_term_ablation(
-    benchmarks: Optional[Sequence[Benchmark]] = None,
-    train_timesteps: int = 384,
-    input_seed: int = 0,
-    workers: int = 1,
-    cache: Optional[CompilationCache] = None,
-) -> RewardTermAblationResult:
-    """Compare agents trained with and without the terminal reward (Fig. 9)."""
-    from repro.experiments.reporting import series_by_compiler
-
-    benchmarks = _default_benchmarks(benchmarks, limit=6)
-    combined_agent = make_default_agent(
-        train_timesteps=train_timesteps, use_terminal_reward=True, seed=0
-    )
-    step_only_agent = make_default_agent(
-        train_timesteps=train_timesteps, use_terminal_reward=False, seed=0
-    )
-    runner = BenchmarkRunner(
-        {
-            "step+terminal": make_agent_compiler(combined_agent),
-            "step-only": make_agent_compiler(step_only_agent),
-        },
-        input_seed=input_seed,
-        workers=workers,
-        cache=cache,
-    )
-    results = runner.run(benchmarks)
-    return RewardTermAblationResult(
-        results=results,
-        execution_time_series=series_by_compiler(results, "execution_latency_ms"),
-        improvement_from_terminal=runner.summarize_ratio(
-            results, "execution_latency_ms", "step-only", "step+terminal"
-        ),
-    )
+def _training_dataset(size: int, seed: int = 0):
+    return list(build_dataset(SyntheticKernelGenerator(seed=seed, max_size=6), size))
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +146,6 @@ def run_encoder_ablation(
         gru_history=gru_history,
         transformer_accuracy=reconstruction_accuracy(transformer, token_ids, padding),
         gru_accuracy=reconstruction_accuracy(gru, token_ids, padding),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fig. 12 — CHEHAB (greedy) vs CHEHAB RL
-# ---------------------------------------------------------------------------
-@dataclass
-class GreedyComparisonResult:
-    results: List[BenchmarkResult]
-    execution_time_series: Dict[str, Dict[str, float]]
-    #: Geometric-mean factor greedy / RL (>1 means the RL agent wins).
-    rl_speedup_over_greedy: float
-
-
-def run_greedy_comparison(
-    benchmarks: Optional[Sequence[Benchmark]] = None,
-    train_timesteps: int = 512,
-    input_seed: int = 0,
-    workers: int = 1,
-    cache: Optional[CompilationCache] = None,
-) -> GreedyComparisonResult:
-    """Compare the original CHEHAB (greedy TRS) against CHEHAB RL (Fig. 12)."""
-    from repro.experiments.reporting import series_by_compiler
-
-    benchmarks = _default_benchmarks(benchmarks, limit=8)
-    agent = make_default_agent(train_timesteps=train_timesteps)
-    runner = BenchmarkRunner(
-        {
-            "CHEHAB RL": make_agent_compiler(agent),
-            "CHEHAB": "greedy",
-        },
-        input_seed=input_seed,
-        workers=workers,
-        cache=cache,
-    )
-    results = runner.run(benchmarks)
-    return GreedyComparisonResult(
-        results=results,
-        execution_time_series=series_by_compiler(results, "execution_latency_ms"),
-        rl_speedup_over_greedy=runner.summarize_ratio(
-            results, "execution_latency_ms", "CHEHAB", "CHEHAB RL"
-        ),
     )
 
 

@@ -11,8 +11,7 @@ benchmark harness as well as by the tests.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -52,6 +51,9 @@ class BenchmarkResult:
     consumed_noise_budget: float
     remaining_noise_budget: float
     noise_budget_exhausted: bool
+    #: Analytical cost of the optimized expression under the compiler's
+    #: own cost model (paper Sec. 5.3.1).
+    final_cost: float
     correct: bool
     depth: int
     mult_depth: int
@@ -117,10 +119,6 @@ class BenchmarkRunner:
             label: CompilationService(compiler, workers=workers, cache=self.cache)
             for label, compiler in compilers.items()
         }
-        #: Resolved compiler objects by label (names/specs already built).
-        self.compilers: Dict[str, object] = {
-            label: service.compiler for label, service in self.services.items()
-        }
         #: Per-label batch accounting of the most recent :meth:`run` call.
         self.last_batch_reports: Dict[str, BatchReport] = {}
 
@@ -144,6 +142,7 @@ class BenchmarkRunner:
             consumed_noise_budget=execution.consumed_noise_budget,
             remaining_noise_budget=execution.remaining_noise_budget,
             noise_budget_exhausted=execution.noise_budget_exhausted,
+            final_cost=report.final_cost,
             correct=list(output) == list(reference),
             depth=stats.depth,
             mult_depth=stats.mult_depth,
@@ -154,14 +153,6 @@ class BenchmarkRunner:
             subtractions=stats.subtractions,
             total_operations=stats.total_operations,
         )
-
-    def run_benchmark(self, benchmark: Benchmark) -> List[BenchmarkResult]:
-        """Run every configured compiler on one benchmark.
-
-        This is the single-kernel entry point of :meth:`run`: the same
-        compile-batch / execute / verify path, on a one-element suite.
-        """
-        return self.run([benchmark])
 
     def run_workloads(self, workloads: Iterable[object]) -> List[BenchmarkResult]:
         """Run every configured compiler on registered workloads.

@@ -1,12 +1,14 @@
-"""Study orchestration: automated ablations on the job server.
+"""Study orchestration: seeded, resumable ablations of the system and the paper.
 
-The subsystem turns the serving stack into its own experiment platform.
-:mod:`repro.studies.components` names the toggleable components,
-:mod:`repro.studies.spec` expands a study into a seeded run matrix,
-:mod:`repro.studies.runner` executes it (resumably) on per-run
-:class:`~repro.server.server.JobServer` instances, and
-:mod:`repro.studies.analysis` turns the records into ranked importance
-scores with bootstrap confidence intervals.
+One engine runs both kinds of study.  :mod:`repro.studies.components`
+names the toggleable components, :mod:`repro.studies.spec` expands a study
+into a seeded run matrix, :mod:`repro.studies.runner` executes it
+(resumably) and :mod:`repro.studies.analysis` turns the records into ranked
+importance scores with bootstrap confidence intervals.  A ``server`` study
+runs each replicate on its own :class:`~repro.server.server.JobServer`; a
+``suite`` study compiles and executes a kernel list under one compiler
+configuration (:mod:`repro.studies.suite`), which is how the paper's RL
+ablations (Figs. 8, 9, 12 and Table 1) run.
 
 The supported entry points are :func:`repro.api.run_study`,
 :func:`repro.api.list_components` and the ``python -m repro study``
@@ -31,13 +33,14 @@ from repro.studies.runner import (
     StudyProgress,
     StudyRunner,
     load_study_spec,
-    run_study_spec,
 )
 from repro.studies.spec import (
     BASELINE,
+    KINDS,
     RunConfig,
     RunSpec,
     StudySpec,
+    SuiteConfig,
     condition_seeds,
     generate_runs,
 )
@@ -45,11 +48,13 @@ from repro.studies.spec import (
 __all__ = [
     "BASELINE",
     "Component",
+    "KINDS",
     "RunConfig",
     "RunSpec",
     "StudyProgress",
     "StudyRunner",
     "StudySpec",
+    "SuiteConfig",
     "available_components",
     "bootstrap_ci",
     "component_importance",
@@ -61,6 +66,5 @@ __all__ = [
     "load_study_spec",
     "rank_components",
     "register_component",
-    "run_study_spec",
     "study_report",
 ]

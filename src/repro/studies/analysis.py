@@ -33,9 +33,14 @@ __all__ = [
     "study_report",
 ]
 
-#: Metrics where smaller is better — importance signs flip for these.
+#: Metrics where smaller is better — importance signs flip for these (a
+#: per-kernel ``execution_latency_ms/<kernel>`` follows its prefix).
 LOWER_IS_BETTER = frozenset(
     {
+        "execution_latency_ms",
+        "execution_latency_ms_geomean",
+        "consumed_noise_budget_geomean",
+        "final_cost_geomean",
         "mean_wait_s",
         "mean_run_s",
         "p50_run_s",
@@ -68,7 +73,7 @@ def _importance(baseline_mean: float, ablated_mean: float, metric: str) -> float
     if baseline_mean == 0.0:
         return 0.0
     score = (baseline_mean - ablated_mean) / abs(baseline_mean)
-    return -score if metric in LOWER_IS_BETTER else score
+    return -score if metric.partition("/")[0] in LOWER_IS_BETTER else score
 
 
 def bootstrap_ci(

@@ -1,8 +1,9 @@
-"""The study runner: executes a run matrix on the JobServer, resumably.
+"""The study runner: executes a run matrix, resumably.
 
 :class:`StudyRunner` takes a :class:`~repro.studies.spec.StudySpec` and a
 study directory and works through :func:`~repro.studies.spec.generate_runs`
-one run at a time.  Each run gets its own :class:`~repro.server.server.JobServer`
+one run at a time.  A ``suite`` run calls :func:`repro.studies.suite.run_suite`.
+A ``server`` run gets its own :class:`~repro.server.server.JobServer`
 with a private persistent state dir under ``<study_dir>/runs/<run_id>``, so
 every run reuses the production stack end to end — priority queue,
 coalescer, telemetry, compilation cache, crash-recovering JSONL job store —
@@ -15,14 +16,16 @@ one ``{"type": "spec"}`` header pinning the spec, then one
 metrics.  A record is appended (and fsynced) only after its run completes,
 so killing a study mid-run loses at most the in-flight replicate:
 :meth:`StudyRunner.run` on the same directory skips every recorded run and
-re-executes only the remainder — and re-started runs first wipe their
-private server state dir, so a half-written job store can never leak stale
+re-executes only the remainder — and re-started server runs first wipe
+their private state dir, so a half-written job store can never leak stale
 jobs into the retry.
 
-Metrics are harvested from three places: completed job ``result`` payloads
-(:class:`~repro.compiler.executor.ExecutionReport` fields — model latency,
-noise budget, verification), the server's telemetry snapshot (counters and
-wait/run histograms, percentiles via
+A header this version cannot parse raises one ValueError.
+
+Server metrics are harvested from three places: completed job ``result``
+payloads (:class:`~repro.compiler.executor.ExecutionReport` fields — model
+latency, noise budget, verification), the server's telemetry snapshot
+(counters and wait/run histograms, percentiles via
 :func:`~repro.server.telemetry.percentile_from_snapshot`) and the
 compilation-cache statistics.
 """
@@ -36,14 +39,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
+import numpy as np
+
 from repro.server.jobs import Job
 from repro.server.server import JobServer
 from repro.server.telemetry import percentile_from_snapshot
 from repro.service.cache import CompilationCache
-from repro.studies.spec import RunSpec, StudySpec, generate_runs
+from repro.studies.spec import BASELINE, RunSpec, StudySpec, generate_runs
 from repro.workloads.registry import get_workload
 
-__all__ = ["StudyRunner", "StudyProgress", "run_study_spec", "load_study_spec"]
+__all__ = ["StudyRunner", "StudyProgress", "load_study_spec"]
 
 STUDY_LOG = "study.jsonl"
 
@@ -80,26 +85,8 @@ class StudyRunner:
 
     # -- persistent state ---------------------------------------------------
     def load_records(self) -> List[Dict[str, object]]:
-        """Every intact record in the study log, in append order.
-
-        A torn final line (the kill arrived mid-append) is ignored, exactly
-        like the job store seals torn tails.
-        """
-        if not os.path.exists(self.log_path):
-            return []
-        records: List[Dict[str, object]] = []
-        with open(self.log_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
-        return records
+        """Every intact record in the study log, in append order."""
+        return _read_log(self.study_dir)
 
     def completed_runs(self) -> Dict[str, Dict[str, object]]:
         """Finished run records keyed by ``run_id`` (latest wins)."""
@@ -116,18 +103,20 @@ class StudyRunner:
             os.fsync(handle.fileno())
 
     def _check_spec(self) -> None:
-        """Refuse to resume a directory recorded under a different spec."""
-        spec_dict = self.spec.as_dict()
-        for record in self.load_records():
-            if record.get("type") == "spec":
-                if record.get("spec") != spec_dict:
-                    raise ValueError(
-                        f"study dir {self.study_dir!r} was started with a "
-                        "different spec; use a fresh directory or the "
-                        "original spec"
-                    )
-                return
-        self._append({"type": "spec", "study": self.spec.name, "spec": spec_dict})
+        """Refuse to resume a directory recorded under a different spec.
+
+        The header is compared as a parsed spec, so a header written before
+        a field existed still matches the spec it describes.
+        """
+        recorded = load_study_spec(self.study_dir)
+        if recorded is None:
+            self._append({"type": "spec", "study": self.spec.name, "spec": self.spec.as_dict()})
+        elif recorded.as_dict() != self.spec.as_dict():
+            raise ValueError(
+                f"study dir {self.study_dir!r} was started with a "
+                "different spec; use a fresh directory or the "
+                "original spec"
+            )
 
     # -- execution ----------------------------------------------------------
     def run(
@@ -154,7 +143,7 @@ class StudyRunner:
             if len(outcome.executed) >= budget:
                 outcome.remaining.append(run.run_id)
                 continue
-            if not warmed:
+            if not warmed and self.spec.kind == "server":
                 self._warmup()
                 warmed = True
             record = self._execute_run(run)
@@ -176,10 +165,6 @@ class StudyRunner:
         only purpose is warming imports, allocators and compiler paths so
         the first *recorded* run isn't systematically inflated.
         """
-        import numpy as np
-
-        from repro.studies.spec import BASELINE
-
         baseline = self.spec.baseline_config()
         for index in range(max(self.spec.warmup_runs, 0)):
             seed_seq = np.random.SeedSequence([self.spec.seed, 0xAB1A7E, index])
@@ -194,6 +179,20 @@ class StudyRunner:
             shutil.rmtree(self.run_dir(warmup), ignore_errors=True)
 
     def _execute_run(self, run: RunSpec) -> Dict[str, object]:
+        """Execute one replicate and build its run record."""
+        if self.spec.kind == "suite":
+            from repro.studies.suite import run_suite
+
+            start = time.perf_counter()
+            metrics = run_suite(self.spec.workloads, run.config, run.seed)
+            outcome = {"wall_time_s": time.perf_counter() - start, "metrics": metrics}
+        else:
+            outcome = self._run_on_server(run)
+        record = dict(run.as_dict(), **outcome, type="run", status="completed", study=self.spec.name)
+        record["finished_at"] = time.time()  # lint: allow(wall-clock) — run metadata, never seeds anything
+        return record
+
+    def _run_on_server(self, run: RunSpec) -> Dict[str, object]:
         """Execute one replicate on a fresh private JobServer."""
         state_dir = self.run_dir(run)
         # A previous attempt at this run may have died mid-flight; its
@@ -216,19 +215,7 @@ class StudyRunner:
             metrics = self._harvest(server, job_ids, wall_time_s)
         finally:
             server.close()
-        record = run.as_dict()
-        record.update(
-            {
-                "type": "run",
-                "status": "completed",
-                "study": self.spec.name,
-                "wall_time_s": wall_time_s,
-                "jobs": len(job_ids),
-                "metrics": metrics,
-                "finished_at": time.time(),  # lint: allow(wall-clock) — run metadata, never seeds anything
-            }
-        )
-        return record
+        return {"wall_time_s": wall_time_s, "jobs": len(job_ids), "metrics": metrics}
 
     def _build_jobs(self, run: RunSpec) -> List[Job]:
         """The job list of one replicate, seeded from the run seed.
@@ -238,8 +225,6 @@ class StudyRunner:
         priorities cycle round-robin, and each job inherits the workload's
         registered compiler/backend unless the run config overrides them.
         """
-        import numpy as np
-
         spec = self.spec
         children = np.random.SeedSequence(run.seed).spawn(spec.jobs_per_replicate)
         jobs: List[Job] = []
@@ -328,35 +313,45 @@ class StudyRunner:
         return metrics
 
 
+def _read_log(study_dir: str) -> List[Dict[str, object]]:
+    """Every intact record in a study log, in append order.
+
+    A torn final line (the kill arrived mid-append) is ignored, exactly
+    like the job store seals torn tails.
+    """
+    path = os.path.join(study_dir, STUDY_LOG)
+    if not os.path.exists(path):
+        return []
+    records: List[Dict[str, object]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:  # blank or torn line
+                continue
+            if isinstance(record, dict):
+                records.append(record)
+    return records
+
+
 def load_study_spec(study_dir: str) -> Optional[StudySpec]:
     """The spec a study directory was started with, or None if no header.
 
     This is what lets ``study resume``/``study report`` work from the
     directory alone — the JSONL header pins the exact spec, so the resumed
-    matrix (and its seeds) is identical to the original.
+    matrix (and its seeds) is identical to the original.  A header this
+    version cannot run (a configuration field or component it does not
+    know) raises ValueError.
     """
-    log_path = os.path.join(study_dir, STUDY_LOG)
-    if not os.path.exists(log_path):
-        return None
-    with open(log_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+    for record in _read_log(study_dir):
+        if record.get("type") == "spec":
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and record.get("type") == "spec":
-                return StudySpec.from_dict(record.get("spec", {}))
+                spec = StudySpec.from_dict(record.get("spec") or {})
+                spec.component_names()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"study dir {study_dir!r} holds a spec this version cannot run "
+                    f"({exc.args[0] if exc.args else exc}); start a fresh --study-dir"
+                ) from None
+            return spec
     return None
-
-
-def run_study_spec(
-    spec: StudySpec,
-    study_dir: str,
-    max_runs: Optional[int] = None,
-    progress: Optional[Callable[[RunSpec, Dict[str, object]], None]] = None,
-) -> StudyProgress:
-    """Convenience wrapper: build a :class:`StudyRunner` and run it."""
-    return StudyRunner(spec, study_dir).run(max_runs=max_runs, progress=progress)

@@ -313,7 +313,9 @@ class TestHarnessIntegration:
         ry = circuit.emit(Opcode.LOAD_INPUT, layout=[InputSlot(name="y")])
         circuit.mark_output(rx, "first", 1)
         circuit.mark_output(ry, "second", 1)
-        report = SimpleNamespace(circuit=circuit, compile_time_s=0.0, stats=circuit.stats())
+        report = SimpleNamespace(
+            circuit=circuit, compile_time_s=0.0, final_cost=0.0, stats=circuit.stats()
+        )
         runner = BenchmarkRunner({"greedy": GreedyChehabCompiler(max_rewrite_steps=1)})
         result = runner._make_result(
             SimpleNamespace(name="two_output"),

@@ -1,9 +1,9 @@
 """Tests for the study engine: specs, matrix, resumable runner, analysis.
 
-The kill/resume acceptance test is here: a study interrupted mid-matrix
+The kill/resume acceptance tests are here: a study interrupted mid-matrix
 (``max_runs`` stands in for the kill, plus a genuinely torn log tail) must
 resume to completion executing exactly the missing replicates — never
-re-running a finished one.
+re-running a finished one — for server and suite studies alike.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import os
 import pytest
 
 from repro import api
+from repro.__main__ import main as cli_main
 from repro.studies import (
     BASELINE,
     Component,
     RunConfig,
     StudyRunner,
     StudySpec,
+    SuiteConfig,
     available_components,
     bootstrap_ci,
     component_importance,
@@ -44,6 +46,63 @@ TINY = StudySpec(
     jobs_per_replicate=2,
     warmup_runs=0,
 )
+
+# A tiny suite spec: two small kernels, a 64-step agent on an 8-item dataset.
+TINY_SUITE = StudySpec(
+    name="tiny-suite",
+    kind="suite",
+    components=("terminal-reward", "realistic-data"),
+    workloads=("dot_product_4", "max_4"),
+    replicates=2,
+    base_config=SuiteConfig(train_timesteps=64, dataset_size=8),
+)
+
+#: The spec header of a study directory written before study kinds existed
+#: (the committed BENCH_ablation.json of that version): it names run knobs
+#: and a component this version no longer has.
+OUTDATED_HEADER = {
+    "name": "system-ablation",
+    "components": ["coalescing", "measured-scheduler"],
+    "workloads": ["dot-product", "max-tree"],
+    "replicates": 3,
+    "jobs_per_replicate": 10,
+    "seed": 0,
+    "base_config": {
+        "admission": "off",
+        "backend": None,
+        "cache_capacity": 512,
+        "coalesce": True,
+        "compiler": None,
+        "memoize_circuits": True,
+        "prefer_measured": True,
+        "workers": 2,
+    },
+    "primary_metric": "throughput_jobs_per_s",
+    "priorities": [0, 1],
+    "warmup_runs": 1,
+}
+
+
+def _write_header(study_dir, spec_record):
+    os.makedirs(study_dir, exist_ok=True)
+    with open(os.path.join(study_dir, "study.jsonl"), "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"type": "spec", "study": "old", "spec": spec_record}) + "\n")
+
+
+@pytest.fixture
+def agent_calls(monkeypatch):
+    """Record every agent a suite run asks for, as (config fields, seed)."""
+    import repro.studies.suite as suite
+
+    calls = []
+    real = suite.make_default_agent
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(suite, "make_default_agent", recording)
+    return calls
 
 
 def _run_record(condition, metrics, replicate=0):
@@ -86,7 +145,24 @@ class TestComponents:
         assert isinstance(component, Component)
         payload = component.as_dict()
         assert payload["name"] == "compile-cache"
+        assert payload["kind"] == "server"
         assert payload["ablated"] == {"cache_capacity": 0}
+
+    def test_default_matrices_are_per_kind(self):
+        server, suite = default_components("server"), default_components("suite")
+        assert suite == ["realistic-data", "rl-policy", "terminal-reward"]
+        assert default_components() == server
+        assert not set(server) & set(suite)
+        assert all(get_component(name).kind == "suite" for name in suite)
+        # Table 1's weight triples run on a greedy baseline: opt-in only.
+        assert "weights-1-50-50" in available_components()
+        assert "weights-1-50-50" not in suite
+
+    def test_components_of_another_kind_are_rejected(self):
+        with pytest.raises(ValueError, match="suite runs"):
+            StudySpec(components=("rl-policy",)).component_names()
+        with pytest.raises(ValueError, match="server runs"):
+            StudySpec(kind="suite", components=("coalescing",)).component_names()
 
 
 class TestRunConfig:
@@ -97,6 +173,20 @@ class TestRunConfig:
     def test_dict_round_trip(self):
         config = RunConfig(coalesce=False, cache_capacity=7, backend="reference")
         assert RunConfig.from_dict(config.as_dict()) == config
+
+
+class TestSuiteConfig:
+    def test_rl_compiler_takes_default_weights_only(self):
+        with pytest.raises(ValueError, match="cost weights"):
+            SuiteConfig(cost_weights=(1, 50, 50))
+        weighted = SuiteConfig(compiler="greedy", cost_weights=[1, 50, 50])
+        assert weighted.cost_weights == (1.0, 50.0, 50.0)
+
+    def test_dict_round_trip(self):
+        config = SuiteConfig(compiler="greedy", train_timesteps=64, cost_weights=(1, 2, 3))
+        assert SuiteConfig.from_dict(json.loads(json.dumps(config.as_dict()))) == config
+        with pytest.raises(KeyError, match="coalesce"):
+            SuiteConfig.from_dict({"coalesce": False})
 
 
 class TestStudySpec:
@@ -146,6 +236,49 @@ class TestStudySpec:
         with pytest.raises(KeyError, match="workers"):
             StudySpec.from_dict(record)
 
+    def test_kind_defaults_and_validation(self):
+        spec = StudySpec(kind="suite")
+        assert spec.base_config == SuiteConfig()
+        assert spec.primary_metric == "execution_latency_ms_geomean"
+        assert "gx_3x3" in spec.workloads
+        assert StudySpec().primary_metric == "throughput_jobs_per_s"
+        with pytest.raises(ValueError, match="unknown study kind"):
+            StudySpec(kind="cluster")
+        with pytest.raises(TypeError, match="SuiteConfig"):
+            StudySpec(kind="suite", base_config=RunConfig())
+
+    def test_suite_dict_round_trip(self):
+        spec = StudySpec(
+            name="table1",
+            kind="suite",
+            components=("weights-1-50-50", "weights-1-100-100"),
+            workloads=("dot_product_8", "max_4"),
+            replicates=4,
+            seed=3,
+            base_config=SuiteConfig(train_timesteps=128, dataset_size=16),
+        )
+        clone = StudySpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+        assert clone == spec
+        assert clone.as_dict() == spec.as_dict()
+        assert clone.baseline_config().compiler == "greedy"
+
+    def test_a_header_without_kind_is_a_server_spec(self):
+        record = TINY.as_dict()
+        del record["kind"]
+        assert StudySpec.from_dict(record) == TINY
+
+    def test_conflicting_baselines_are_rejected(self):
+        """rl-policy needs a chehab-rl baseline, Table 1's weights a greedy
+        one: one study cannot hold both, and neither silently wins."""
+        spec = StudySpec(kind="suite", components=("rl-policy", "weights-1-50-50"))
+        with pytest.raises(ValueError, match="different baseline compiler"):
+            spec.baseline_config()
+        with pytest.raises(ValueError, match="different baseline compiler"):
+            generate_runs(spec)
+        # Agreeing baselines merge.
+        agreeing = StudySpec(kind="suite", components=("rl-policy", "terminal-reward"))
+        assert agreeing.baseline_config().compiler == "chehab-rl"
+
 
 class TestRunMatrix:
     def test_shape_and_uniqueness(self):
@@ -182,6 +315,16 @@ class TestRunMatrix:
             if getattr(baseline.config, f.name) != getattr(ablated.config, f.name)
         }
         assert changed == set(get_component("coalescing").ablated)
+
+    def test_suite_replicate_r_has_seed_r_in_every_condition(self):
+        spec = StudySpec(
+            kind="suite", components=("rl-policy", "terminal-reward"), replicates=3, seed=9
+        )
+        runs = generate_runs(spec)
+        assert len(runs) == 3 * 3
+        assert all(run.seed == run.replicate for run in runs)
+        greedy = next(run for run in runs if run.condition == "rl-policy")
+        assert greedy.config.compiler == "greedy"
 
     def test_condition_seeds_deterministic(self):
         conditions = [BASELINE, "a", "b"]
@@ -255,6 +398,97 @@ class TestStudyRunner:
         assert load_study_spec(study_dir) == TINY
 
 
+class TestSuiteRunner:
+    def test_every_condition_trains_replicate_r_with_seed_r(self, tmp_path, agent_calls):
+        runner = StudyRunner(TINY_SUITE, str(tmp_path / "study"))
+        assert runner.run().complete
+        seeds = {}
+        for call in agent_calls:
+            condition = (call["use_terminal_reward"], call["use_random_data"])
+            seeds.setdefault(condition, []).append(call["seed"])
+        # baseline, step-only reward, random data: each trained seeds 0 and 1.
+        assert seeds == {(True, False): [0, 1], (False, False): [0, 1], (True, True): [0, 1]}
+        for record in runner.completed_runs().values():
+            assert record["seed"] == record["replicate"]
+            metrics = record["metrics"]
+            assert metrics["correct_fraction"] == 1.0
+            for key in (
+                "execution_latency_ms_geomean",
+                "consumed_noise_budget_geomean",
+                "final_cost_geomean",
+                "execution_latency_ms/dot_product_4",
+                "execution_latency_ms/max_4",
+            ):
+                assert metrics[key] > 0
+
+    def test_interrupt_then_resume_reruns_nothing(self, tmp_path, agent_calls):
+        study_dir = str(tmp_path / "study")
+        first = StudyRunner(TINY_SUITE, study_dir).run(max_runs=4)
+        assert len(first.executed) == 4 and len(first.remaining) == 2
+        log_path = os.path.join(study_dir, "study.jsonl")
+        with open(log_path, "rb") as handle:
+            persisted = handle.read()
+        trained_before = len(agent_calls)
+
+        second = StudyRunner(TINY_SUITE, study_dir).run()
+        assert second.complete
+        assert second.skipped == first.executed
+        assert second.executed == first.remaining
+        # Only the two missing replicates asked for an agent.
+        assert len(agent_calls) - trained_before == 2
+        with open(log_path, "rb") as handle:
+            assert handle.read().startswith(persisted)
+
+    def test_run_study_reports_suite_importance(self, tmp_path):
+        report = api.run_study(
+            str(tmp_path / "study"),
+            kind="suite",
+            components=["weights-1-50-50"],
+            workloads=["dot_product_4", "max_4"],
+            replicates=1,
+            resamples=50,
+        )
+        assert report["progress"]["complete"]
+        assert report["primary_metric"] == "execution_latency_ms_geomean"
+        (row,) = report["ranking"]
+        assert row["component"] == "weights-1-50-50"
+        assert row["ci_low"] <= row["importance"] <= row["ci_high"]
+
+
+class TestOutdatedStudyDirs:
+    def test_outdated_header_raises_one_documented_error(self, tmp_path):
+        study_dir = str(tmp_path / "old")
+        _write_header(study_dir, OUTDATED_HEADER)
+        with pytest.raises(ValueError, match="start a fresh --study-dir"):
+            load_study_spec(study_dir)
+        with pytest.raises(ValueError, match="memoize_circuits"):
+            api.run_study(study_dir, resume=True)
+        # A known-field header naming a deleted component fails the same way.
+        record = TINY.as_dict()
+        record["components"] = ["measured-scheduler"]
+        _write_header(study_dir, record)
+        with pytest.raises(ValueError, match="measured-scheduler.*start a fresh"):
+            load_study_spec(study_dir)
+
+    @pytest.mark.parametrize("command", ["report", "resume"])
+    def test_cli_prints_the_error_and_exits_non_zero(self, tmp_path, capsys, command):
+        study_dir = str(tmp_path / "old")
+        _write_header(study_dir, OUTDATED_HEADER)
+        assert cli_main(["study", command, "--study-dir", study_dir]) == 1
+        err = capsys.readouterr().err
+        assert "start a fresh --study-dir" in err
+        assert "Traceback" not in err
+
+    def test_header_without_kind_resumes_as_a_server_study(self, tmp_path):
+        study_dir = str(tmp_path / "study")
+        record = TINY.as_dict()
+        del record["kind"]
+        _write_header(study_dir, record)
+        assert load_study_spec(study_dir) == TINY
+        outcome = StudyRunner(TINY, study_dir).run(max_runs=1)
+        assert outcome.executed == ["baseline/r0"]
+
+
 class TestAnalysis:
     def test_importance_sign_conventions(self):
         records = [
@@ -281,6 +515,16 @@ class TestAnalysis:
         # Latency doubled when ablated — lower-is-better flips the sign so
         # the component still scores positive.
         assert row["importance"] == pytest.approx(1.0)
+
+        # A per-kernel latency follows its base metric's direction.
+        records = [
+            _run_record(BASELINE, {"execution_latency_ms/gx_3x3": 10.0}, 0),
+            _run_record("comp", {"execution_latency_ms/gx_3x3": 15.0}, 0),
+        ]
+        (row,) = component_importance(
+            records, ["comp"], metric="execution_latency_ms/gx_3x3", resamples=100
+        )
+        assert row["importance"] == pytest.approx(0.5)
 
     def test_importance_edge_cases(self):
         # Zero baseline: no denominator, defined as zero importance.
