@@ -97,7 +97,6 @@ class BenchmarkRunner:
         backend: Union[str, object, None] = None,
         workers: int = 1,
         cache: Optional[CompilationCache] = None,
-        cache_dir: Optional[str] = None,
     ) -> None:
         """``compilers`` maps a label to a compiler.
 
@@ -114,7 +113,7 @@ class BenchmarkRunner:
         self.input_seed = input_seed
         self.backend, _ = resolve_backend(backend)
         self.backend_name = getattr(self.backend, "name", type(self.backend).__name__)
-        self.cache = cache if cache is not None else CompilationCache(directory=cache_dir)
+        self.cache = cache if cache is not None else CompilationCache()
         self.services: Dict[str, CompilationService] = {
             label: CompilationService(compiler, workers=workers, cache=self.cache)
             for label, compiler in compilers.items()

@@ -202,7 +202,13 @@ for _name, _description, _ablated in (
      "runs train the agent on random expressions.", {"use_random_data": True}),
 ):
     register_component(
-        Component(_name, _description, _ablated, {"compiler": "chehab-rl"}, kind="suite")
+        Component(
+            name=_name,
+            description=_description,
+            ablated=_ablated,
+            baseline={"compiler": "chehab-rl"},
+            kind="suite",
+        )
     )
 
 for _weights in ((1.0, 50.0, 50.0), (1.0, 100.0, 100.0), (1.0, 150.0, 150.0)):

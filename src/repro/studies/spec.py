@@ -280,8 +280,7 @@ def generate_runs(spec: StudySpec) -> List[RunSpec]:
     One ``baseline`` condition plus one single-delta condition per component,
     each with ``spec.replicates`` runs: independently seeded for server
     studies, paired (replicate *r* has seed *r*) for suite studies.  The
-    matrix is
-    ordered *replicate-major* (replicate 0 of every condition, then
+    matrix is ordered *replicate-major* (replicate 0 of every condition, then
     replicate 1, …): runs execute in matrix order, so condition-major order
     would hand whichever condition runs first the whole cost of a cold
     process and bias every importance score.  Interleaving spreads that
