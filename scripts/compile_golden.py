@@ -18,8 +18,10 @@ each case:
   ``nodes_walked`` is left out: it measures how the search walks, not what
   it computes.
 
-The fixture also stores a digest of the trained agent's policy parameters,
-so a change to the rewriter that altered RL training would show too.
+The fixture also stores a digest of the policy parameters of every agent
+perfbench's ``cold-compile`` trains (the default configuration with seeds
+0, 1 and 2), so a change to the rewriter or to ``repro.nn`` that altered RL
+training would show too.
 
 Usage::
 
@@ -61,6 +63,8 @@ FIXTURE = os.path.join(
 
 #: The chehab-rl configuration (the registry's default agent).
 RL_OPTIONS = {"train_timesteps": 512, "dataset_size": 64, "seed": 0}
+#: Agent seeds whose trained weights are pinned (``cold-compile`` trains each).
+AGENT_SEEDS = (0, 1, 2)
 SUITE_COMPILERS = ("greedy", "coyote", "chehab-rl")
 #: Beam search is slow on the large kernels; it is pinned on these only.
 BEAM_KERNELS = (
@@ -174,7 +178,10 @@ def generate() -> Dict[str, object]:
         report = compilers[compiler].compile_expression(expr, name=benchmark.name)
         cases[f"{compiler}/{benchmark.name}"] = _record(report, compiler)
     return {
-        "policy_digest": policy_digest(make_default_agent(**RL_OPTIONS)),
+        "policy_digests": {
+            str(seed): policy_digest(make_default_agent(**dict(RL_OPTIONS, seed=seed)))
+            for seed in AGENT_SEEDS
+        },
         "cases": cases,
     }
 
@@ -182,8 +189,9 @@ def generate() -> Dict[str, object]:
 def compare(expected: Dict[str, object], actual: Dict[str, object]) -> List[str]:
     """Human-readable differences between two fixture payloads."""
     problems: List[str] = []
-    if expected["policy_digest"] != actual["policy_digest"]:
-        problems.append("policy_digest: the trained agent's parameters changed")
+    for seed, digest in sorted(expected["policy_digests"].items()):
+        if actual["policy_digests"].get(seed) != digest:
+            problems.append(f"policy_digests[{seed}]: the seed-{seed} agent's parameters changed")
     expected_cases, actual_cases = expected["cases"], actual["cases"]
     for key in sorted(set(expected_cases) | set(actual_cases)):
         if key not in actual_cases:
