@@ -51,11 +51,10 @@ class MultiHeadSelfAttention(Module):
         values = self._split_heads(self.value(inputs), batch, length)
 
         scores = queries @ keys.transpose(0, 1, 3, 2)
-        scores = scores * (1.0 / math.sqrt(self.head_dim))
+        additive = None
         if padding_mask is not None:
             additive = np.where(np.asarray(padding_mask)[:, None, None, :] > 0, 0.0, -1e9)
-            scores = scores + Tensor(additive)
-        weights = scores.softmax(axis=-1)
+        weights = scores.masked_softmax(1.0 / math.sqrt(self.head_dim), additive)
         attended = weights @ values
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, self.model_dim)
         return self.output(merged)

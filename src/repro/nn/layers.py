@@ -129,11 +129,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, inputs: Tensor) -> Tensor:
-        mean = inputs.mean(axis=-1, keepdims=True)
-        centred = inputs - mean
-        variance = (centred * centred).mean(axis=-1, keepdims=True)
-        normalised = centred * (variance + self.eps) ** -0.5
-        return normalised * self.gain + self.shift
+        return inputs.layer_norm(self.gain, self.shift, self.eps)
 
 
 class ReLU(Module):

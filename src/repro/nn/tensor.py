@@ -14,7 +14,13 @@ Only what a backward pass will read is kept:
 * ``backward()`` frees each interior node as soon as its closure has run:
   the closure, the parent links and the node's ``.grad`` are dropped, so
   after the pass only leaves (parameters, inputs) keep ``.grad``, as in
-  PyTorch without ``retain_grad``.
+  PyTorch without ``retain_grad``;
+* a closure computes an operand's gradient only when that operand
+  ``requires_grad`` (masks and other constants get none), and attention's
+  softmax and layer normalisation are single fused nodes.
+
+Trained weights are bit-identical to the plain composed graph: each fused
+op and each skipped computation leaves every gradient's bits as they were.
 """
 
 from __future__ import annotations
@@ -52,6 +58,18 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_mode.enabled = previous
+
+
+def _is_basic_index(index) -> bool:
+    """True for an index of ints, slices, ``None`` and ``...`` only."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -143,8 +161,10 @@ class Tensor:
         out = self._make(self.data + other.data, (self, other))
 
         def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad, other.data.shape))
 
         out._link(_backward)
         return out
@@ -171,8 +191,10 @@ class Tensor:
         out = self._make(self.data * other.data, (self, other))
 
         def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
         out._link(_backward)
         return out
@@ -270,13 +292,17 @@ class Tensor:
             grad = out.grad
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(grad, self.data.shape))
 
         out._link(_backward)
         return out
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
+        if axis is None:
+            count = self.data.size
+        else:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
@@ -317,10 +343,16 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out = self._make(self.data[index], (self,))
+        basic = _is_basic_index(index)
 
         def _backward() -> None:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            if basic:
+                # A basic index names each element at most once.
+                grad[index] += out.grad
+            else:
+                # Repeated integer ids must accumulate.
+                np.add.at(grad, index, out.grad)
             self._accumulate(grad)
 
         out._link(_backward)
@@ -335,6 +367,8 @@ class Tensor:
             sizes = [t.data.shape[axis] for t in tensors]
             offsets = np.cumsum([0] + sizes)
             for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+                if not tensor.requires_grad:
+                    continue
                 slicer = [slice(None)] * out.grad.ndim
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(out.grad[tuple(slicer)])
@@ -350,7 +384,8 @@ class Tensor:
         def _backward() -> None:
             grads = np.split(out.grad, len(tensors), axis=axis)
             for tensor, grad in zip(tensors, grads):
-                tensor._accumulate(np.squeeze(grad, axis=axis))
+                if tensor.requires_grad:
+                    tensor._accumulate(np.squeeze(grad, axis=axis))
 
         out._link(_backward)
         return out
@@ -369,8 +404,84 @@ class Tensor:
         out._link(_backward)
         return out
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        return self.log_softmax(axis=axis).exp()
+    def masked_softmax(self, scale: float, mask: Optional[np.ndarray] = None) -> "Tensor":
+        """``exp(log_softmax(self * scale + mask))`` over the last axis, as one op.
+
+        Attention's softmax.  The values and the input gradient have the
+        bits of that composed chain: the forward runs the same numpy ops in
+        the same order, and the backward runs the chain's closures' arithmetic
+        in order, ``+ 0.0`` included where each link's first write in
+        :meth:`_accumulate` turns ``-0.0`` into ``+0.0``.  Only the output
+        is kept, where the chain kept four intermediate arrays.
+        """
+        scores = self.data * scale
+        if mask is not None:
+            scores = scores + mask
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        log_sum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        out = self._make(np.exp(shifted - log_sum), (self,))
+
+        def _backward() -> None:
+            # exp, then log_softmax (whose softmax is this output), then the
+            # mask's add and the scale's multiply.
+            grad = out.grad * out.data + 0.0
+            grad = grad - out.data * grad.sum(axis=-1, keepdims=True) + 0.0
+            self._accumulate(grad * scale)
+
+        out._link(_backward)
+        return out
+
+    def layer_norm(self, gain: "Tensor", shift: "Tensor", eps: float) -> "Tensor":
+        """Layer normalisation over the last axis, as one op.
+
+        ``(x - mean) * (variance + eps) ** -0.5 * gain + shift``, where the
+        mean and variance are ``mean(axis=-1, keepdims=True)``.  Values and
+        gradients have the bits of that expression built from ``Tensor``
+        ops: the forward runs the same numpy ops in the same order, and the
+        backward runs each op's closure arithmetic in the order the composed
+        graph runs them, ``+ 0.0`` included where a first write in
+        :meth:`_accumulate` turns ``-0.0`` into ``+0.0``.  The input gets
+        its two contributions (through ``centred``, then through the mean)
+        as two accumulations, as the composed graph gives them.
+        """
+        x = self.data
+        inverse_count = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True) * inverse_count
+        centred = x + -mean
+        variance = (centred * centred).sum(axis=-1, keepdims=True) * inverse_count
+        shifted_variance = variance + eps
+        scale = shifted_variance ** -0.5
+        normalised = centred * scale
+        out = self._make(normalised * gain.data + shift.data, (self, gain, shift))
+
+        def _backward() -> None:
+            grad = out.grad
+            if shift.requires_grad:
+                shift._accumulate(_unbroadcast(grad, shift.data.shape))
+            grad = grad + 0.0
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(grad * normalised, gain.data.shape))
+            grad = grad * gain.data + 0.0
+            if not self.requires_grad:
+                return
+            # normalised = centred * scale
+            centred_grad = grad * scale + 0.0
+            grad = _unbroadcast(grad * centred, scale.shape) + 0.0
+            # scale = shifted_variance ** -0.5, then + eps, then * 1/count
+            grad = grad * -0.5 * shifted_variance ** -1.5 + 0.0
+            grad = grad * inverse_count + 0.0
+            # the sum of squares, then centred * centred (both operands)
+            grad = np.broadcast_to(grad, centred.shape) + 0.0
+            centred_grad += grad * centred
+            centred_grad += grad * centred
+            # centred = x + -mean, then -, then * 1/count, then the sum
+            self._accumulate(centred_grad)
+            grad = -(_unbroadcast(centred_grad, mean.shape) + 0.0) + 0.0
+            grad = grad * inverse_count + 0.0
+            self._accumulate(np.broadcast_to(grad, x.shape))
+
+        out._link(_backward)
+        return out
 
     # -- backward pass -----------------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:

@@ -71,15 +71,17 @@ class RuleSet:
         self._rules: Tuple[Rule, ...] = tuple(rules)
         self._by_name: Dict[str, int] = {rule.name: i for i, rule in enumerate(rules)}
         # Rules to try at a node, by the node's type, in index order: the
-        # rules whose head is that type plus the rules without a head.
+        # rules whose head includes that type plus the rules without a head.
         self._wildcard: Tuple[int, ...] = tuple(
             i for i, rule in enumerate(self._rules) if rule.head is None
         )
         self._by_head: Dict[type, Tuple[int, ...]] = {
             head: tuple(
-                i for i, rule in enumerate(self._rules) if rule.head in (None, head)
+                i
+                for i, rule in enumerate(self._rules)
+                if rule.head is None or head in rule.head_types
             )
-            for head in {rule.head for rule in self._rules if rule.head is not None}
+            for head in {head for rule in self._rules for head in rule.head_types}
         }
 
     # -- container protocol ----------------------------------------------------

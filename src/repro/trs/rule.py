@@ -17,8 +17,8 @@ Both expose the same interface:
 * ``find(expr)`` returns the list of *paths* (locations) where the rule is
   applicable, in pre-order;
 * ``matches_at(node)`` says whether the rule applies at the root of
-  ``node``; ``head`` is the node type the rule's root must have (``None``
-  when any node may match);
+  ``node``; ``head`` is the node type (or tuple of types) the rule's root
+  must have (``None`` when any node may match);
 * ``apply_at(expr, path)`` returns the rewritten expression.
 
 The rewrite drivers and the RL environment do not call ``find`` rule by
@@ -30,7 +30,7 @@ oracle the index is tested against.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.nodes import Expr, Var
 from repro.ir.parser import parse
@@ -47,6 +47,7 @@ from repro.ir.pattern import (
 __all__ = ["Rule", "PatternRule", "FunctionRule", "RuleApplicationError", "pattern"]
 
 Path = Tuple[int, ...]
+Head = Union[type, Tuple[type, ...]]
 
 
 class RuleApplicationError(ValueError):
@@ -92,8 +93,16 @@ class Rule:
         self.category = category
         self.description = description
 
-    #: Node type this rule's match root must have; ``None`` means any.
-    head: Optional[type] = None
+    #: Node type (or types) this rule's match root must have; ``None``
+    #: means any.
+    head: Optional[Head] = None
+
+    @property
+    def head_types(self) -> Tuple[type, ...]:
+        """``head`` as a tuple (empty when any node may match)."""
+        if self.head is None:
+            return ()
+        return self.head if isinstance(self.head, tuple) else (self.head,)
 
     # -- interface -----------------------------------------------------------
     def find(self, expr: Expr) -> List[Path]:
@@ -178,10 +187,12 @@ class PatternRule(Rule):
 class FunctionRule(Rule):
     """A procedural rule defined by a matcher and a rewriter callback.
 
-    ``matcher(node)`` is called on every sub-expression and returns ``True``
-    when the rule applies to that node; ``rewriter(node)`` returns the
-    replacement (or ``None`` to signal that the node should be left alone,
-    which also removes it from the match list).
+    ``matcher(node)`` returns ``True`` when the rule applies to that node;
+    ``rewriter(node)`` returns the replacement (or ``None`` to signal that
+    the node should be left alone, which also removes it from the match
+    list).  ``head`` names the node types the matcher can accept, so
+    :class:`~repro.trs.registry.RuleSet` asks it only at those nodes;
+    ``find`` still asks at every node.
     """
 
     def __init__(
@@ -190,12 +201,14 @@ class FunctionRule(Rule):
         matcher: Callable[[Expr], bool],
         rewriter: Callable[[Expr], Optional[Expr]],
         *,
+        head: Optional[Head] = None,
         category: str = "general",
         description: str = "",
     ) -> None:
         super().__init__(name, category=category, description=description)
         self.matcher = matcher
         self.rewriter = rewriter
+        self.head = head
 
     def matches_at(self, node: Expr) -> bool:
         return bool(self.matcher(node)) and self.rewriter(node) is not None

@@ -68,6 +68,7 @@ def _make_chain_rule(label: str, cls: Type[Expr]) -> Rule:
         f"balance-{label}-chain",
         matcher,
         rewriter,
+        head=cls,
         category="balance",
         description=f"rebalance a {cls.__name__} chain into a depth-minimal tree",
     )

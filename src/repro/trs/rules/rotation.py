@@ -87,6 +87,7 @@ def rotation_rules() -> List[Rule]:
             "rotate-zero",
             _rotate_zero_matcher,
             lambda node: node.operand,
+            head=Rotate,
             category="rotation",
             description="(<< x 0) => x",
         )
@@ -104,6 +105,7 @@ def rotation_rules() -> List[Rule]:
             "rotate-compose",
             _rotate_compose_matcher,
             _rotate_compose,
+            head=Rotate,
             category="rotation",
             description="(<< (<< x a) b) => (<< x (a+b))",
         )
@@ -130,6 +132,7 @@ def rotation_rules() -> List[Rule]:
                 f"rotate-hoist-{label}",
                 _distribute_matcher,
                 _distribute,
+                head=vector_cls,
                 category="rotation",
                 description=(
                     f"(Vec{label.capitalize()} (<< x k) (<< y k)) => "
@@ -174,6 +177,7 @@ def rotation_rules() -> List[Rule]:
             name,
             matcher,
             rewriter,
+            head=outer_cls,
             category="rotation",
             description=(
                 f"pack two sibling {inner_cls.__name__} operations into one "
@@ -221,6 +225,7 @@ def rotation_rules() -> List[Rule]:
             "rotate-pack-sum-of-products",
             _pack_pairs_matcher,
             _pack_pairs,
+            head=Vec,
             category="rotation",
             description=(
                 "(Vec (+ (* a b) (* c d)) ...) => one VecMul followed by a "
@@ -268,6 +273,7 @@ def rotation_rules() -> List[Rule]:
             "rotate-reduce-sum",
             _reduce_sum_matcher,
             _reduce_sum,
+            head=(Vec, Add),
             category="rotation",
             description=(
                 "(Vec (+ t0 (+ t1 ...))) over leaf products => packed VecMul "
@@ -319,6 +325,7 @@ def rotation_rules() -> List[Rule]:
             "rotate-reduce-squares",
             _reduce_sub_mul_matcher,
             _reduce_sub_mul,
+            head=(Vec, Add),
             category="rotation",
             description=(
                 "sum of squared element-wise differences => packed VecSub, one "

@@ -81,6 +81,7 @@ def _make_isomorphic_rule(
         f"{label}-vectorize-{suffix}",
         matcher,
         rewriter,
+        head=Vec,
         category="vectorize",
         description=f"pack a Vec of {label} operations into a single {vector_cls.__name__}",
     )
@@ -107,6 +108,7 @@ def _make_neg_rule(width: Optional[int]) -> Rule:
         f"neg-vectorize-{suffix}",
         matcher,
         rewriter,
+        head=Vec,
         category="vectorize",
         description="pack a Vec of negations into a single VecNeg",
     )
@@ -145,6 +147,7 @@ def _make_non_isomorphic_rule(
         f"{label}-vectorize-mixed",
         matcher,
         rewriter,
+        head=Vec,
         category="vectorize",
         description=(
             f"pack the {label} elements of a mixed Vec, padding the second "

@@ -101,6 +101,43 @@ class TestAutograd:
         (t[np.array([0, 0, 2])]).sum().backward()
         assert list(t.grad) == [2.0, 0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            (slice(None), 0, slice(None)),
+            -1,
+            (Ellipsis, 1),
+            (0, slice(1, None), np.int64(2)),
+            (slice(None, None, -1), slice(0, 3, 2)),
+        ],
+    )
+    def test_basic_index_gradient_matches_add_at(self, index):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(2, 3, 4))
+        t = Tensor(data, requires_grad=True)
+        upstream = rng.normal(size=data[index].shape)
+        upstream.flat[0] = -0.0
+        t[index].backward(upstream)
+        expected = np.zeros_like(data)
+        np.add.at(expected, index, upstream)
+        assert t.grad.tobytes() == expected.tobytes()
+
+    def test_mean_over_a_tuple_of_axes(self):
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(2, 3, 4))
+        t = Tensor(data, requires_grad=True)
+        out = t.mean(axis=(0, 2))
+        assert np.allclose(out.numpy(), data.mean(axis=(0, 2)))
+        assert t.mean(axis=(1, 2), keepdims=True).shape == (2, 1, 1)
+        weights = rng.normal(size=3)
+        (out * Tensor(weights)).sum().backward()
+        expected = np.broadcast_to(weights[None, :, None] / 8.0, data.shape)
+        assert np.allclose(t.grad, expected)
+        numeric = _numeric_gradient(
+            lambda x: (Tensor(x).mean(axis=(0, 2)) * Tensor(weights)).sum().item(), data.copy()
+        )
+        assert np.allclose(t.grad, numeric, atol=1e-6)
+
     def test_backward_releases_the_graph(self):
         # Each intermediate's closure refers to the intermediate itself; the
         # graph must be cut after backward so plain refcounting frees it.
@@ -140,6 +177,8 @@ class TestAutograd:
                 Tensor.concatenate([leaf, leaf], axis=0),
                 Tensor.stack([leaf, leaf]),
                 leaf[0].log_softmax(),
+                leaf.masked_softmax(0.5),
+                leaf.layer_norm(leaf[0], leaf[1], 1e-5),
             ]
         assert is_grad_enabled()
         for out in outputs:
@@ -160,6 +199,82 @@ class TestAutograd:
             worker.start()
             worker.join()
         assert seen["enabled"] and seen["out"].requires_grad
+
+
+def _composed_masked_softmax(scores, scale, mask):
+    """Attention's softmax as the chain of ops ``masked_softmax`` fuses."""
+    scaled = scores * scale
+    if mask is not None:
+        scaled = scaled + Tensor(mask)
+    return scaled.log_softmax(axis=-1).exp()
+
+
+def _composed_layer_norm(inputs, gain, shift, eps):
+    """Layer normalisation as the chain of ops ``layer_norm`` fuses."""
+    mean = inputs.mean(axis=-1, keepdims=True)
+    centred = inputs - mean
+    variance = (centred * centred).mean(axis=-1, keepdims=True)
+    normalised = centred * (variance + eps) ** -0.5
+    return normalised * gain + shift
+
+
+def _bits(array):
+    return np.asarray(array).tobytes()
+
+
+class TestFusedOps:
+    """The fused ops give the composed chains' bits, values and gradients."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_masked_softmax_matches_the_composed_chain(self, masked):
+        rng = np.random.default_rng(7)
+        data = rng.normal(scale=4.0, size=(3, 2, 5, 5))
+        real = np.ones((3, 5))
+        real[0, 3:] = 0.0  # padded keys
+        real[2, :] = 0.0  # a fully padded row
+        mask = np.where(real[:, None, None, :] > 0, 0.0, -1e9) if masked else None
+        upstream = rng.normal(size=data.shape)
+        upstream[rng.random(data.shape) < 0.3] = -0.0
+        upstream[1, 0, 2, :] = -0.0
+        scale = 1.0 / np.sqrt(4.0)
+
+        fused_input = Tensor(data.copy(), requires_grad=True)
+        fused = fused_input.masked_softmax(scale, mask)
+        composed_input = Tensor(data.copy(), requires_grad=True)
+        composed = _composed_masked_softmax(composed_input, scale, mask)
+        assert _bits(fused.data) == _bits(composed.data)
+        fused.backward(upstream)
+        composed.backward(upstream)
+        assert _bits(fused_input.grad) == _bits(composed_input.grad)
+        if masked:
+            assert np.all(fused.data[2] > 0.0)  # uniform over the padded keys
+            assert np.all(fused.data[0, ..., 3:] == 0.0)
+
+    @pytest.mark.parametrize("gain_trains", [True, False])
+    def test_layer_norm_matches_the_composed_chain(self, gain_trains):
+        # The input also feeds a residual add, as in the encoder layers, so
+        # its gradient accumulates from three places in a fixed order.
+        rng = np.random.default_rng(8)
+        data = rng.normal(loc=1.0, scale=3.0, size=(2, 5, 8))
+        weights = rng.normal(size=(2, 5, 8))
+        weights[rng.random(weights.shape) < 0.3] = -0.0
+        gain_data = rng.normal(size=8)
+        results = []
+        for build in (
+            lambda h, g, b: h.layer_norm(g, b, 1e-5),
+            lambda h, g, b: _composed_layer_norm(h, g, b, 1e-5),
+        ):
+            leaf = Tensor(data.copy(), requires_grad=True)
+            gain = Tensor(gain_data, requires_grad=gain_trains)
+            shift = Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True)
+            hidden = leaf * 0.5
+            out = build(hidden, gain, shift)
+            ((hidden + out) * Tensor(weights)).sum().backward()
+            results.append((out.data, leaf.grad, gain.grad, shift.grad))
+        for fused, composed in zip(*results):
+            assert (fused is None) == (composed is None)
+            assert fused is None or _bits(fused) == _bits(composed)
+        assert (results[0][2] is None) == (not gain_trains)
 
 
 class TestModules:
@@ -398,11 +513,36 @@ class TestPoliciesAndPPO:
         assert cyclic_tensors(act) == 0
         assert cyclic_tensors(grad_mode_forward) > 0
 
+    def test_ppo_update_never_accumulates_into_a_constant(
+        self, ruleset, small_policy_setup, monkeypatch
+    ):
+        # Advantages, returns, masks, positional encodings and scalar
+        # constants need no gradient: no backward closure may compute one.
+        _tokenizer, config = small_policy_setup
+        policy = HierarchicalActorCritic(ruleset.action_count, config)
+        envs = [_small_env(_TRAIN_EXPRS, seed=i) for i in range(2)]
+        trainer = PPOTrainer(policy, envs, PPOConfig.small(seed=0))
+        reached, constants = [0], []
+        accumulate = Tensor._accumulate
+
+        def recording_accumulate(tensor, grad):
+            reached[0] += 1
+            if not tensor.requires_grad:
+                constants.append(tensor.shape)
+            accumulate(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
+        trainer.train(total_timesteps=64)
+        assert reached[0] > 0
+        assert constants == []
+
     def test_ppo_update_memory_is_bounded(self, ruleset, small_policy_setup):
         # One PPO update (64 rollout steps, 2 epochs of 16-row minibatches)
-        # peaks near 13 MB of traced allocations with the cyclic collector
-        # off.  Holding the rollout graphs (about 61 MB) or keeping interior
-        # gradients through backward (about 25 MB) breaks the bound.
+        # peaks near 10.3 MB of traced allocations with the cyclic collector
+        # off (12.8 MB before dead operand gradients were skipped and the
+        # attention softmax and layer norm were fused).  Holding the rollout
+        # graphs (about 61 MB) or keeping interior gradients through
+        # backward (about 25 MB) breaks the bound.
         _tokenizer, config = small_policy_setup
         policy = HierarchicalActorCritic(ruleset.action_count, config)
         envs = [_small_env(_TRAIN_EXPRS, seed=i) for i in range(2)]
@@ -417,7 +557,7 @@ class TestPoliciesAndPPO:
             tracemalloc.stop()
             gc.enable()
         assert len(trainer.history.timesteps) == 1
-        assert peak < 20 * 2**20, f"one PPO update peaked at {peak / 2**20:.1f} MB"
+        assert peak < 16 * 2**20, f"one PPO update peaked at {peak / 2**20:.1f} MB"
 
     def test_flat_policy_action_round_trip(self, ruleset, small_policy_setup):
         _tokenizer, config = small_policy_setup

@@ -24,8 +24,9 @@ from repro.ir.analysis import (
 )
 from repro.ir.nodes import Add, Mul, Var
 from repro.ir.parser import parse
-from repro.trs.registry import MatchMemo, default_ruleset
+from repro.trs.registry import MatchMemo, RuleSet, default_ruleset
 from repro.trs.rewriter import GreedyRewriter
+from repro.trs.rule import FunctionRule
 
 
 def _expressions():
@@ -112,6 +113,36 @@ class TestMatchIndex:
         ruleset.match_paths(expr, memo)
         assert memo.misses == misses
         assert memo.nodes_walked > 0
+
+    def test_every_default_rule_has_a_head(self):
+        assert [rule.name for rule in default_ruleset() if rule.head is None] == []
+
+    def test_function_rules_match_only_at_their_heads(self, greedy_runs):
+        from repro.kernels.registry import small_benchmark_suite
+
+        function_rules = [rule for rule in default_ruleset() if isinstance(rule, FunctionRule)]
+        states = [state for states in greedy_runs for state in states]
+        states += [benchmark.expression() for benchmark in small_benchmark_suite()]
+        for state in states:
+            for _path, node in iter_subexpressions(state):
+                for rule in function_rules:
+                    if rule.matcher(node):
+                        assert isinstance(node, rule.head_types), (rule.name, node)
+
+    def test_tuple_and_missing_heads_are_indexed(self):
+        def rewriter(node):
+            return Var("z")
+
+        rules = [
+            FunctionRule("either", lambda node: isinstance(node, (Add, Mul)), rewriter, head=(Add, Mul)),
+            FunctionRule("anywhere", lambda node: isinstance(node, Var), rewriter),
+            FunctionRule("adds", lambda node: isinstance(node, Add), rewriter, head=Add),
+        ]
+        ruleset = RuleSet(rules)
+        assert [rule.head_types for rule in ruleset] == [(Add, Mul), (), (Add,)]
+        expr = parse("(+ (* a b) (+ c (* d 2)))")
+        assert ruleset.match_paths(expr) == [rule.find(expr) for rule in ruleset]
+        assert ruleset.match_paths(expr)[0] == [(), (0,), (1,), (1, 1)]
 
     def test_applicability_helpers_agree_with_find(self):
         ruleset = default_ruleset()
